@@ -2,17 +2,18 @@
 
 An algebra is a finite bounded distributive lattice together with two unary
 operator tables (`box`, `diamond`).  The order matrix is the single source of
-truth; meet/join tables and the bounds are derived and memoized at
-construction whenever the order actually is a bounded lattice.  Construction
-only rejects *structurally* malformed input (wrong shapes, out-of-range
-entries); axiom failures are reported by :func:`validate`, never raised.
+truth; what is derived from it lives in a :class:`Lattice`, derived once per
+distinct order and shared by every algebra on it.  Construction only rejects
+*structurally* malformed input (wrong shapes, out-of-range entries); axiom
+failures are reported by :func:`validate`, never raised.
 """
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import StructuralError
 
@@ -21,6 +22,111 @@ BoolMatrix = tuple[tuple[bool, ...], ...]
 
 def _freeze_matrix(rows) -> BoolMatrix:
     return tuple(tuple(bool(x) for x in row) for row in rows)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class Lattice:
+    """An order matrix with everything derived from it.  Build it through
+    :meth:`of`, which interns one per distinct order while an algebra holds it.
+
+    ``up[i]``/``down[i]`` are the bitmasks of the elements above/below i.
+    ``defect`` is None for a bounded lattice, else ``(code, witness)`` of the
+    first failed check in the order reflexive, antisymmetric, transitive,
+    bottom, top, then meet before join for each index pair i <= j; the
+    tables, bounds and irreducibles are then None.
+    """
+
+    __slots__ = ("size", "leq", "up", "down", "defect", "meet", "join", "bottom",
+                 "top", "join_irreducibles", "meet_irreducibles", "__weakref__")
+
+    _interned = weakref.WeakValueDictionary()      # order matrix -> Lattice
+
+    @classmethod
+    def of(cls, leq: BoolMatrix) -> "Lattice":
+        lattice = cls._interned.get(leq)
+        if lattice is None:
+            lattice = cls._interned[leq] = cls(leq)
+        return lattice
+
+    def __init__(self, leq: BoolMatrix):
+        n = len(leq)
+        self.size, self.leq = n, leq
+        self.up = tuple(sum(1 << j for j in range(n) if row[j]) for row in leq)
+        self.down = tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
+        self.meet = self.join = self.bottom = self.top = None
+        self.join_irreducibles = self.meet_irreducibles = None
+        self.defect = self._derive()
+
+    def _derive(self) -> Optional[tuple[str, tuple[int, ...]]]:
+        n, up, down = self.size, self.up, self.down
+        for i in range(n):
+            if not up[i] >> i & 1:
+                return "order-reflexive", (i,)
+        for i in range(n):
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                return "order-antisymmetric", (i, next(_bits(both)))
+        for i in range(n):
+            for j in _bits(up[i]):
+                beyond = up[j] & ~up[i]
+                if beyond:
+                    return "order-transitive", (i, j, next(_bits(beyond)))
+        full = (1 << n) - 1
+        if full not in up:
+            return "lattice-bottom", ()
+        if full not in down:
+            return "lattice-top", ()
+        # meet(i, j) is the element whose down mask is down[i] & down[j]: in
+        # a partial order an element is fixed by its down (up) mask
+        by_down = {d: k for k, d in enumerate(down)}
+        by_up = {u: k for k, u in enumerate(up)}
+        meet = [[0] * n for _ in range(n)]
+        join = [[0] * n for _ in range(n)]
+        for i in range(n):
+            down_i, up_i = down[i], up[i]
+            for j in range(i, n):
+                m = by_down.get(down_i & down[j])
+                if m is None:
+                    return "lattice-meet", (i, j)
+                k = by_up.get(up_i & up[j])
+                if k is None:
+                    return "lattice-join", (i, j)
+                meet[i][j] = meet[j][i] = m
+                join[i][j] = join[j][i] = k
+        self.meet = tuple(map(tuple, meet))
+        self.join = tuple(map(tuple, join))
+        self.bottom, self.top = up.index(full), down.index(full)
+        # exactly one lower (upper) cover: the strict down (up) set has a
+        # greatest (least) element
+        self.join_irreducibles = tuple(
+            j for j in range(n) if (down[j] & ~(1 << j)) in by_down)
+        self.meet_irreducibles = tuple(
+            m for m in range(n) if (up[m] & ~(1 << m)) in by_up)
+        return None
+
+    def require(self) -> "Lattice":
+        """This lattice; StructuralError when the order is not a bounded lattice."""
+        if self.defect is not None:
+            code, witness = self.defect
+            raise StructuralError(f"not a bounded lattice: {code} at {witness}")
+        return self
+
+
+def downsets(leq: BoolMatrix) -> list[frozenset[int]]:
+    """All downsets of the relation, sorted by (cardinality, sorted contents).
+    The upsets of ``leq`` are the downsets of its transpose."""
+    n = len(leq)
+    down = [sum(1 << i for i in range(n) if leq[i][j]) for j in range(n)]
+    out = [frozenset(_bits(mask)) for mask in range(1 << n)
+           if all(down[x] & ~mask == 0 for x in _bits(mask))]
+    return sorted(out, key=lambda d: (len(d), sorted(d)))
 
 
 @dataclass(frozen=True)
@@ -32,16 +138,7 @@ class FiniteAlgebra:
     box: tuple[int, ...]
     diamond: tuple[int, ...]
     name: str = field(default="", compare=False)
-
-    # derived lattice data; None when the order is not a bounded lattice
-    _meet: Optional[tuple[tuple[int, ...], ...]] = field(
-        default=None, init=False, compare=False, repr=False)
-    _join: Optional[tuple[tuple[int, ...], ...]] = field(
-        default=None, init=False, compare=False, repr=False)
-    _bottom: Optional[int] = field(default=None, init=False, compare=False, repr=False)
-    _top: Optional[int] = field(default=None, init=False, compare=False, repr=False)
-    _order_defect: Optional[tuple[str, tuple[int, ...]]] = field(
-        default=None, init=False, compare=False, repr=False)
+    lattice: Lattice = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.size
@@ -55,12 +152,7 @@ class FiniteAlgebra:
             for v in table:
                 if not isinstance(v, int) or not 0 <= v < n:
                     raise StructuralError(f"{label} table entry {v!r} out of range")
-        defect, meet, join, bot, top = _derive_order(n, self.leq)
-        object.__setattr__(self, "_order_defect", defect)
-        object.__setattr__(self, "_meet", meet)
-        object.__setattr__(self, "_join", join)
-        object.__setattr__(self, "_bottom", bot)
-        object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "lattice", Lattice.of(self.leq))
 
     # -- construction helpers ------------------------------------------------
 
@@ -106,28 +198,28 @@ class FiniteAlgebra:
 
     @property
     def is_lattice(self) -> bool:
-        return self._order_defect is None
+        return self.lattice.defect is None
 
-    def _require_lattice(self):
-        if self._order_defect is not None:
-            code, witness = self._order_defect
-            raise StructuralError(f"not a bounded lattice: {code} at {witness}")
-
+    # the tables are None when the order is not a bounded lattice
     def meet(self, x: int, y: int) -> int:
-        self._require_lattice()
-        return self._meet[x][y]
+        try:
+            return self.lattice.meet[x][y]
+        except TypeError:
+            self.lattice.require()
+            raise
 
     def join(self, x: int, y: int) -> int:
-        self._require_lattice()
-        return self._join[x][y]
+        try:
+            return self.lattice.join[x][y]
+        except TypeError:
+            self.lattice.require()
+            raise
 
     def bottom(self) -> int:
-        self._require_lattice()
-        return self._bottom
+        return self.lattice.require().bottom
 
     def top(self) -> int:
-        self._require_lattice()
-        return self._top
+        return self.lattice.require().top
 
     def le(self, x: int, y: int) -> bool:
         return self.leq[x][y]
@@ -146,16 +238,9 @@ class FiniteAlgebra:
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (x, y) with y covering x, for Hasse-diagram output."""
-        n, leq = self.size, self.leq
-        out = []
-        for x in range(n):
-            for y in range(n):
-                if x == y or not leq[x][y]:
-                    continue
-                if not any(leq[x][z] and leq[z][y] and z != x and z != y
-                           for z in range(n)):
-                    out.append((x, y))
-        return out
+        up, down = self.lattice.up, self.lattice.down
+        return [(x, y) for x in range(self.size) for y in _bits(up[x])
+                if x != y and up[x] & down[y] & ~(1 << x | 1 << y) == 0]
 
     def relabel(self, order: tuple[int, ...], name: str = "") -> "FiniteAlgebra":
         """Algebra with element k standing for old element ``order[k]``."""
@@ -175,54 +260,6 @@ class FiniteAlgebra:
     def __repr__(self):
         label = self.name or f"algebra<{self.size}>"
         return f"FiniteAlgebra({label}, size={self.size})"
-
-
-def _derive_order(n: int, leq: BoolMatrix):
-    """Check partial order + bounded lattice; derive meet/join/bounds.
-
-    Returns (defect, meet, join, bottom, top); defect is (code, witness) or
-    None, and the remaining entries are None whenever there is a defect.
-    """
-    for i in range(n):
-        if not leq[i][i]:
-            return ("order-reflexive", (i,)), None, None, None, None
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                return ("order-antisymmetric", (i, j)), None, None, None, None
-    for i in range(n):
-        for j in range(n):
-            if not leq[i][j]:
-                continue
-            row_j = leq[j]
-            row_i = leq[i]
-            for k in range(n):
-                if row_j[k] and not row_i[k]:
-                    return ("order-transitive", (i, j, k)), None, None, None, None
-    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
-    if not bottoms:
-        return ("lattice-bottom", ()), None, None, None, None
-    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
-    if not tops:
-        return ("lattice-top", ()), None, None, None, None
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            best = [k for k in lower if all(leq[l][k] for l in lower)]
-            if len(best) != 1:
-                return ("lattice-meet", (i, j)), None, None, None, None
-            meet[i][j] = meet[j][i] = best[0]
-            upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            best = [k for k in upper if all(leq[k][l] for l in upper)]
-            if len(best) != 1:
-                return ("lattice-join", (i, j)), None, None, None, None
-            join[i][j] = join[j][i] = best[0]
-    return (None,
-            tuple(tuple(row) for row in meet),
-            tuple(tuple(row) for row in join),
-            bottoms[0], tops[0])
 
 
 @dataclass(frozen=True)
@@ -264,12 +301,13 @@ def validate(A: FiniteAlgebra) -> ValidationReport:
     the first offending tuple in index order.
     """
     violations: list[tuple[str, tuple[int, ...]]] = []
-    if A._order_defect is not None:
-        violations.append(A._order_defect)
+    lat = A.lattice
+    if lat.defect is not None:
+        violations.append(lat.defect)
         return ValidationReport(False, False, False, False, False, tuple(violations))
 
     n = A.size
-    meet, join = A._meet, A._join
+    meet, join = lat.meet, lat.join
     box, dia = A.box, A.diamond
     leq = A.leq
 
@@ -301,7 +339,7 @@ def validate(A: FiniteAlgebra) -> ValidationReport:
                         return False
         return True
 
-    top, bot = A._top, A._bottom
+    top, bot = lat.top, lat.bottom
     pma = True
     if box[top] != top:
         violations.append(("box-top", (top,)))

@@ -103,8 +103,8 @@ def cg(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
     tables against every element.
     """
     n = A.size
-    A._require_lattice()
-    meet, join = A._meet, A._join
+    lat = A.lattice.require()
+    meet, join = lat.meet, lat.join
     box, dia = A.box, A.diamond
     parent = list(range(n))
 
@@ -136,7 +136,7 @@ def cg(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
 def is_congruence(A: FiniteAlgebra, p: Partition) -> bool:
     ids = p.block_ids()
     n = A.size
-    meet, join = A._meet, A._join
+    meet, join = A.lattice.meet, A.lattice.join
     for block in p.blocks:
         a = block[0]
         for b in block[1:]:
@@ -343,7 +343,7 @@ def cg_dl(A: FiniteAlgebra, a: int, b: int) -> Partition:
     """Principal congruence of the bounded-lattice reduct, computed pointwise:
     c and d collapse iff they agree after meeting and joining with both
     generators."""
-    A._require_lattice()
+    A.lattice.require()
     n = A.size
     keys = {}
     ids = []

@@ -8,8 +8,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebras import (BoolMatrix, FiniteAlgebra, ModalAlgebra, powerset_masks,
-                       subset_order, validate)
+from .algebras import (BoolMatrix, FiniteAlgebra, ModalAlgebra, downsets,
+                       powerset_masks, subset_order, validate)
 from .congruences import Partition, con_lattice
 from .errors import BudgetError, PreconditionError
 from .morphisms import Hom
@@ -20,34 +20,18 @@ MAX_POINTS = 8          # powerset carriers beyond 2^8 elements are refused
 
 def join_irreducibles(A: FiniteAlgebra) -> list[int]:
     """Elements with exactly one lower cover (excludes the bottom)."""
-    out = []
-    for j in range(A.size):
-        below = [x for x in range(A.size) if x != j and A.leq[x][j]]
-        if not below:
-            continue
-        maxima = [x for x in below if all(A.leq[y][x] for y in below)]
-        if len(maxima) == 1:
-            out.append(j)
-    return out
+    return list(A.lattice.require().join_irreducibles)
 
 
 def meet_irreducibles(A: FiniteAlgebra) -> list[int]:
-    out = []
-    for m in range(A.size):
-        above = [x for x in range(A.size) if x != m and A.leq[m][x]]
-        if not above:
-            continue
-        minima = [x for x in above if all(A.leq[x][y] for y in above)]
-        if len(minima) == 1:
-            out.append(m)
-    return out
+    """Elements with exactly one upper cover (excludes the top)."""
+    return list(A.lattice.require().meet_irreducibles)
 
 
 @lru_cache(maxsize=None)
 def prime_filters(A: FiniteAlgebra) -> tuple[frozenset[int], ...]:
     """All prime filters: the principal upsets of join-irreducible elements,
     sorted by (cardinality, contents)."""
-    A._require_lattice()
     filters = [frozenset(a for a in range(A.size) if A.leq[j][a])
                for j in join_irreducibles(A)]
     return tuple(sorted(filters, key=lambda f: (len(f), sorted(f))))
@@ -102,7 +86,9 @@ def check_kplus(X: DualSpace) -> None:
                      for r1, r2 in zip(_compose(X.R, X.leq), _compose(X.R, inv)))
     if expected != X.R:
         raise PreconditionError("relation is not order-compatible")
-    for v in _upsets(X.leq):
+    if n > 16:
+        raise BudgetError("too many points to enumerate upsets")
+    for v in downsets(inv):
         if not _is_upset(X.leq, _box_r(X.R, v)) or not _is_upset(X.leq, _dia_r(X.R, v)):
             raise PreconditionError("upsets are not closed under the modal operators")
 
@@ -110,18 +96,6 @@ def check_kplus(X: DualSpace) -> None:
 def _is_upset(leq: BoolMatrix, v: frozenset[int]) -> bool:
     n = len(leq)
     return all(leq[x][y] <= (y in v) for x in v for y in range(n))
-
-
-def _upsets(leq: BoolMatrix) -> list[frozenset[int]]:
-    n = len(leq)
-    if n > 16:
-        raise BudgetError("too many points to enumerate upsets")
-    out = []
-    for mask in range(1 << n):
-        v = frozenset(i for i in range(n) if mask >> i & 1)
-        if _is_upset(leq, v):
-            out.append(v)
-    return sorted(out, key=lambda v: (len(v), sorted(v)))
 
 
 def _box_r(R: BoolMatrix, v: frozenset[int]) -> frozenset[int]:
@@ -140,7 +114,7 @@ def upset_algebra(X: DualSpace, name: str = "") -> FiniteAlgebra:
     """Algebra of all upsets of the space under intersection/union with the
     relational operators.  The space is checked for compatibility first."""
     check_kplus(X)
-    carrier = _upsets(X.leq)
+    carrier = downsets(tuple(zip(*X.leq)))
     index = {v: i for i, v in enumerate(carrier)}
     n = len(carrier)
     leq = tuple(tuple(carrier[i] <= carrier[j] for j in range(n)) for i in range(n))
@@ -154,7 +128,7 @@ def kappa(A: FiniteAlgebra) -> Hom:
     the target is the upset algebra of the dual space."""
     X = dual_space(A)
     U = upset_algebra(X)
-    carrier = _upsets(X.leq)
+    carrier = downsets(tuple(zip(*X.leq)))
     index = {v: i for i, v in enumerate(carrier)}
     mapping = tuple(index[frozenset(i for i, f in enumerate(X.points) if a in f)]
                     for a in range(A.size))
@@ -171,10 +145,19 @@ class Envelope:
         return self.modal.algebra
 
 
-@lru_cache(maxsize=None)
 def boolean_envelope(A: FiniteAlgebra) -> Envelope:
-    """Powerset modal algebra over the prime-filter frame, with the embedding
-    of A into it."""
+    """Powerset modal algebra over the prime-filter frame, named ``M(name)``
+    after A, with the embedding of A into it."""
+    modal, mapping = _nameless_envelope(A)
+    if A.name:
+        modal = ModalAlgebra(modal.algebra.rename(f"M({A.name})"), modal.complement)
+    return Envelope(modal, Hom(A, modal.algebra, mapping))
+
+
+@lru_cache(maxsize=None)
+def _nameless_envelope(A: FiniteAlgebra) -> tuple[ModalAlgebra, tuple[int, ...]]:
+    """The envelope without names: the cache is keyed on A's value, which
+    ignores its name, so a cached name would be the first caller's."""
     X = dual_space(A)
     pts = X.points
     k = len(pts)
@@ -193,12 +176,15 @@ def boolean_envelope(A: FiniteAlgebra) -> Envelope:
 
     box = tuple(index[box_mask(m)] for m in masks)
     dia = tuple(index[dia_mask(m)] for m in masks)
-    M = FiniteAlgebra(len(masks), subset_order(masks), box, dia,
-                      f"M({A.name})" if A.name else "")
+    M = FiniteAlgebra(len(masks), subset_order(masks), box, dia)
     complement = tuple(index[full ^ m] for m in masks)
     mapping = tuple(index[sum(1 << i for i, f in enumerate(pts) if a in f)]
                     for a in range(A.size))
-    return Envelope(ModalAlgebra(M, complement), Hom(A, M, mapping))
+    return ModalAlgebra(M, complement), mapping
+
+
+# the statistics of the value-keyed cache behind the public function
+boolean_envelope.cache_info = _nameless_envelope.cache_info
 
 
 def complex_algebra(n_worlds: int, relation, name: str = "") -> FiniteAlgebra:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .algebras import BoolMatrix, FiniteAlgebra, validate
+from .algebras import BoolMatrix, FiniteAlgebra, downsets, validate
 from .congruences import is_fsi, is_si
 from .errors import PomaError
 from .morphisms import canonical_form, _encode, _discrete_orders
@@ -51,16 +51,6 @@ def canonical_poset(leq: BoolMatrix) -> tuple:
         if best is None or enc < best:
             best = enc
     return best
-
-
-def downsets(leq: BoolMatrix) -> list[frozenset[int]]:
-    n = len(leq)
-    out = []
-    for mask in range(1 << n):
-        d = frozenset(i for i in range(n) if mask >> i & 1)
-        if all(leq[y][x] <= (y in d) for x in d for y in range(n)):
-            out.append(d)
-    return sorted(out, key=lambda d: (len(d), sorted(d)))
 
 
 def _extend_with_max(leq: BoolMatrix, down: frozenset[int]) -> BoolMatrix:
@@ -139,7 +129,7 @@ def _closure_table(L: FiniteAlgebra, fixed: tuple[int, ...]) -> tuple[int, ...]:
 
 def _mixed_axioms_hold(L: FiniteAlgebra, box, dia) -> bool:
     n = L.size
-    leq, meet, join = L.leq, L._meet, L._join
+    leq, meet, join = L.leq, L.lattice.meet, L.lattice.join
     for a in range(n):
         ba, da = box[a], dia[a]
         for b in range(n):
@@ -165,9 +155,8 @@ def _meet_preserving_tables(L: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All unary tables preserving binary meets and the top element.  Over a
     distributive lattice these are exactly the tables determined by arbitrary
     values on the meet-irreducible elements."""
-    from .duality import meet_irreducibles
     n = L.size
-    irr = meet_irreducibles(L)
+    irr = L.lattice.meet_irreducibles
     seen = {}
     for values in itertools.product(range(n), repeat=len(irr)):
         table = tuple(
@@ -180,9 +169,8 @@ def _meet_preserving_tables(L: FiniteAlgebra) -> list[tuple[int, ...]]:
 
 
 def _join_preserving_tables(L: FiniteAlgebra) -> list[tuple[int, ...]]:
-    from .duality import join_irreducibles
     n = L.size
-    irr = join_irreducibles(L)
+    irr = L.lattice.join_irreducibles
     seen = {}
     for values in itertools.product(range(n), repeat=len(irr)):
         table = tuple(

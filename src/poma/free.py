@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .algebras import FiniteAlgebra, validate
+from .algebras import FiniteAlgebra, downsets, validate
 from .errors import BudgetError, PreconditionError
 from .morphisms import (canonical_form, closure_universe, extend_hom,
                         si_quotients)
@@ -136,16 +136,6 @@ def fact52_check(B: FiniteAlgebra, b: int) -> bool:
 
 # -- the free one-generated positive S4-algebra ----------------------------------
 
-def _upsets_of(leq) -> list[frozenset[int]]:
-    n = len(leq)
-    out = []
-    for mask in range(1 << n):
-        u = frozenset(i for i in range(n) if mask >> i & 1)
-        if all(leq[x][y] <= (y in u) for x in u for y in range(n)):
-            out.append(u)
-    return sorted(out, key=lambda u: (len(u), sorted(u)))
-
-
 @lru_cache(maxsize=None)
 def figure1_algebra() -> FreeAlgebraResult:
     """The finite free one-generated positive S4-algebra, shipped as data.
@@ -157,10 +147,10 @@ def figure1_algebra() -> FreeAlgebraResult:
     and bottom < [dia box x] < [dia box dia x] < [dia x] < top.  The battery
     in verify_figure1 guards this transcription."""
     p_leq = _fact52_leq()
-    points = _upsets_of(p_leq)                      # prime-filter skeleton
+    points = downsets(tuple(zip(*p_leq)))           # prime-filter skeleton (upsets)
     m = len(points)
     j_leq = tuple(tuple(points[i] <= points[j] for j in range(m)) for i in range(m))
-    carrier = _upsets_of(j_leq)
+    carrier = downsets(tuple(zip(*j_leq)))
     index = {u: i for i, u in enumerate(carrier)}
     n = len(carrier)
 

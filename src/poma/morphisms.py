@@ -65,7 +65,7 @@ def closure_universe(A: FiniteAlgebra, gens: Iterable[int]) -> frozenset[int]:
     """Least subuniverse containing the generators (and the bounds)."""
     members = {A.bottom(), A.top(), *gens}
     frontier = list(members)
-    meet, join = A._meet, A._join
+    meet, join = A.lattice.meet, A.lattice.join
     while frontier:
         x = frontier.pop()
         new = [A.box[x], A.diamond[x]]
@@ -178,9 +178,9 @@ def extend_hom(A: FiniteAlgebra, B: FiniteAlgebra,
     """Deterministically extend a partial map along the operations.
 
     Returns the total mapping when the closure of the seed's domain is all of
-    A and no conflict arises; None on conflict; and a partial dict when the
-    seed does not generate A (callers treat that as failure unless they
-    backtrack over more generators).
+    A, no conflict arises and the map is a homomorphism; None otherwise,
+    including when the seed does not generate A (callers backtracking over
+    more generators treat that as failure).
     """
     f: dict[int, int] = {A.bottom(): B.bottom(), A.top(): B.top()}
     for k, v in seed.items():

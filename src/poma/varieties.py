@@ -161,12 +161,9 @@ def _label_for(A: FiniteAlgebra) -> str:
     for name in CORPUS_NAMES:
         if name in ("EX46", "AN_MINUS", "AN_SIMPLE", "F1_PS4"):
             continue
-        try:
-            if A.size == corpus_by_spec(name).size and \
-                    canonical_form(A) == canonical_form(corpus_by_spec(name)):
-                return name
-        except Exception:
-            continue
+        B = corpus_by_spec(name)
+        if A.size == B.size and canonical_form(A) == canonical_form(B):
+            return name
     return f"<{A.size}-element {A.to_json()}>"
 
 

@@ -8,6 +8,102 @@ from poma.enumeration import canonical_poset
 from poma.morphisms import canonical_form
 
 
+def oracle_derive_order(leq):
+    """Brute-force oracle for :class:`poma.algebras.Lattice`: check partial
+    order then bounded lattice, searching every candidate meet and join.
+
+    Returns (defect, meet, join, bottom, top); defect is (code, witness) or
+    None, and the remaining entries are None whenever there is a defect.
+    """
+    n = len(leq)
+    for i in range(n):
+        if not leq[i][i]:
+            return ("order-reflexive", (i,)), None, None, None, None
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return ("order-antisymmetric", (i, j)), None, None, None, None
+    for i in range(n):
+        for j in range(n):
+            if not leq[i][j]:
+                continue
+            for k in range(n):
+                if leq[j][k] and not leq[i][k]:
+                    return ("order-transitive", (i, j, k)), None, None, None, None
+    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
+    if not bottoms:
+        return ("lattice-bottom", ()), None, None, None, None
+    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
+    if not tops:
+        return ("lattice-top", ()), None, None, None, None
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
+            best = [k for k in lower if all(leq[l][k] for l in lower)]
+            if len(best) != 1:
+                return ("lattice-meet", (i, j)), None, None, None, None
+            meet[i][j] = meet[j][i] = best[0]
+            upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            best = [k for k in upper if all(leq[k][l] for l in upper)]
+            if len(best) != 1:
+                return ("lattice-join", (i, j)), None, None, None, None
+            join[i][j] = join[j][i] = best[0]
+    return (None,
+            tuple(tuple(row) for row in meet),
+            tuple(tuple(row) for row in join),
+            bottoms[0], tops[0])
+
+
+def oracle_join_irreducibles(leq):
+    """Elements whose strict downset is nonempty with exactly one maximum."""
+    n = len(leq)
+    out = []
+    for j in range(n):
+        below = [x for x in range(n) if x != j and leq[x][j]]
+        if not below:
+            continue
+        maxima = [x for x in below if all(leq[y][x] for y in below)]
+        if len(maxima) == 1:
+            out.append(j)
+    return out
+
+
+def oracle_meet_irreducibles(leq):
+    """Elements whose strict upset is nonempty with exactly one minimum."""
+    n = len(leq)
+    out = []
+    for m in range(n):
+        above = [x for x in range(n) if x != m and leq[m][x]]
+        if not above:
+            continue
+        minima = [x for x in above if all(leq[x][y] for y in above)]
+        if len(minima) == 1:
+            out.append(m)
+    return out
+
+
+def oracle_covers(leq):
+    """Pairs (x, y), x != y, x <= y, with no third element between them."""
+    n = len(leq)
+    return [(x, y) for x in range(n) for y in range(n)
+            if x != y and leq[x][y] and not any(
+                leq[x][z] and leq[z][y] and z not in (x, y) for z in range(n))]
+
+
+def oracle_downsets(leq):
+    """Every subset closed downward under the relation, found by testing all
+    2^n subsets as frozensets, sorted by (cardinality, sorted contents)."""
+    n = len(leq)
+    out = []
+    for mask in range(1 << n):
+        d = frozenset(i for i in range(n) if mask >> i & 1)
+        if all(leq[y][x] <= (y in d) for x in d for y in range(n)):
+            out.append(d)
+    return sorted(out, key=lambda d: (len(d), sorted(d)))
+
+
 def labeled_bounded_dls(n):
     """Brute-force oracle: every bounded distributive lattice on n labeled
     elements whose identity labeling is a linear extension (every poset has

@@ -1,7 +1,7 @@
 import pytest
 
-from poma import (boolean_envelope, complex_algebra, corpus, dual_space,
-                  is_fsi, is_iso, is_simple, is_well_connected, kappa,
+from poma import (boolean_envelope, complex_algebra, corpus, corpus_by_spec,
+                  dual_space, is_fsi, is_iso, is_simple, is_well_connected, kappa,
                   open_filter_congruence_iso_check, open_filters,
                   prime_filters, upset_algebra, validate)
 from poma.congruences import con_lattice
@@ -218,3 +218,16 @@ def test_join_irreducibles_of_boolean_cube_are_atoms():
     ji = join_irreducibles(A)
     assert len(ji) == 3
     assert all(A.covers().count((A.bottom(), j)) for j in ji)
+
+
+def test_envelope_carries_the_callers_names():
+    # A4 and AN_SIMPLE:2 are equal algebras under different names, so they
+    # share one cached envelope
+    first, second = corpus_by_spec("A4"), corpus_by_spec("AN_SIMPLE:2")
+    assert first == second and first.name != second.name
+    assert boolean_envelope(first).algebra.name == f"M({first.name})"
+    env = boolean_envelope(second)
+    assert env.algebra.name == f"M({second.name})"
+    assert env.kappa.source is second
+    assert env.kappa.target is env.algebra
+    assert env.algebra.lattice is boolean_envelope(first).algebra.lattice

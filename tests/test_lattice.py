@@ -1,0 +1,118 @@
+"""The shared bitmask Lattice against the brute-force oracles, and its
+interning: one lattice per distinct order, freed with its last algebra."""
+import gc
+import itertools
+import random
+import weakref
+
+from poma import FiniteAlgebra, corpus
+from poma.algebras import Lattice, chain_order, downsets
+
+from conftest import (oracle_covers, oracle_derive_order, oracle_downsets,
+                      oracle_join_irreducibles, oracle_meet_irreducibles)
+
+DEFECT_CODES = {None, "order-reflexive", "order-antisymmetric", "order-transitive",
+                "lattice-bottom", "lattice-top", "lattice-meet", "lattice-join"}
+
+
+def _relation(n, bits):
+    cells = iter(bits)
+    return tuple(tuple(next(cells) for _ in range(n)) for _ in range(n))
+
+
+def _all_relations(n):
+    for bits in itertools.product((False, True), repeat=n * n):
+        yield _relation(n, bits)
+
+
+def _reflexive_relations(n):
+    off = n * n - n
+    for bits in itertools.product((False, True), repeat=off):
+        cells = iter(bits)
+        yield tuple(tuple(i == j or next(cells) for j in range(n)) for i in range(n))
+
+
+def _sampled_relations(count, seed):
+    """Random relabelled posets on 5-6 points, often given bounds, sometimes
+    with one or two entries flipped, so that every defect code occurs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((5, 6))
+        density = rng.choice((0.3, 0.5, 0.7))
+        leq = [[i == j or (i < j and rng.random() < density) for j in range(n)]
+               for i in range(n)]
+        if rng.random() < 0.7:
+            for j in range(n):
+                leq[0][j] = leq[j][n - 1] = True
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            i, j = rng.randrange(n), rng.randrange(n)
+            leq[i][j] = not leq[i][j]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield tuple(tuple(leq[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+
+
+def _check_against_oracles(relations):
+    codes = set()
+    for leq in relations:
+        lat = Lattice(leq)
+        expected = oracle_derive_order(leq)
+        assert (lat.defect, lat.meet, lat.join, lat.bottom, lat.top) == expected, leq
+        codes.add(None if lat.defect is None else lat.defect[0])
+        if lat.defect is None:
+            assert lat.join_irreducibles == tuple(oracle_join_irreducibles(leq)), leq
+            assert lat.meet_irreducibles == tuple(oracle_meet_irreducibles(leq)), leq
+        assert downsets(leq) == oracle_downsets(leq), leq
+        n = len(leq)
+        ident = tuple(range(n))
+        assert FiniteAlgebra(n, leq, ident, ident).covers() == oracle_covers(leq), leq
+    return codes
+
+
+def test_lattice_matches_oracle_on_every_relation_up_to_three_points():
+    for n in range(1, 4):
+        _check_against_oracles(_all_relations(n))
+
+
+def test_lattice_matches_oracle_on_every_reflexive_relation_on_four_points():
+    assert _check_against_oracles(_reflexive_relations(4)) >= {
+        None, "order-antisymmetric", "order-transitive", "lattice-bottom"}
+
+
+def test_lattice_matches_oracle_on_sampled_five_and_six_point_relations():
+    assert _check_against_oracles(_sampled_relations(2000, seed=1)) == DEFECT_CODES
+
+
+def test_meet_defect_is_reported_before_the_join_defect_of_its_pair():
+    # 0 < p, q < x, y < r, s < top, each level below all of the next: the
+    # pair (x, y) = (1, 2) has two maximal lower and two minimal upper bounds
+    level = {0: 0, 3: 1, 4: 1, 1: 2, 2: 2, 5: 3, 6: 3, 7: 4}
+    leq = tuple(tuple(i == j or level[i] < level[j] for j in range(8))
+                for i in range(8))
+    _check_against_oracles([leq])
+    assert Lattice(leq).defect == ("lattice-meet", (1, 2))
+
+
+def test_equal_orders_share_one_lattice():
+    A = corpus("D4")
+    B = FiniteAlgebra.make(A.leq, A.box, A.diamond)
+    assert B.leq is not A.leq
+    assert A.lattice is B.lattice
+    assert A.rename("renamed").lattice is A.lattice
+
+
+def test_lattice_is_dropped_with_its_last_algebra():
+    n = 23                      # a chain no other test builds
+    leq = chain_order(n)
+    ident = tuple(range(n))
+    A = FiniteAlgebra(n, leq, ident, ident)
+    ref = weakref.ref(A.lattice)
+    assert Lattice._interned.get(leq) is A.lattice
+    del A
+    gc.collect()
+    assert ref() is None
+    assert leq not in Lattice._interned

@@ -4,7 +4,7 @@ from poma import (corpus, covers_poset, equals, figure4_handles, includes,
                   member_si, splitting_c3a, splitting_c3b, splitting_d3,
                   variety_of)
 from poma.enumeration import EnumerationTask, enum_algebras
-from poma.errors import PreconditionError
+from poma.errors import BudgetError, PreconditionError
 from poma.free import free_over, same_one_var_theory
 from poma.morphisms import embeddings
 from poma.varieties import (equation_separation, lemma64_66_properties,
@@ -165,3 +165,14 @@ def test_variety_membership_of_products():
     from poma.morphisms import product
     handle = variety_of([product(corpus("D4"), corpus("C2"))])
     assert equals(handle, V("D4"))
+
+
+def test_battery_labels_surface_budget_errors(monkeypatch):
+    import poma.varieties as varieties
+
+    def over_budget(A, cap=50_000):
+        raise BudgetError("canonical form over budget")
+
+    monkeypatch.setattr(varieties, "canonical_form", over_budget)
+    with pytest.raises(BudgetError):
+        varieties._label_for(corpus("D4"))
