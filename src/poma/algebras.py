@@ -37,6 +37,7 @@ class Lattice:
     :meth:`of`, which interns one per distinct order while an algebra holds it.
 
     ``up[i]``/``down[i]`` are the bitmasks of the elements above/below i.
+    ``lower_covers[k]`` is the unique lower cover of ``join_irreducibles[k]``.
     ``defect`` is None for a bounded lattice, else ``(code, witness)`` of the
     first failed check in the order reflexive, antisymmetric, transitive,
     bottom, top, then meet before join for each index pair i <= j; the
@@ -44,7 +45,8 @@ class Lattice:
     """
 
     __slots__ = ("size", "leq", "up", "down", "defect", "meet", "join", "bottom",
-                 "top", "join_irreducibles", "meet_irreducibles", "__weakref__")
+                 "top", "join_irreducibles", "lower_covers", "meet_irreducibles",
+                 "__weakref__")
 
     _interned = weakref.WeakValueDictionary()      # order matrix -> Lattice
 
@@ -61,7 +63,7 @@ class Lattice:
         self.up = tuple(sum(1 << j for j in range(n) if row[j]) for row in leq)
         self.down = tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
         self.meet = self.join = self.bottom = self.top = None
-        self.join_irreducibles = self.meet_irreducibles = None
+        self.join_irreducibles = self.lower_covers = self.meet_irreducibles = None
         self.defect = self._derive()
 
     def _derive(self) -> Optional[tuple[str, tuple[int, ...]]]:
@@ -107,6 +109,8 @@ class Lattice:
         # greatest (least) element
         self.join_irreducibles = tuple(
             j for j in range(n) if (down[j] & ~(1 << j)) in by_down)
+        self.lower_covers = tuple(
+            by_down[down[j] & ~(1 << j)] for j in self.join_irreducibles)
         self.meet_irreducibles = tuple(
             m for m in range(n) if (up[m] & ~(1 << m)) in by_up)
         return None

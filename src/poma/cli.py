@@ -62,11 +62,18 @@ def _assignment(text: str) -> dict[str, int]:
     return out
 
 
-def _pairs(text: str) -> list[tuple[int, int]]:
+def _pairs(text: str, size: int) -> list[tuple[int, int]]:
     out = []
     for piece in text.split(";"):
         a, _, b = piece.partition(",")
-        out.append((int(a), int(b)))
+        try:
+            pair = (int(a), int(b))
+        except ValueError:
+            raise PomaError(f"--pairs wants 'a,b;c,d', got {piece!r}") from None
+        for x in pair:
+            if not 0 <= x < size:
+                raise PomaError(f"element {x} out of range 0..{size - 1}")
+        out.append(pair)
     return out
 
 
@@ -110,7 +117,7 @@ def cmd_show(args) -> int:
 
 def cmd_cg(args) -> int:
     A = _load_algebra(args)
-    part = cg(A, _pairs(args.pairs))
+    part = cg(A, _pairs(args.pairs, A.size))
     _emit(args, {"partition": part.to_json_obj()}, f"{part.to_json_obj()}")
     return PASS
 

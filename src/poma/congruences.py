@@ -2,11 +2,26 @@
 well-connectedness, the simplicity criterion for positive K4-algebras, the
 order-definable principal-congruence shortcuts, and the congruence extension
 property check.
+
+Past :func:`cg`, a congruence is a mask over the join-irreducibles J of the
+lattice: bit k is set when ``join_irreducibles[k]`` is collapsed with its
+lower cover.  In every finite lattice, distributive or not:
+
+- x <= y are related iff every j in J with j <= y and not j <= x is
+  collapsed, so the mask fixes the congruence;
+- the mask of a join of congruences is the union of their masks, since a
+  covering pair related by the join is related by one of them.
+
+So Con(A) is the set of unions of the |J| generators G_k, the masks of
+Cg(lower cover of J[k], J[k]), and for x < y, Cg(x, y) is the union of the
+G_k with J[k] <= y and not J[k] <= x.  Reading a mask back, x and y are
+related iff they lie above the same uncollapsed members of J.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Iterable, Optional
 
 from .algebras import FiniteAlgebra, ModalAlgebra, validate
@@ -153,147 +168,120 @@ def is_congruence(A: FiniteAlgebra, p: Partition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def principal_congruences(A: FiniteAlgebra) -> tuple[Partition, ...]:
-    """Distinct non-identity principal congruences.  Only comparable pairs are
-    generated: Cg(a, b) = Cg(a meet b, a join b) in any lattice-based algebra."""
-    seen: dict[tuple, Partition] = {}
-    n = A.size
-    for a in range(n):
-        for b in range(n):
-            if a != b and A.leq[a][b]:
-                p = cg(A, [(a, b)])
-                seen.setdefault(p.blocks, p)
-    return tuple(seen.values())
+def _generators(A: FiniteAlgebra) -> tuple[int, ...]:
+    """Masks G_k = Cg(lower_covers[k], join_irreducibles[k]), one per
+    join-irreducible: every congruence is a union of them."""
+    lat = A.lattice.require()
+    covers = tuple(zip(lat.lower_covers, lat.join_irreducibles))
+    out = []
+    for pair in covers:
+        ids = cg(A, [pair]).block_ids()
+        out.append(sum(1 << k for k, (low, j) in enumerate(covers) if ids[low] == ids[j]))
+    return tuple(out)
 
 
-def _normalize_ids(ids) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    return tuple(seen.setdefault(b, len(seen)) for b in ids)
-
-
-def _join_ids(n: int, p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ids in (p, q):
-        first: dict[int, int] = {}
-        for x in range(n):
-            b = ids[x]
-            if b in first:
-                ra, rb = find(first[b]), find(x)
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                first[b] = x
-    return _normalize_ids(find(x) for x in range(n))
+def _partition(A: FiniteAlgebra, mask: int) -> Partition:
+    """The congruence with this mask: x and y are related iff they lie above
+    the same join-irreducibles that the mask leaves uncollapsed."""
+    lat = A.lattice
+    kept = sum(1 << j for k, j in enumerate(lat.join_irreducibles) if not mask >> k & 1)
+    return Partition.from_block_ids([d & kept for d in lat.down])
 
 
 @lru_cache(maxsize=None)
-def _con_ids(A: FiniteAlgebra, max_congruences: int) -> tuple[tuple[int, ...], ...]:
-    """All congruences as normalized block-id tuples.  Joins of congruences
-    are plain equivalence joins, so closing the principal congruences under
-    joins with the principal generators reaches every congruence."""
-    n = A.size
-    generators = [_normalize_ids(p.block_ids()) for p in principal_congruences(A)]
-    found: set[tuple[int, ...]] = {_normalize_ids(range(n))}
-    frontier = []
+def principal_congruences(A: FiniteAlgebra) -> tuple[Partition, ...]:
+    """Distinct non-identity principal congruences, in the order of the first
+    comparable pair generating each: Cg(a, b) = Cg(a meet b, a join b)."""
+    lat = A.lattice.require()
+    gens = _generators(A)
+    below = [sum(1 << k for k, j in enumerate(lat.join_irreducibles) if d >> j & 1)
+             for d in lat.down]
+    seen: dict[int, Partition] = {}
+    for a in range(A.size):
+        for b in range(A.size):
+            if a != b and lat.leq[a][b]:
+                ks = below[b] & ~below[a]
+                mask = reduce(or_, (g for k, g in enumerate(gens) if ks >> k & 1))
+                if mask not in seen:
+                    seen[mask] = _partition(A, mask)
+    return tuple(seen.values())
 
-    def add(ids):
-        if ids not in found:
-            found.add(ids)
-            frontier.append(ids)
-            if len(found) > max_congruences:
-                raise BudgetError(
-                    f"congruence lattice exceeds {max_congruences} members",
-                    partial=len(found))
 
-    for ids in generators:
-        add(ids)
-    while frontier:
-        p = frontier.pop()
-        for g in generators:
-            add(_join_ids(n, p, g))
+@lru_cache(maxsize=None)
+def _con_ids(A: FiniteAlgebra, max_congruences: int) -> tuple[int, ...]:
+    """All congruences as masks: the unions of the generators, built one
+    generator at a time."""
+    found = [0]
+    seen = {0}
+    for g in dict.fromkeys(_generators(A)):
+        for i in range(len(found)):
+            mask = found[i] | g
+            if mask not in seen:
+                seen.add(mask)
+                found.append(mask)
+                if len(found) > max_congruences:
+                    raise BudgetError(
+                        f"congruence lattice exceeds {max_congruences} members",
+                        partial=len(found))
     return tuple(found)
 
 
 @lru_cache(maxsize=None)
 def con_lattice(A: FiniteAlgebra, max_congruences: int = 100_000) -> tuple[Partition, ...]:
     """All congruences, canonically sorted."""
-    return tuple(sorted((Partition.from_block_ids(ids)
-                         for ids in _con_ids(A, max_congruences)),
+    return tuple(sorted((_partition(A, mask) for mask in _con_ids(A, max_congruences)),
                         key=lambda p: p.blocks))
-
-
-def _ids_refine(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    image: dict[int, int] = {}
-    for pb, qb in zip(p, q):
-        prev = image.setdefault(pb, qb)
-        if prev != qb:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
 def cmi_congruences(A: FiniteAlgebra, max_congruences: int = 100_000) -> tuple[Partition, ...]:
     """Congruences theta whose strict upper bounds have a least element, i.e.
-    exactly those with subdirectly irreducible quotient.  The candidate upper
-    bounds are the joins of theta with the principal congruences it misses."""
-    n = A.size
-    principals = [_normalize_ids(p.block_ids()) for p in principal_congruences(A)]
+    exactly those with subdirectly irreducible quotient.  Each strict upper
+    bound contains theta | G_k for a G_k not inside theta, so the least one
+    exists iff the intersection of those joins is one of them."""
+    gens = set(_generators(A))
     out = []
-    for ids in _con_ids(A, max_congruences):
-        candidates = {}
-        for g in principals:
-            if not _ids_refine(g, ids):
-                j = _join_ids(n, ids, g)
-                candidates[j] = None
-        if not candidates:
-            continue                      # theta is the total congruence
-        cands = list(candidates)
-        least = [c for c in cands if all(_ids_refine(c, d) for d in cands)]
-        if least:
-            out.append(Partition.from_block_ids(ids))
+    for theta in _con_ids(A, max_congruences):
+        above = {theta | g for g in gens if g & ~theta}
+        if above and reduce(and_, above) in above:   # empty: theta is total
+            out.append(_partition(A, theta))
     return tuple(sorted(out, key=lambda p: p.blocks))
 
 
-def _atoms(A: FiniteAlgebra) -> list[Partition]:
-    """Minimal non-identity congruences; every atom is principal."""
-    principals = [p for p in principal_congruences(A) if not p.is_identity]
-    return [p for p in principals
-            if not any(q is not p and q.refines(p) and q.blocks != p.blocks
-                       for q in principals)]
+def _monolith_mask(A: FiniteAlgebra) -> Optional[int]:
+    """The least nonzero congruence as a mask, or None.  Every nonzero one
+    contains a generator, so it exists iff their intersection is one."""
+    if A.size < 2:
+        return None
+    gens = _generators(A)
+    least = reduce(and_, gens)
+    return least if least in gens else None
 
 
 def is_simple(A: FiniteAlgebra) -> bool:
     if A.size < 2:
         return False
-    return all(p.is_total for p in principal_congruences(A))
+    gens = _generators(A)
+    return all(g == (1 << len(gens)) - 1 for g in gens)
 
 
 def is_si(A: FiniteAlgebra) -> bool:
     """Subdirect irreducibility: a unique minimal non-identity congruence.
     For finite algebras this coincides with finite subdirect irreducibility."""
-    if A.size < 2:
-        return False
-    return len(_atoms(A)) == 1
+    return _monolith_mask(A) is not None
 
 
 def is_fsi(A: FiniteAlgebra) -> bool:
-    if A.size < 2:
-        return False
-    return len(_atoms(A)) <= 1
+    """At most one minimal non-identity congruence, on a nontrivial algebra;
+    a finite one has at least one, so this is :func:`is_si`."""
+    return _monolith_mask(A) is not None
 
 
 def monolith(A: FiniteAlgebra) -> Partition:
-    atoms = _atoms(A) if A.size >= 2 else []
-    if len(atoms) != 1:
+    mask = _monolith_mask(A)
+    if mask is None:
         raise PreconditionError("monolith requested on a non-subdirectly-irreducible algebra")
-    return atoms[0]
+    return _partition(A, mask)
 
 
 def is_well_connected(A: FiniteAlgebra) -> bool:

@@ -212,12 +212,13 @@ def enum_algebras(task: EnumerationTask, cache_dir: str | os.PathLike | None = N
     out: list[FiniteAlgebra] = []
     for size in range(1, task.max_size + 1):
         out.extend(_algebras_of_size(task.kind, size, cache_dir, resume))
+    # all filters are pure; the equations are the cheap and selective ones
+    for eq in task.satisfying:
+        out = [A for A in out if holds_eq(A, eq)]
     if task.si_only:
         out = [A for A in out if is_si(A)]
     if task.fsi_only:
         out = [A for A in out if is_fsi(A)]
-    for eq in task.satisfying:
-        out = [A for A in out if holds_eq(A, eq)]
     return out
 
 

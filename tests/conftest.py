@@ -3,8 +3,9 @@ import itertools
 
 import pytest
 
-from poma import FiniteAlgebra, corpus, validate
+from poma import FiniteAlgebra, Partition, cg, corpus, validate
 from poma.enumeration import canonical_poset
+from poma.errors import BudgetError
 from poma.morphisms import canonical_form
 
 
@@ -102,6 +103,104 @@ def oracle_downsets(leq):
         if all(leq[y][x] <= (y in d) for x in d for y in range(n)):
             out.append(d)
     return sorted(out, key=lambda d: (len(d), sorted(d)))
+
+
+def oracle_principal_congruences(A):
+    """Distinct non-identity principal congruences: one closure per
+    comparable pair, in pair order."""
+    seen = {}
+    for a in range(A.size):
+        for b in range(A.size):
+            if a != b and A.leq[a][b]:
+                p = cg(A, [(a, b)])
+                seen.setdefault(p.blocks, p)
+    return tuple(seen.values())
+
+
+def _normalize_ids(ids):
+    seen = {}
+    return tuple(seen.setdefault(b, len(seen)) for b in ids)
+
+
+def _join_ids(n, p, q):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for ids in (p, q):
+        first = {}
+        for x in range(n):
+            b = ids[x]
+            if b in first:
+                ra, rb = find(first[b]), find(x)
+                if ra != rb:
+                    parent[ra] = rb
+            else:
+                first[b] = x
+    return _normalize_ids(find(x) for x in range(n))
+
+
+def _ids_refine(p, q):
+    image = {}
+    return all(image.setdefault(pb, qb) == qb for pb, qb in zip(p, q))
+
+
+def oracle_con_ids(A, max_congruences=100_000, principals=None):
+    """All congruences as normalized block-id tuples, by closing the
+    principal congruences under equivalence joins; raises BudgetError once
+    more than max_congruences are found."""
+    if principals is None:
+        principals = oracle_principal_congruences(A)
+    generators = [_normalize_ids(p.block_ids()) for p in principals]
+    found = {_normalize_ids(range(A.size))}
+    frontier = []
+
+    def add(ids):
+        if ids not in found:
+            found.add(ids)
+            frontier.append(ids)
+            if len(found) > max_congruences:
+                raise BudgetError(
+                    f"congruence lattice exceeds {max_congruences} members",
+                    partial=len(found))
+
+    for ids in generators:
+        add(ids)
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            add(_join_ids(A.size, p, g))
+    return found
+
+
+def oracle_con_lattice(A, max_congruences=100_000, principals=None):
+    return tuple(sorted((Partition.from_block_ids(ids)
+                         for ids in oracle_con_ids(A, max_congruences, principals)),
+                        key=lambda p: p.blocks))
+
+
+def oracle_cmi_congruences(A, principals):
+    """Congruences whose joins with the principal congruences they miss have
+    a least member."""
+    generators = [_normalize_ids(p.block_ids()) for p in principals]
+    out = []
+    for ids in oracle_con_ids(A, principals=principals):
+        cands = {_join_ids(A.size, ids, g) for g in generators if not _ids_refine(g, ids)}
+        if any(all(_ids_refine(c, d) for d in cands) for c in cands):
+            out.append(Partition.from_block_ids(ids))
+    return tuple(sorted(out, key=lambda p: p.blocks))
+
+
+def oracle_atoms(principals):
+    """Minimal members of a list of principal congruences: the atoms of the
+    congruence lattice, since every atom is principal."""
+    return [p for p in principals
+            if not any(q is not p and q.refines(p) and q.blocks != p.blocks
+                       for q in principals)]
 
 
 def labeled_bounded_dls(n):

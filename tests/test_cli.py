@@ -55,6 +55,24 @@ def test_cg_and_conlat(capsys):
     assert json.loads(out)["count"] == 2
 
 
+def test_cg_negative_element_is_usage_error(capsys):
+    code, out, err = run(capsys, "cg", "--name", "D4", "--pairs=-1,2")
+    assert code == 2 and out == ""
+    assert err == "error: element -1 out of range 0..3\n"
+
+
+def test_cg_element_past_the_carrier_is_usage_error(capsys):
+    code, out, err = run(capsys, "cg", "--name", "D4", "--pairs", "1,9")
+    assert code == 2 and out == ""
+    assert err == "error: element 9 out of range 0..3\n"
+
+
+def test_cg_pair_missing_its_second_element_is_usage_error(capsys):
+    code, out, err = run(capsys, "cg", "--name", "D4", "--pairs", "1")
+    assert code == 2 and out == ""
+    assert err == "error: --pairs wants 'a,b;c,d', got '1'\n"
+
+
 def test_show_and_dot(capsys):
     code, out, _ = run(capsys, "show", "--name", "A4", "--dot")
     assert code == 0

@@ -1,0 +1,130 @@
+"""Congruences as masks over join-irreducibles against the closure oracles
+in conftest: one closure per comparable pair, joins of partitions, and
+minimal principal congruences, on enumerated, corpus, non-distributive and
+random algebras."""
+import random
+
+import pytest
+
+from poma import (FiniteAlgebra, con_lattice, corpus, is_fsi, is_si, is_simple,
+                  monolith, validate)
+from poma.algebras import subset_order
+from poma.congruences import cmi_congruences, principal_congruences
+from poma.corpus import CORPUS_NAMES, PARAMETRIC_NAMES
+from poma.enumeration import EnumerationTask, enum_algebras
+from poma.errors import BudgetError, PreconditionError, StructuralError
+
+from conftest import (oracle_atoms, oracle_cmi_congruences, oracle_con_lattice,
+                      oracle_principal_congruences)
+
+
+def _check(A):
+    principals = oracle_principal_congruences(A)
+    assert principal_congruences(A) == principals
+    assert con_lattice(A) == oracle_con_lattice(A, principals=principals)
+    assert cmi_congruences(A) == oracle_cmi_congruences(A, principals)
+    atoms = oracle_atoms(principals) if A.size >= 2 else []
+    assert is_si(A) == (len(atoms) == 1)
+    assert is_fsi(A) == (A.size >= 2 and len(atoms) <= 1)
+    assert is_simple(A) == (A.size >= 2 and all(p.is_total for p in principals))
+    if len(atoms) == 1:
+        assert monolith(A) == atoms[0]
+    else:
+        with pytest.raises(PreconditionError):
+            monolith(A)
+
+
+def _lattice_algebra(masks, rng=None):
+    """The inclusion order on a family of sets, with identity operators or,
+    given rng, arbitrary operator tables."""
+    n = len(masks)
+    ops = [tuple(range(n)), tuple(range(n))] if rng is None else \
+        [tuple(rng.randrange(n) for _ in range(n)) for _ in range(2)]
+    return FiniteAlgebra.make(subset_order(masks), *ops)
+
+
+def _closure_system(rng, points):
+    """A random family of subsets of the points closed under intersection,
+    with the full set: every finite lattice is the inclusion order of one."""
+    full = (1 << points) - 1
+    family = {full} | {rng.randrange(1 << points) for _ in range(rng.randrange(2, 6))}
+    while True:
+        more = {a & b for a in family for b in family} - family
+        if not more:
+            break
+        family |= more
+    masks = sorted(family, key=lambda m: (bin(m).count("1"), m))
+    rng.shuffle(masks)
+    return masks
+
+
+M3 = (0, 1, 2, 4, 7)
+N5 = (0, 1, 3, 4, 7)                 # 0 < {0} < {0,1} < top, {2} beside them
+
+
+@pytest.mark.parametrize("kind,max_size", [("PMA", 5), ("PS4", 6)])
+def test_masks_match_closure_oracle_enumerated(kind, max_size):
+    for A in enum_algebras(EnumerationTask(kind, max_size)):
+        _check(A)
+
+
+def test_masks_match_closure_oracle_corpus():
+    specs = [name for name in CORPUS_NAMES
+             if name not in PARAMETRIC_NAMES and name != "F1_PS4"]
+    specs += [(name, k) for name, lo in (("EX46", 3), ("AN_MINUS", 1), ("AN_SIMPLE", 2))
+              for k in range(lo, 7)]
+    for spec in specs:
+        A = corpus(*spec) if isinstance(spec, tuple) else corpus(spec)
+        _check(A)
+
+
+def test_free_algebra_con_lattice_matches_oracle():
+    A = corpus("F1_PS4")
+    assert principal_congruences(A) == oracle_principal_congruences(A)
+    cons = con_lattice(A)
+    assert len(cons) == 644
+    assert cons == oracle_con_lattice(A)
+
+
+def test_non_distributive_lattices():
+    m3, n5 = _lattice_algebra(M3), _lattice_algebra(N5)
+    assert len(con_lattice(m3)) == 2 and is_simple(m3)
+    assert len(con_lattice(n5)) == 5 and is_si(n5)
+    _check(m3)
+    _check(n5)
+
+
+def test_random_closure_system_lattices():
+    rng = random.Random(20190805)
+    non_distributive = 0
+    for _ in range(600):
+        masks = _closure_system(rng, rng.randrange(2, 6))
+        A = _lattice_algebra(masks, rng)
+        non_distributive += not validate(A).is_distributive
+        _check(A)
+    assert non_distributive >= 100
+
+
+@pytest.mark.parametrize("A", [corpus("D4"), corpus("EX44IV"), corpus("A4"),
+                               corpus("AN_MINUS", 3), _lattice_algebra(N5)],
+                         ids=repr)
+def test_budget_error_partial_matches_oracle(A):
+    total = len(oracle_con_lattice(A))
+    for k in range(total):
+        with pytest.raises(BudgetError) as expected:
+            oracle_con_lattice(A, k)
+        with pytest.raises(BudgetError) as got:
+            con_lattice(A, k)
+        assert str(got.value) == str(expected.value)
+        assert got.value.partial == expected.value.partial
+    assert len(con_lattice(A, total)) == total
+
+
+def test_two_element_antichain_is_rejected_not_simple():
+    """Congruences need the lattice: on an order without bounds every
+    predicate raises, where one closure per comparable pair found no pair
+    and called the antichain simple."""
+    A = FiniteAlgebra.make(((True, False), (False, True)), (0, 1), (0, 1))
+    for predicate in (is_simple, is_si, is_fsi, con_lattice, principal_congruences):
+        with pytest.raises(StructuralError):
+            predicate(A)

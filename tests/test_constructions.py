@@ -112,6 +112,19 @@ def test_hs_si_examples():
     assert len(only) == 1 and is_iso(only[0], corpus("C2"))
 
 
+def test_hs_si_of_free_algebra_matches_its_si_quotients():
+    """Every subalgebra of the free one-generated algebra F is generated by
+    one element, so it is a quotient of F: HS(F) and H(F) have the same SI
+    members.  With one congruence closure per comparable pair, hs_si(F) ran
+    for more than five minutes."""
+    F = corpus("F1_PS4")
+    hs = [canonical_form(q) for q in hs_si(F)]
+    quotients = si_quotients(F)
+    assert hs == [canonical_form(q) for q in quotients]
+    assert [corpus_label_of(q) for q in quotients] == [
+        "C2", "C3a", "D3", "C3b", "C4a", "D4", "C4b", "C5a", "C5b", "C6a", "C6b"]
+
+
 def test_hs_si_of_product_within_union():
     for left, right in (("D3", "C3a"), ("D4", "C3b")):
         A, B = corpus(left), corpus(right)

@@ -139,6 +139,18 @@ def test_satisfying_filter():
     assert names == {canonical_form(corpus("C2")), canonical_form(corpus("D4"))}
 
 
+def test_equations_filter_before_si_keeps_list_and_order():
+    from poma import holds_eq, is_si
+    from poma.varieties import EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT
+    eqs = (EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT)
+    old_order = [A for A in enum_algebras(EnumerationTask("PS4", 6)) if is_si(A)]
+    for eq in eqs:
+        old_order = [A for A in old_order if holds_eq(A, eq)]
+    found = enum_algebras(EnumerationTask("PS4", 6, si_only=True, satisfying=eqs))
+    assert found and len(found) == len(old_order)
+    assert all(a is b for a, b in zip(found, old_order))
+
+
 def test_cache_and_resume(tmp_path):
     task = EnumerationTask("PS4", 3)
     first = enum_algebras(task, cache_dir=tmp_path)

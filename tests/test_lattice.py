@@ -63,13 +63,16 @@ def _check_against_oracles(relations):
         expected = oracle_derive_order(leq)
         assert (lat.defect, lat.meet, lat.join, lat.bottom, lat.top) == expected, leq
         codes.add(None if lat.defect is None else lat.defect[0])
+        covers = oracle_covers(leq)
         if lat.defect is None:
             assert lat.join_irreducibles == tuple(oracle_join_irreducibles(leq)), leq
             assert lat.meet_irreducibles == tuple(oracle_meet_irreducibles(leq)), leq
+            assert [[x] for x in lat.lower_covers] == [
+                [x for x, y in covers if y == j] for j in lat.join_irreducibles], leq
         assert downsets(leq) == oracle_downsets(leq), leq
         n = len(leq)
         ident = tuple(range(n))
-        assert FiniteAlgebra(n, leq, ident, ident).covers() == oracle_covers(leq), leq
+        assert FiniteAlgebra(n, leq, ident, ident).covers() == covers, leq
     return codes
 
 
