@@ -37,7 +37,10 @@ def _load_algebra(args) -> FiniteAlgebra:
     if getattr(args, "name", None):
         return corpus_by_spec(args.name)
     if getattr(args, "file", None):
-        return FiniteAlgebra.from_json(Path(args.file).read_text())
+        try:
+            return FiniteAlgebra.from_json(Path(args.file).read_text())
+        except json.JSONDecodeError as exc:
+            raise PomaError(f"{args.file} is not valid JSON: {exc}") from None
     raise PomaError("need --name or --file")
 
 
@@ -52,33 +55,29 @@ def _load_gens(args) -> varieties.VarietyHandle:
         "V(" + ",".join(s.strip() for s in specs) + ")")
 
 
-def _assignment(text: str) -> dict[str, int]:
+def _elements(texts, size: int, usage: str, piece: str) -> tuple[int, ...]:
+    """The elements written in ``texts``, each checked against 0..size-1."""
+    try:
+        xs = tuple(int(t) for t in texts)
+    except ValueError:
+        raise PomaError(f"{usage}, got {piece!r}") from None
+    for x in xs:
+        if not 0 <= x < size:
+            raise PomaError(f"element {x} out of range 0..{size - 1}")
+    return xs
+
+
+def _assignment(text: str, size: int) -> dict[str, int]:
     out = {}
-    if not text:
-        return out
-    for piece in text.split(","):
+    for piece in text.split(",") if text else ():
         key, _, value = piece.partition("=")
-        out[key.strip()] = int(value)
+        out[key.strip()] = _elements((value,), size, "--assign wants 'x=0,y=1'", piece)[0]
     return out
 
 
-def _pairs(text: str, size: int) -> list[tuple[int, int]]:
-    out = []
-    for piece in text.split(";"):
-        a, _, b = piece.partition(",")
-        try:
-            pair = (int(a), int(b))
-        except ValueError:
-            raise PomaError(f"--pairs wants 'a,b;c,d', got {piece!r}") from None
-        for x in pair:
-            if not 0 <= x < size:
-                raise PomaError(f"element {x} out of range 0..{size - 1}")
-        out.append(pair)
-    return out
-
-
-def _corpus_label(A: FiniteAlgebra) -> str:
-    return varieties._label_for(A)
+def _pairs(text: str, size: int) -> list[tuple[int, ...]]:
+    return [_elements(piece.partition(",")[::2], size, "--pairs wants 'a,b;c,d'", piece)
+            for piece in text.split(";")]
 
 
 # -- command handlers ---------------------------------------------------------
@@ -158,7 +157,7 @@ def cmd_wc(args) -> int:
 def cmd_hs(args) -> int:
     A = _load_algebra(args)
     members = hs_si(A)
-    labels = [_corpus_label(m) for m in members]
+    labels = [varieties._label_for(m) for m in members]
     obj = {"count": len(members), "members": [m.to_dict() for m in members],
            "labels": labels}
     _emit(args, obj, f"si part of HS: {', '.join(labels)}")
@@ -218,7 +217,7 @@ def cmd_freezero(args) -> int:
     handle = _load_gens(args)
     A = free.free_zero(handle.generators)
     _emit(args, A.to_dict(), f"zero-generated free algebra: size {A.size} "
-          f"({_corpus_label(A)})")
+          f"({varieties._label_for(A)})")
     return PASS
 
 
@@ -393,7 +392,7 @@ def cmd_eval(args) -> int:
         verdict = holds_pos_exist(A, parse_pos_exist(args.sentence))
         _emit(args, {"holds": verdict}, f"holds: {verdict}")
         return PASS if verdict else FAIL
-    value = eval_term(A, parse_term(args.term), _assignment(args.assign))
+    value = eval_term(A, parse_term(args.term), _assignment(args.assign, A.size))
     _emit(args, {"value": value}, f"value: {value}")
     return PASS
 

@@ -36,18 +36,8 @@ class Hom:
         return self.is_injective and self.is_surjective
 
     def is_valid(self) -> bool:
-        A, B, f = self.source, self.target, self.mapping
-        if f[A.bottom()] != B.bottom() or f[A.top()] != B.top():
-            return False
-        for x in range(A.size):
-            if B.box[f[x]] != f[A.box[x]] or B.diamond[f[x]] != f[A.diamond[x]]:
-                return False
-            for y in range(A.size):
-                if B.meet(f[x], f[y]) != f[A.meet(x, y)]:
-                    return False
-                if B.join(f[x], f[y]) != f[A.join(x, y)]:
-                    return False
-        return True
+        """Whether the mapping is a homomorphism; the check extend_hom runs."""
+        return _is_hom(self.source, self.target, self.mapping)
 
     def compose(self, inner: "Hom") -> "Hom":
         """self after inner."""
@@ -61,34 +51,46 @@ def identity_hom(A: FiniteAlgebra) -> Hom:
 
 # -- subuniverses ---------------------------------------------------------------
 
-def closure_universe(A: FiniteAlgebra, gens: Iterable[int]) -> frozenset[int]:
-    """Least subuniverse containing the generators (and the bounds)."""
-    members = {A.bottom(), A.top(), *gens}
-    frontier = list(members)
-    meet, join = A.lattice.meet, A.lattice.join
+def _close(A: FiniteAlgebra, members: set[int], frontier: list[int],
+           steps: Optional[list] = None) -> set[int]:
+    """Grow ``members`` in place to the least subuniverse containing it and
+    return it.  Only products with a frontier element are formed, so members
+    off the frontier must be closed among themselves.  Each new element k goes
+    to ``steps`` as (k, op, i, j): k = op(i, j), j None for box and diamond."""
+    meet, join, box, dia = A.lattice.meet, A.lattice.join, A.box, A.diamond
     while frontier:
         x = frontier.pop()
-        new = [A.box[x], A.diamond[x]]
+        meet_x, join_x = meet[x], join[x]
+        found = [(box[x], "box", None), (dia[x], "diamond", None)]
         for y in list(members):
-            new.append(meet[x][y])
-            new.append(join[x][y])
-        for z in new:
+            if meet_x[y] not in members:
+                found.append((meet_x[y], "meet", y))
+            if join_x[y] not in members:
+                found.append((join_x[y], "join", y))
+        for z, op, y in found:
             if z not in members:
                 members.add(z)
                 frontier.append(z)
-    return frozenset(members)
+                if steps is not None:
+                    steps.append((z, op, x, y))
+    return members
+
+
+def closure_universe(A: FiniteAlgebra, gens: Iterable[int]) -> frozenset[int]:
+    """Least subuniverse containing the generators (and the bounds)."""
+    members = {A.bottom(), A.top(), *gens}
+    return frozenset(_close(A, members, list(members)))
 
 
 def subuniverses(A: FiniteAlgebra, limit: int = 10_000) -> list[tuple[int, ...]]:
     """All subuniverses, found by growing closed sets one generator at a time."""
-    base = closure_universe(A, ())
-    seen = {base}
-    queue = [base]
+    queue = [closure_universe(A, ())]
+    seen = set(queue)
     while queue:
         u = queue.pop()
         for x in range(A.size):
             if x not in u:
-                v = closure_universe(A, tuple(u) + (x,))
+                v = frozenset(_close(A, set(u) | {x}, [x]))
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
@@ -117,34 +119,23 @@ def subalgebra_generated(A: FiniteAlgebra, gens: Iterable[int],
 def generating_set(A: FiniteAlgebra) -> tuple[int, ...]:
     """A small (greedy, not necessarily minimum) generating set."""
     gens: list[int] = []
-    covered = closure_universe(A, ())
-    while len(covered) < A.size:
-        x = min(set(range(A.size)) - covered)
-        gens.append(x)
-        covered = closure_universe(A, gens)
+    covered = set(closure_universe(A, ()))
+    for x in range(A.size):
+        if x not in covered:
+            gens.append(x)
+            covered.add(x)
+            _close(A, covered, [x])
     return tuple(gens)
 
 
 # -- products and quotients -------------------------------------------------------
 
 def product(A: FiniteAlgebra, B: FiniteAlgebra, name: str = "") -> FiniteAlgebra:
-    na, nb = A.size, B.size
-
-    def pair(i, j):
-        return i * nb + j
-
-    n = na * nb
-    leq = [[False] * n for _ in range(n)]
-    box = [0] * n
-    dia = [0] * n
-    for i in range(na):
-        for j in range(nb):
-            p = pair(i, j)
-            box[p] = pair(A.box[i], B.box[j])
-            dia[p] = pair(A.diamond[i], B.diamond[j])
-            for k in range(na):
-                for l in range(nb):
-                    leq[p][pair(k, l)] = A.leq[i][k] and B.leq[j][l]
+    nb = B.size                             # the pair (i, j) is element i * nb + j
+    pairs = list(itertools.product(range(A.size), range(nb)))
+    leq = [[A.leq[i][k] and B.leq[j][l] for k, l in pairs] for i, j in pairs]
+    box = [A.box[i] * nb + B.box[j] for i, j in pairs]
+    dia = [A.diamond[i] * nb + B.diamond[j] for i, j in pairs]
     return FiniteAlgebra.make(leq, box, dia, name)
 
 
@@ -173,47 +164,55 @@ def quotient(A: FiniteAlgebra, p: Partition, name: str = "") -> tuple[FiniteAlge
 
 # -- homomorphism search ------------------------------------------------------------
 
+@lru_cache(maxsize=256)
+def _generation(A: FiniteAlgebra, seeds: tuple[int, ...]) -> Optional[tuple]:
+    """The steps of :func:`_close` deriving all of A from the bounds and the
+    seeds, in order; None when the seeds do not generate A."""
+    members = {A.bottom(), A.top(), *seeds}
+    steps: list = []
+    _close(A, members, list(members), steps)
+    return tuple(steps) if len(members) == A.size else None
+
+
+def _is_hom(A: FiniteAlgebra, B: FiniteAlgebra, f) -> bool:
+    """Whether f is a homomorphism; StructuralError for a non-lattice side."""
+    la, lb = A.lattice.require(), B.lattice.require()
+    if f[la.bottom] != lb.bottom or f[la.top] != lb.top:
+        return False
+    for x in range(A.size):
+        fx = f[x]
+        if B.box[fx] != f[A.box[x]] or B.diamond[fx] != f[A.diamond[x]]:
+            return False
+        meet_a, join_a, meet_b, join_b = la.meet[x], la.join[x], lb.meet[fx], lb.join[fx]
+        for y in range(x, A.size):                  # the tables are symmetric
+            if meet_b[f[y]] != f[meet_a[y]] or join_b[f[y]] != f[join_a[y]]:
+                return False
+    return True
+
+
 def extend_hom(A: FiniteAlgebra, B: FiniteAlgebra,
                seed: dict[int, int]) -> Optional[tuple[int, ...]]:
-    """Deterministically extend a partial map along the operations.
+    """The homomorphism A -> B extending the seed (and the bounds), or None.
 
-    Returns the total mapping when the closure of the seed's domain is all of
-    A, no conflict arises and the map is a homomorphism; None otherwise,
-    including when the seed does not generate A (callers backtracking over
-    more generators treat that as failure).
-    """
+    The seed's keys fix a generation program of A (cached per algebra and key
+    set).  Replaying it on B's tables gives the only candidate map, which one
+    table check accepts or rejects.  None also on a conflict in the seed and
+    when the seed does not generate A."""
     f: dict[int, int] = {A.bottom(): B.bottom(), A.top(): B.top()}
     for k, v in seed.items():
         if f.get(k, v) != v:
             return None
         f[k] = v
-    changed = True
-    while changed:
-        changed = False
-        dom = list(f)
-        for x in dom:
-            for val, img in ((A.box[x], B.box[f[x]]),
-                             (A.diamond[x], B.diamond[f[x]])):
-                if val in f:
-                    if f[val] != img:
-                        return None
-                else:
-                    f[val] = img
-                    changed = True
-            for y in dom:
-                for val, img in ((A.meet(x, y), B.meet(f[x], f[y])),
-                                 (A.join(x, y), B.join(f[x], f[y]))):
-                    if val in f:
-                        if f[val] != img:
-                            return None
-                    else:
-                        f[val] = img
-                        changed = True
-    if len(f) != A.size:
+    program = _generation(A, tuple(sorted(seed)))
+    if program is None:
         return None
-    mapping = tuple(f[x] for x in range(A.size))
-    hom = Hom(A, B, mapping)
-    return mapping if hom.is_valid() else None
+    g = [f.get(x) for x in range(A.size)]
+    tables = {"box": B.box, "diamond": B.diamond,
+              "meet": B.lattice.meet, "join": B.lattice.join}
+    for k, op, i, j in program:
+        value = tables[op][g[i]]
+        g[k] = value if j is None else value[g[j]]
+    return tuple(g) if _is_hom(A, B, g) else None
 
 
 def homs(A: FiniteAlgebra, B: FiniteAlgebra, seed: dict[int, int] | None = None,

@@ -203,6 +203,73 @@ def oracle_atoms(principals):
                        for q in principals)]
 
 
+def oracle_is_hom(A, B, f):
+    """Homomorphism check through the method calls, every ordered pair."""
+    if f[A.bottom()] != B.bottom() or f[A.top()] != B.top():
+        return False
+    for x in range(A.size):
+        if B.box[f[x]] != f[A.box[x]] or B.diamond[f[x]] != f[A.diamond[x]]:
+            return False
+        for y in range(A.size):
+            if B.meet(f[x], f[y]) != f[A.meet(x, y)]:
+                return False
+            if B.join(f[x], f[y]) != f[A.join(x, y)]:
+                return False
+    return True
+
+
+def oracle_extend_hom(A, B, seed):
+    """Extend the seed (and the bounds) by rescanning the domain through the
+    operations until nothing changes; None on a conflict, when the domain
+    does not reach all of A, or when the total map is not a homomorphism."""
+    f = {A.bottom(): B.bottom(), A.top(): B.top()}
+    for k, v in seed.items():
+        if f.get(k, v) != v:
+            return None
+        f[k] = v
+    changed = True
+    while changed:
+        changed = False
+        dom = list(f)
+        for x in dom:
+            for val, img in ((A.box[x], B.box[f[x]]),
+                             (A.diamond[x], B.diamond[f[x]])):
+                if val in f:
+                    if f[val] != img:
+                        return None
+                else:
+                    f[val] = img
+                    changed = True
+            for y in dom:
+                for val, img in ((A.meet(x, y), B.meet(f[x], f[y])),
+                                 (A.join(x, y), B.join(f[x], f[y]))):
+                    if val in f:
+                        if f[val] != img:
+                            return None
+                    else:
+                        f[val] = img
+                        changed = True
+    if len(f) != A.size:
+        return None
+    mapping = tuple(f[x] for x in range(A.size))
+    return mapping if oracle_is_hom(A, B, mapping) else None
+
+
+def oracle_subuniverses(A):
+    """Every subset holding the bounds and closed under the operations, found
+    by trying all subsets, sorted like ``subuniverses``."""
+    out = []
+    for r in range(A.size + 1):
+        for u in itertools.combinations(range(A.size), r):
+            s = set(u)
+            if A.bottom() in s and A.top() in s and all(
+                    A.box[x] in s and A.diamond[x] in s
+                    and all(A.meet(x, y) in s and A.join(x, y) in s for y in u)
+                    for x in u):
+                out.append(u)
+    return out
+
+
 def labeled_bounded_dls(n):
     """Brute-force oracle: every bounded distributive lattice on n labeled
     elements whose identity labeling is a linear extension (every poset has

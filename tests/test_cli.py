@@ -186,6 +186,36 @@ def test_eval_and_translate(capsys):
     assert code == 0 and out.count("|>") == 2
 
 
+def test_eval_assignment_past_the_carrier_is_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--name", "D3", "--term", "x",
+                         "--assign", "x=99")
+    assert code == 2 and out == ""
+    assert err == "error: element 99 out of range 0..2\n"
+
+
+def test_eval_negative_assignment_is_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--name", "D3", "--term", "x",
+                         "--assign=x=-1")
+    assert code == 2 and out == ""
+    assert err == "error: element -1 out of range 0..2\n"
+
+
+def test_eval_assignment_not_a_number_is_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--name", "D3", "--term", "x",
+                         "--assign", "x=abc")
+    assert code == 2 and out == ""
+    assert err == "error: --assign wants 'x=0,y=1', got 'x=abc'\n"
+
+
+def test_malformed_json_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("")
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: {path} is not valid JSON: "
+                   "Expecting value: line 1 column 1 (char 0)\n")
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "conlat", "--name", "EX44IV", "--budget", "2")
     assert code == 3

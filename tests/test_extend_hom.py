@@ -1,0 +1,167 @@
+"""Homomorphism extension by a replayed generation program, the shared table
+check and the incremental subuniverse closure, against the fixed-point
+extension, the method-call check and brute-force subuniverses in conftest."""
+import itertools
+import random
+
+import pytest
+
+from poma import FiniteAlgebra, corpus
+from poma.enumeration import EnumerationTask, enum_algebras
+from poma.errors import StructuralError
+from poma.free import figure1_algebra, free_over, same_one_var_theory
+from poma.morphisms import (Hom, _generation, closure_universe, extend_hom,
+                            generating_set, product, subuniverses)
+
+from conftest import oracle_extend_hom, oracle_is_hom, oracle_subuniverses
+
+SMALL = list(enum_algebras(EnumerationTask("PMA", 4)))   # every algebra of size <= 4
+POOL = (SMALL + list(enum_algebras(EnumerationTask("PS4", 5)))
+        + list(enum_algebras(EnumerationTask("PK4", 5))))
+ANTICHAIN = FiniteAlgebra(2, ((True, False), (False, True)), (0, 1), (0, 1))
+
+
+def test_every_generating_set_seed_on_small_pairs():
+    """The generating set ``homs`` uses, sent to every tuple of the target,
+    for every ordered pair of algebras of size <= 4."""
+    checked = found = 0
+    for A in SMALL:
+        gens = generating_set(A)
+        for B in SMALL:
+            for combo in itertools.product(range(B.size), repeat=len(gens)):
+                seed = dict(zip(gens, combo))
+                got = extend_hom(A, B, seed)
+                assert got == oracle_extend_hom(A, B, seed), (A, B, seed)
+                checked += 1
+                found += got is not None
+    assert checked == 48_318 and 0 < found < checked
+
+
+def test_random_seeds():
+    """Seeds of 0-3 keys, some on the bounds and so often conflicting, many
+    not generating the source; the free algebra F1 on either side."""
+    rng = random.Random(4)
+    f1 = figure1_algebra().algebra
+    outcomes = {"hom": 0, "conflict": 0, "not generated": 0, "not a hom": 0}
+    for trial in range(3_000):
+        A, B = rng.choice(POOL), rng.choice(POOL)
+        if trial % 100 == 0:
+            A, B = (f1, B) if trial % 200 == 0 else (A, f1)
+        keys = rng.sample(range(A.size), rng.randint(0, min(3, A.size)))
+        if rng.random() < 0.25:
+            keys.append(rng.choice((A.bottom(), A.top())))
+        hom = extend_hom(A, B, {g: rng.randrange(B.size) for g in generating_set(A)})
+        if hom is not None and rng.random() < 0.5:          # a consistent seed
+            seed = {k: hom[k] for k in keys}
+        else:
+            seed = {k: rng.randrange(B.size) for k in keys}
+        got = extend_hom(A, B, seed)
+        assert got == oracle_extend_hom(A, B, seed), (A, B, seed)
+        bounds = {A.bottom(): B.bottom(), A.top(): B.top()}
+        if got is not None:
+            outcomes["hom"] += 1
+        elif any(bounds.get(k, v) != v for k, v in seed.items()):
+            outcomes["conflict"] += 1
+        elif len(closure_universe(A, seed)) < A.size:
+            outcomes["not generated"] += 1
+        else:
+            outcomes["not a hom"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_random_maps_through_is_valid():
+    """Arbitrary maps, homomorphisms, and homomorphisms with one value moved."""
+    rng = random.Random(5)
+    valid = 0
+    for _ in range(3_000):
+        A, B = rng.choice(POOL), rng.choice(POOL)
+        f = extend_hom(A, B, {g: rng.randrange(B.size) for g in generating_set(A)})
+        if f is None:
+            B, f = A, tuple(range(A.size))
+        if rng.random() < 0.3:
+            f = tuple(rng.randrange(B.size) for _ in range(A.size))
+        elif rng.random() < 0.5:
+            f = list(f)
+            f[rng.randrange(A.size)] = rng.randrange(B.size)
+            f = tuple(f)
+        verdict = Hom(A, B, f).is_valid()
+        assert verdict == oracle_is_hom(A, B, f), (A, B, f)
+        valid += verdict
+    assert 300 < valid < 2_700
+
+
+def test_identity_with_one_value_moved():
+    """Maps that break the operations at a few pairs, on algebras large
+    enough that those pairs need not be neighbours in the element order."""
+    for A in (figure1_algebra().algebra, product(corpus("D4"), corpus("C3a"))):
+        for z, w in itertools.product(range(A.size), repeat=2):
+            f = tuple(w if x == z else x for x in range(A.size))
+            assert Hom(A, A, f).is_valid() == oracle_is_hom(A, A, f) == (z == w)
+
+
+def test_non_lattice_side_raises():
+    chain = corpus("D3")
+    for A, B in ((ANTICHAIN, chain), (chain, ANTICHAIN), (ANTICHAIN, ANTICHAIN)):
+        for check in (oracle_extend_hom, extend_hom):
+            with pytest.raises(StructuralError):
+                check(A, B, {})
+        f = tuple(x % B.size for x in range(A.size))
+        for check in (oracle_is_hom, lambda A, B, f: Hom(A, B, f).is_valid()):
+            with pytest.raises(StructuralError):
+                check(A, B, f)
+
+
+def test_generation_program():
+    """Each step derives a new element from earlier ones in the source; the
+    steps and the seeds reach every element once; the cache is bounded."""
+    F = figure1_algebra()
+    A, gen = F.algebra, F.generators[0]
+    program = _generation(A, (gen,))
+    known = {A.bottom(), A.top(), gen}
+    ops = {"box": lambda i, j: A.box[i], "diamond": lambda i, j: A.diamond[i],
+           "meet": A.meet, "join": A.join}
+    for k, op, i, j in program:
+        assert k not in known and i in known and (j is None) == (op in ("box", "diamond"))
+        assert j is None or j in known
+        assert ops[op](i, j) == k
+        known.add(k)
+    assert len(known) == A.size
+    assert _generation(A, ()) is None
+    assert _generation.cache_info().maxsize is not None
+
+
+def test_subuniverses_and_closures_against_brute_force():
+    for A in POOL:
+        assert subuniverses(A) == oracle_subuniverses(A)
+    for A in SMALL:
+        universes = [set(u) for u in oracle_subuniverses(A)]
+        for r in range(A.size + 1):
+            for gens in itertools.combinations(range(A.size), r):
+                least = min((u for u in universes if u >= set(gens)), key=len)
+                assert closure_universe(A, gens) == least
+
+
+def _oracle_same_one_var_theory(A, B):
+    fa, fb = free_over([A], 1), free_over([B], 1)
+    if fa.algebra.size != fb.algebra.size:
+        return False
+    mapping = oracle_extend_hom(fa.algebra, fb.algebra,
+                                {fa.generators[0]: fb.generators[0]})
+    return mapping is not None and len(set(mapping)) == fa.algebra.size
+
+
+def test_one_variable_theories_of_the_varieties_pairs():
+    """The pairs of the one-variable shadows in test_varieties.py: every
+    enumerated si PS4 algebra of size <= 6 against D3, C3a and C3b."""
+    agree = 0
+    for A in enum_algebras(EnumerationTask("PS4", 6, si_only=True)):
+        fa = free_over([A], 1)
+        for name in ("D3", "C3a", "C3b"):
+            B = corpus(name)
+            assert same_one_var_theory(A, B) == _oracle_same_one_var_theory(A, B)
+            fb = free_over([B], 1)
+            seed = {fb.generators[0]: fa.generators[0]}
+            assert extend_hom(fb.algebra, fa.algebra, seed) == \
+                oracle_extend_hom(fb.algebra, fa.algebra, seed)
+            agree += same_one_var_theory(A, B)
+    assert agree
