@@ -18,10 +18,10 @@ from .free import (FreeAlgebraResult, Figure1Report, GrowthReport, build_phi,
                    fact52_check, figure1_algebra, free_over, free_zero,
                    lemma53_growth, same_one_var_theory, sigma_terms,
                    verify_figure1)
-from .morphisms import (Hom, canonical_algebra, canonical_form, embeddings,
-                        extend_hom, generating_set, homs, hs_si, identity_hom,
-                        is_iso, is_retract, product, quotient, si_quotients,
-                        subalgebra_generated, subuniverses)
+from .morphisms import (Hom, automorphisms, canonical_algebra, canonical_form,
+                        embeddings, extend_hom, generating_set, homs, hs_si,
+                        identity_hom, is_iso, is_retract, product, quotient,
+                        si_quotients, subalgebra_generated, subuniverses)
 from .terms import (Box, Diamond, Equation, Join, Leq, Meet, ONE,
                     PosExistSentence, QuasiEquation, Sequent, Term, Var, ZERO,
                     eval_term, holds_eq, holds_pos_exist, holds_quasi,

@@ -32,6 +32,9 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_UNKNOWN = object()
+
+
 class Lattice:
     """An order matrix with everything derived from it.  Build it through
     :meth:`of`, which interns one per distinct order while an algebra holds it.
@@ -41,12 +44,13 @@ class Lattice:
     ``defect`` is None for a bounded lattice, else ``(code, witness)`` of the
     first failed check in the order reflexive, antisymmetric, transitive,
     bottom, top, then meet before join for each index pair i <= j; the
-    tables, bounds and irreducibles are then None.
+    tables, bounds and irreducibles are then None.  The distributivity
+    witness is found on first use (:meth:`distributivity_witness`).
     """
 
     __slots__ = ("size", "leq", "up", "down", "defect", "meet", "join", "bottom",
                  "top", "join_irreducibles", "lower_covers", "meet_irreducibles",
-                 "__weakref__")
+                 "_distributivity", "__weakref__")
 
     _interned = weakref.WeakValueDictionary()      # order matrix -> Lattice
 
@@ -64,6 +68,7 @@ class Lattice:
         self.down = tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
         self.meet = self.join = self.bottom = self.top = None
         self.join_irreducibles = self.lower_covers = self.meet_irreducibles = None
+        self._distributivity = _UNKNOWN
         self.defect = self._derive()
 
     def _derive(self) -> Optional[tuple[str, tuple[int, ...]]]:
@@ -114,6 +119,16 @@ class Lattice:
         self.meet_irreducibles = tuple(
             m for m in range(n) if (up[m] & ~(1 << m)) in by_up)
         return None
+
+    def distributivity_witness(self) -> Optional[tuple[int, int, int]]:
+        """The first (a, b, c) in index order with a ∧ (b ∨ c) ≠ (a ∧ b) ∨
+        (a ∧ c); None when the lattice is distributive.  Computed once."""
+        if self._distributivity is _UNKNOWN:
+            meet, join, rng = self.require().meet, self.join, range(self.size)
+            self._distributivity = next(
+                ((a, b, c) for a in rng for b in rng for c in rng
+                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]), None)
+        return self._distributivity
 
     def require(self) -> "Lattice":
         """This lattice; StructuralError when the order is not a bounded lattice."""
@@ -310,38 +325,21 @@ def validate(A: FiniteAlgebra) -> ValidationReport:
         violations.append(lat.defect)
         return ValidationReport(False, False, False, False, False, tuple(violations))
 
-    n = A.size
-    meet, join = lat.meet, lat.join
+    rng = range(A.size)
+    meet, join, leq = lat.meet, lat.join, A.leq
     box, dia = A.box, A.diamond
-    leq = A.leq
 
-    distributive = True
-    for a in range(n):
-        row = meet[a]
-        for b in range(n):
-            for c in range(n):
-                if row[join[b][c]] != join[row[b]][row[c]]:
-                    violations.append(("distributivity", (a, b, c)))
-                    distributive = False
-                    break
-            if not distributive:
-                break
-        if not distributive:
-            break
+    witness = lat.distributivity_witness()
+    distributive = witness is None
+    if not distributive:
+        violations.append(("distributivity", witness))
 
-    def first_violation(code, pred, arity):
-        if arity == 1:
-            for a in range(n):
-                if not pred(a):
-                    violations.append((code, (a,)))
-                    return False
-        else:
-            for a in range(n):
-                for b in range(n):
-                    if not pred(a, b):
-                        violations.append((code, (a, b)))
-                        return False
-        return True
+    def holds(code, failures) -> bool:
+        """Record the first of the failing tuples, generated in index order."""
+        first = next(failures, None)
+        if first is not None:
+            violations.append((code, first))
+        return first is None
 
     top, bot = lat.top, lat.bottom
     pma = True
@@ -351,23 +349,25 @@ def validate(A: FiniteAlgebra) -> ValidationReport:
     if dia[bot] != bot:
         violations.append(("diamond-bottom", (bot,)))
         pma = False
-    pma &= first_violation("box-meet", lambda a, b: box[meet[a][b]] == meet[box[a]][box[b]], 2)
-    pma &= first_violation("diamond-join", lambda a, b: dia[join[a][b]] == join[dia[a]][dia[b]], 2)
-    pma &= first_violation("box-diamond-meet",
-                           lambda a, b: leq[meet[box[a]][dia[b]]][dia[meet[a][b]]], 2)
-    pma &= first_violation("box-diamond-join",
-                           lambda a, b: leq[box[join[a][b]]][join[box[a]][dia[b]]], 2)
+    pma &= holds("box-meet", ((a, b) for a in rng for b in rng
+                              if box[meet[a][b]] != meet[box[a]][box[b]]))
+    pma &= holds("diamond-join", ((a, b) for a in rng for b in rng
+                                  if dia[join[a][b]] != join[dia[a]][dia[b]]))
+    pma &= holds("box-diamond-meet", ((a, b) for a in rng for b in rng
+                                      if not leq[meet[box[a]][dia[b]]][dia[meet[a][b]]]))
+    pma &= holds("box-diamond-join", ((a, b) for a in rng for b in rng
+                                      if not leq[box[join[a][b]]][join[box[a]][dia[b]]]))
     pma = pma and distributive
 
     pk4 = pma
     if pma:
-        pk4 &= first_violation("box-transitive", lambda a: leq[box[a]][box[box[a]]], 1)
-        pk4 &= first_violation("diamond-transitive", lambda a: leq[dia[dia[a]]][dia[a]], 1)
+        pk4 &= holds("box-transitive", ((a,) for a in rng if not leq[box[a]][box[box[a]]]))
+        pk4 &= holds("diamond-transitive", ((a,) for a in rng if not leq[dia[dia[a]]][dia[a]]))
 
     ps4 = pk4
     if pk4:
-        ps4 &= first_violation("box-decreasing", lambda a: leq[box[a]][a], 1)
-        ps4 &= first_violation("diamond-increasing", lambda a: leq[a][dia[a]], 1)
+        ps4 &= holds("box-decreasing", ((a,) for a in rng if not leq[box[a]][a]))
+        ps4 &= holds("diamond-increasing", ((a,) for a in rng if not leq[a][dia[a]]))
 
     return ValidationReport(True, distributive, bool(pma), bool(pk4), bool(ps4),
                             tuple(violations))

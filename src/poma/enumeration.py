@@ -7,11 +7,20 @@ operator pairs are generated from pairs of 0,1-sublattices of fixed points;
 PMA/PK4 operator tables are generated from value assignments on the meet-
 resp. join-irreducible elements, which determine every meet- (join-)
 preserving table over a distributive lattice.
+
+Each isomorphism class is found once.  The lattices are pairwise
+non-isomorphic, and two algebras on one lattice L are isomorphic exactly when
+an automorphism of L conjugates one operator pair into the other; so the
+classes on L are the Aut(L)-orbits of operator pairs, and the first pair of
+each orbit is kept.  Canonical forms are computed only for those, to sort.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -19,7 +28,7 @@ from pathlib import Path
 from .algebras import BoolMatrix, FiniteAlgebra, downsets, validate
 from .congruences import is_fsi, is_si
 from .errors import PomaError
-from .morphisms import canonical_form, _encode, _discrete_orders
+from .morphisms import _least_leaves, automorphisms, canonical_form
 from .terms import Equation, holds_eq
 
 KINDS = ("PMA", "PK4", "PS4")
@@ -45,12 +54,7 @@ class EnumerationTask:
 def canonical_poset(leq: BoolMatrix) -> tuple:
     n = len(leq)
     ident = tuple(range(n))
-    best = None
-    for order in _discrete_orders(n, leq, ident, ident, [0] * n, 100_000, [0]):
-        enc = _encode(n, leq, ident, ident, order)
-        if best is None or enc < best:
-            best = enc
-    return best
+    return _least_leaves(n, leq, ident, ident, 100_000)[0]
 
 
 def _extend_with_max(leq: BoolMatrix, down: frozenset[int]) -> BoolMatrix:
@@ -103,16 +107,23 @@ def enum_bdl(max_size: int) -> tuple[FiniteAlgebra, ...]:
 
 # -- operator tables -------------------------------------------------------------
 
+def _fold(table, start: int, xs) -> int:
+    """start op x1 op x2 ..., op given by its table."""
+    for x in xs:
+        start = table[start][x]
+    return start
+
+
 def sublattices01(L: FiniteAlgebra) -> list[tuple[int, ...]]:
     """Subsets containing the bounds and closed under meet and join."""
-    n = L.size
-    bot, top = L.bottom(), L.top()
-    middle = [x for x in range(n) if x != bot and x != top]
+    lat = L.lattice.require()
+    meet, join, bot, top = lat.meet, lat.join, lat.bottom, lat.top
+    middle = [x for x in range(L.size) if x != bot and x != top]
     out = []
     for picks in itertools.chain.from_iterable(
             itertools.combinations(middle, r) for r in range(len(middle) + 1)):
         members = {bot, top, *picks}
-        if all(L.meet(x, y) in members and L.join(x, y) in members
+        if all(meet[x][y] in members and join[x][y] in members
                for x in members for y in members):
             out.append(tuple(sorted(members)))
     return out
@@ -120,11 +131,15 @@ def sublattices01(L: FiniteAlgebra) -> list[tuple[int, ...]]:
 
 def _interior_table(L: FiniteAlgebra, fixed: tuple[int, ...]) -> tuple[int, ...]:
     """box from its fixed-point sublattice: greatest fixed point below."""
-    return tuple(L.join_all(c for c in fixed if L.leq[c][a]) for a in range(L.size))
+    lat, leq = L.lattice.require(), L.leq
+    return tuple(_fold(lat.join, lat.bottom, (c for c in fixed if leq[c][a]))
+                 for a in range(L.size))
 
 
 def _closure_table(L: FiniteAlgebra, fixed: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(L.meet_all(c for c in fixed if L.leq[a][c]) for a in range(L.size))
+    lat, leq = L.lattice.require(), L.leq
+    return tuple(_fold(lat.meet, lat.top, (c for c in fixed if leq[a][c]))
+                 for a in range(L.size))
 
 
 def _mixed_axioms_hold(L: FiniteAlgebra, box, dia) -> bool:
@@ -140,69 +155,49 @@ def _mixed_axioms_hold(L: FiniteAlgebra, box, dia) -> bool:
     return True
 
 
-def ps4_tables(L: FiniteAlgebra):
-    """All (box, diamond) pairs making L a positive S4-algebra."""
-    subs = sublattices01(L)
-    boxes = [(s, _interior_table(L, s)) for s in subs]
-    dias = [(s, _closure_table(L, s)) for s in subs]
-    for _, box in boxes:
-        for _, dia in dias:
-            if _mixed_axioms_hold(L, box, dia):
-                yield box, dia
-
-
-def _meet_preserving_tables(L: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """All unary tables preserving binary meets and the top element.  Over a
-    distributive lattice these are exactly the tables determined by arbitrary
-    values on the meet-irreducible elements."""
-    n = L.size
-    irr = L.lattice.meet_irreducibles
-    seen = {}
-    for values in itertools.product(range(n), repeat=len(irr)):
-        table = tuple(
-            L.meet_all(values[k] for k, m in enumerate(irr) if L.leq[a][m])
-            for a in range(n))
-        seen.setdefault(table, None)
-    return [t for t in seen
-            if all(t[L.meet(a, b)] == L.meet(t[a], t[b])
-                   for a in range(n) for b in range(n)) and t[L.top()] == L.top()]
-
-
-def _join_preserving_tables(L: FiniteAlgebra) -> list[tuple[int, ...]]:
-    n = L.size
-    irr = L.lattice.join_irreducibles
-    seen = {}
-    for values in itertools.product(range(n), repeat=len(irr)):
-        table = tuple(
-            L.join_all(values[k] for k, j in enumerate(irr) if L.leq[j][a])
-            for a in range(n))
-        seen.setdefault(table, None)
-    return [t for t in seen
-            if all(t[L.join(a, b)] == L.join(t[a], t[b])
-                   for a in range(n) for b in range(n)) and t[L.bottom()] == L.bottom()]
-
-
-def pma_tables(L: FiniteAlgebra, k4_only: bool = False):
-    """All (box, diamond) pairs making L a positive modal algebra (optionally
-    restricted to K4 pairs)."""
-    n = L.size
-    leq = L.leq
-    boxes = _meet_preserving_tables(L)
-    dias = _join_preserving_tables(L)
-    if k4_only:
-        boxes = [t for t in boxes if all(leq[t[a]][t[t[a]]] for a in range(n))]
-        dias = [t for t in dias if all(leq[t[t[a]]][t[a]] for a in range(n))]
-    for box in boxes:
-        for dia in dias:
-            if _mixed_axioms_hold(L, box, dia):
-                yield box, dia
-
-
-def _generate_kind(kind: str, L: FiniteAlgebra):
-    if kind == "PS4":
-        yield from ps4_tables(L)
+def _preserving_tables(L: FiniteAlgebra, dual: bool) -> list[tuple[int, ...]]:
+    """All unary tables preserving binary meets and the top element, or with
+    ``dual`` binary joins and the bottom.  Over a distributive lattice these
+    are exactly the tables determined by arbitrary values on the meet-
+    (join-) irreducible elements."""
+    n, leq, lat = L.size, L.leq, L.lattice.require()
+    if dual:
+        op, unit, irr = lat.join, lat.bottom, lat.join_irreducibles
+        sources = [[k for k, j in enumerate(irr) if leq[j][a]] for a in range(n)]
     else:
-        yield from pma_tables(L, k4_only=(kind == "PK4"))
+        op, unit, irr = lat.meet, lat.top, lat.meet_irreducibles
+        sources = [[k for k, m in enumerate(irr) if leq[a][m]] for a in range(n)]
+    seen = {}
+    for values in itertools.product(range(n), repeat=len(irr)):
+        seen.setdefault(tuple(_fold(op, unit, (values[k] for k in ks)) for ks in sources))
+    return [t for t in seen
+            if all(t[op[a][b]] == op[t[a]][t[b]] for a in range(n) for b in range(n))
+            and t[unit] == unit]
+
+
+def _operator_tables(kind: str, L: FiniteAlgebra):
+    """Candidate box and diamond tables of the kind on L.  A pair makes L an
+    algebra of the kind exactly when the mixed axioms hold: PS4 pairs come
+    from pairs of 0,1-sublattices of fixed points, PMA/PK4 pairs from the
+    meet- and join-preserving tables (K4: transitive ones)."""
+    if kind == "PS4":
+        subs = sublattices01(L)
+        return ([_interior_table(L, s) for s in subs],
+                [_closure_table(L, s) for s in subs])
+    boxes, dias = _preserving_tables(L, dual=False), _preserving_tables(L, dual=True)
+    if kind == "PK4":
+        leq = L.leq
+        boxes = [t for t in boxes if all(leq[t[a]][t[t[a]]] for a in range(L.size))]
+        dias = [t for t in dias if all(leq[t[t[a]]][t[a]] for a in range(L.size))]
+    return boxes, dias
+
+
+def _conjugate(s: tuple[int, ...], table: tuple[int, ...]) -> tuple[int, ...]:
+    """The unary operation ``table`` moved along the bijection s: s table s⁻¹."""
+    out = [0] * len(s)
+    for x, y in enumerate(table):
+        out[s[x]] = s[y]
+    return tuple(out)
 
 
 def enum_algebras(task: EnumerationTask, cache_dir: str | os.PathLike | None = None,
@@ -226,32 +221,78 @@ def _cache_path(cache_dir, kind: str, size: int) -> Path:
     return Path(cache_dir) / f"{kind.lower()}_size{size}.jsonl"
 
 
+CACHE_FORMAT = 1
+
+
+def _cache_header(kind: str, size: int, body: list[str]) -> str:
+    """The first line of a cache slice: it names the slice and pins its body."""
+    digest = hashlib.sha256("\n".join(body).encode()).hexdigest()
+    return json.dumps({"format": CACHE_FORMAT, "kind": kind, "size": size,
+                       "count": len(body), "sha256": digest}, sort_keys=True)
+
+
+def _read_cache(path: Path, kind: str, size: int) -> list[FiniteAlgebra]:
+    """The algebras of a cache slice.  PomaError when the header does not
+    match the body or an algebra is not one of the kind and size; OSError,
+    ValueError or TypeError when the file cannot be read or parsed."""
+    header, *body = path.read_text().splitlines() or [""]
+    if header != _cache_header(kind, size, body):
+        raise PomaError("header does not match kind, size, count or digest")
+    algebras = [FiniteAlgebra.from_json(line) for line in body]
+    if not all(A.size == size and validate(A).flag(kind) for A in algebras):
+        raise PomaError(f"an algebra is not a {kind} algebra of size {size}")
+    return algebras
+
+
+def _write_cache(path: Path, kind: str, size: int, algebras) -> None:
+    """Write a slice atomically: a temporary file, then a rename over path."""
+    body = [A.to_json() for A in algebras]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join([_cache_header(kind, size, body), *body]) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _algebras_of_size(kind: str, size: int, cache_dir, resume: bool) -> list[FiniteAlgebra]:
-    if cache_dir is not None and resume:
-        path = _cache_path(cache_dir, kind, size)
-        if path.exists():
-            with open(path) as fh:
-                return [FiniteAlgebra.from_json(line) for line in fh if line.strip()]
+    path = None if cache_dir is None else _cache_path(cache_dir, kind, size)
+    if path is not None and resume and path.exists():
+        try:
+            return _read_cache(path, kind, size)
+        except (OSError, ValueError, TypeError, PomaError) as exc:
+            print(f"poma: ignoring cache {path}: {exc}; recomputing", file=sys.stderr)
     algebras = _enumerate_size(kind, size)
-    if cache_dir is not None:
-        path = _cache_path(cache_dir, kind, size)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            for A in algebras:
-                fh.write(A.to_json() + "\n")
+    if path is not None:
+        _write_cache(path, kind, size, algebras)
     return list(algebras)
 
 
 @lru_cache(maxsize=None)
 def _enumerate_size(kind: str, size: int) -> tuple[FiniteAlgebra, ...]:
-    found: dict[tuple, FiniteAlgebra] = {}
+    """The algebras of the kind with exactly ``size`` elements, one per
+    isomorphism class: the first operator pair of each Aut(L)-orbit (see the
+    module docstring), sorted by canonical form.  Automorphisms preserve the
+    axioms, so the conjugates of a kept pair are skipped unchecked."""
+    found = []
     for L in enum_bdl(size):
         if L.size != size:
             continue
-        for box, dia in _generate_kind(kind, L):
-            A = FiniteAlgebra(L.size, L.leq, box, dia)
-            found.setdefault(canonical_form(A), A)
-    result = tuple(sorted(found.values(), key=canonical_form))
+        others = automorphisms(L)[1:]           # the identity sorts first
+        seen = set()
+        boxes, dias = _operator_tables(kind, L)
+        for box in boxes:
+            for dia in dias:
+                if others and (box, dia) in seen:
+                    continue
+                if not _mixed_axioms_hold(L, box, dia):
+                    continue
+                found.append(FiniteAlgebra(size, L.leq, box, dia))
+                for s in others:
+                    seen.add((_conjugate(s, box), _conjugate(s, dia)))
+    result = tuple(sorted(found, key=canonical_form))
     for A in result:
         if not validate(A).flag(kind):
             raise PomaError(f"enumeration produced an invalid {kind} algebra")

@@ -1,6 +1,17 @@
 """Algebraic constructions: products, subalgebras, quotients, homomorphism
-search, isomorphism and canonical forms, retracts, and the subdirectly
-irreducible part of the HS-closure.
+search, isomorphism, canonical forms and automorphisms, retracts, and the
+subdirectly irreducible part of the HS-closure.
+
+Canonical forms come from individualization-refinement (McKay & Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014): refine a
+colouring of the elements until it is stable, branch on every member of the
+first colour class with more than one element, and keep the least
+relabelled serialization over the discrete leaves.  Refinement and the
+choice of branch commute with isomorphisms, so the leaves of A are closed
+under Aut(A), which acts on them freely, and two leaves have the same
+encoding exactly when an automorphism carries one to the other: the leaves
+with the least encoding form one Aut(A)-orbit.  :func:`automorphisms` reads
+Aut(A) off that orbit.
 """
 from __future__ import annotations
 
@@ -251,21 +262,34 @@ def is_retract(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
 
 # -- canonical forms -------------------------------------------------------------
 
-def _refine_colors(n, leq, box, dia, colors):
+def _neighbours(n, leq, box, dia):
+    """Per element: the elements strictly below and strictly above it and its
+    box and diamond preimages, built once per search."""
+    box_pre: list[list[int]] = [[] for _ in range(n)]
+    dia_pre: list[list[int]] = [[] for _ in range(n)]
+    for j in range(n):
+        box_pre[box[j]].append(j)
+        dia_pre[dia[j]].append(j)
+    return [([j for j in range(n) if j != i and leq[j][i]],
+             [j for j in range(n) if j != i and leq[i][j]],
+             box_pre[i], dia_pre[i]) for i in range(n)]
+
+
+def _refine_colors(box, dia, neighbours, colors):
+    """The stable refinement of ``colors``; each round's key starts with the
+    old colour and the palette sorts the keys, so a round only splits classes
+    and keeps their order.  A round that splits none leaves a relabelling
+    that the next round would return unchanged."""
     while True:
-        keys = []
-        for i in range(n):
-            below = sorted(colors[j] for j in range(n) if j != i and leq[j][i])
-            above = sorted(colors[j] for j in range(n) if j != i and leq[i][j])
-            box_pre = sorted(colors[j] for j in range(n) if box[j] == i)
-            dia_pre = sorted(colors[j] for j in range(n) if dia[j] == i)
-            keys.append((colors[i], colors[box[i]], colors[dia[i]],
-                         tuple(below), tuple(above),
-                         tuple(box_pre), tuple(dia_pre)))
+        get = colors.__getitem__
+        keys = [(colors[i], colors[box[i]], colors[dia[i]],
+                 tuple(sorted(map(get, below))), tuple(sorted(map(get, above))),
+                 tuple(sorted(map(get, box_pre))), tuple(sorted(map(get, dia_pre))))
+                for i, (below, above, box_pre, dia_pre) in enumerate(neighbours)]
         palette = {k: c for c, k in enumerate(sorted(set(keys)))}
         new = [palette[k] for k in keys]
-        if new == colors:
-            return colors
+        if len(palette) == len(set(colors)):
+            return new
         colors = new
 
 
@@ -273,14 +297,14 @@ def _encode(n, leq, box, dia, order):
     pos = [0] * n
     for k, e in enumerate(order):
         pos[e] = k
-    bits = tuple(leq[order[i]][order[j]] for i in range(n) for j in range(n))
-    return (n, bits,
-            tuple(pos[box[order[i]]] for i in range(n)),
-            tuple(pos[dia[order[i]]] for i in range(n)))
+    rows = [leq[e] for e in order]
+    return (n, tuple(row[e] for row in rows for e in order),
+            tuple(pos[box[e]] for e in order),
+            tuple(pos[dia[e]] for e in order))
 
 
-def _discrete_orders(n, leq, box, dia, colors, cap, counter) -> Iterator[tuple[int, ...]]:
-    colors = _refine_colors(n, leq, box, dia, list(colors))
+def _discrete_orders(n, box, dia, neighbours, colors, cap, counter) -> Iterator[tuple[int, ...]]:
+    colors = _refine_colors(box, dia, neighbours, list(colors))
     classes: dict[int, list[int]] = {}
     for i, c in enumerate(colors):
         classes.setdefault(c, []).append(i)
@@ -294,21 +318,45 @@ def _discrete_orders(n, leq, box, dia, colors, cap, counter) -> Iterator[tuple[i
     for member in classes[split]:
         branched = [2 * c + 2 for c in colors]
         branched[member] = 0
-        yield from _discrete_orders(n, leq, box, dia, branched, cap, counter)
+        yield from _discrete_orders(n, box, dia, neighbours, branched, cap, counter)
+
+
+def _least_leaves(n, leq, box, dia, cap) -> tuple[tuple, list[tuple[int, ...]]]:
+    """The least encoding over the leaves of the search, and the leaves
+    (orders) that reach it, in search order."""
+    neighbours = _neighbours(n, leq, box, dia)
+    best, least = None, []
+    for order in _discrete_orders(n, box, dia, neighbours, [0] * n, cap, [0]):
+        enc = _encode(n, leq, box, dia, order)
+        if best is None or enc < best:
+            best, least = enc, [order]
+        elif enc == best:
+            least.append(order)
+    return best, least
+
+
+SEARCH_CAP = 50_000                 # leaves before the search raises BudgetError
 
 
 @lru_cache(maxsize=None)
-def canonical_form(A: FiniteAlgebra, cap: int = 50_000) -> tuple:
+def canonical_form(A: FiniteAlgebra, cap: int = SEARCH_CAP) -> tuple:
     """Isomorphism-invariant encoding: minimum relabelled serialization over
     the orderings produced by colour refinement with individualization."""
-    n, leq, box, dia = A.size, A.leq, A.box, A.diamond
-    best = None
-    counter = [0]
-    for order in _discrete_orders(n, leq, box, dia, [0] * n, cap, counter):
-        enc = _encode(n, leq, box, dia, order)
-        if best is None or enc < best[0]:
-            best = (enc, order)
-    return best[0]
+    return _least_leaves(A.size, A.leq, A.box, A.diamond, cap)[0]
+
+
+def automorphisms(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """Aut(A) as sorted mappings x -> s[x]; the identity sorts first.
+
+    The leaves of the canonical-form search with the least encoding are one
+    Aut(A)-orbit (see the module docstring), so with base the first of them
+    the automorphisms are exactly base⁻¹ then o, for o a least leaf."""
+    _, least = _least_leaves(A.size, A.leq, A.box, A.diamond, SEARCH_CAP)
+    base = least[0]
+    pos = [0] * A.size
+    for k, e in enumerate(base):
+        pos[e] = k
+    return tuple(sorted(tuple(o[pos[x]] for x in range(A.size)) for o in least))
 
 
 def canonical_algebra(A: FiniteAlgebra, name: str = "") -> FiniteAlgebra:

@@ -3,8 +3,8 @@ import itertools
 
 import pytest
 
-from poma import FiniteAlgebra, Partition, cg, corpus, validate
-from poma.enumeration import canonical_poset
+from poma import FiniteAlgebra, Partition, ValidationReport, cg, corpus, validate
+from poma.enumeration import _mixed_axioms_hold, canonical_poset, enum_bdl
 from poma.errors import BudgetError
 from poma.morphisms import canonical_form
 
@@ -368,3 +368,178 @@ def corpus_label_of(A):
 def fig2_algebras():
     return [corpus(n) for n in ("C2", "D3", "C3a", "C3b", "D4", "C4a", "C4b",
                                 "C5a", "C5b", "C6a", "C6b")]
+
+
+def _oracle_refine_colors(n, leq, box, dia, colors):
+    """Colour refinement rescanning all n elements for the neighbours of each
+    element in every round, until a round changes no colour."""
+    while True:
+        keys = []
+        for i in range(n):
+            below = sorted(colors[j] for j in range(n) if j != i and leq[j][i])
+            above = sorted(colors[j] for j in range(n) if j != i and leq[i][j])
+            box_pre = sorted(colors[j] for j in range(n) if box[j] == i)
+            dia_pre = sorted(colors[j] for j in range(n) if dia[j] == i)
+            keys.append((colors[i], colors[box[i]], colors[dia[i]],
+                         tuple(below), tuple(above),
+                         tuple(box_pre), tuple(dia_pre)))
+        palette = {k: c for c, k in enumerate(sorted(set(keys)))}
+        new = [palette[k] for k in keys]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _oracle_encode(n, leq, box, dia, order):
+    pos = [0] * n
+    for k, e in enumerate(order):
+        pos[e] = k
+    bits = tuple(leq[order[i]][order[j]] for i in range(n) for j in range(n))
+    return (n, bits,
+            tuple(pos[box[order[i]]] for i in range(n)),
+            tuple(pos[dia[order[i]]] for i in range(n)))
+
+
+def _oracle_orders(n, leq, box, dia, colors):
+    colors = _oracle_refine_colors(n, leq, box, dia, list(colors))
+    classes = {}
+    for i, c in enumerate(colors):
+        classes.setdefault(c, []).append(i)
+    split = next((c for c in sorted(classes) if len(classes[c]) > 1), None)
+    if split is None:
+        yield tuple(sorted(range(n), key=colors.__getitem__))
+        return
+    for member in classes[split]:
+        branched = [2 * c + 2 for c in colors]
+        branched[member] = 0
+        yield from _oracle_orders(n, leq, box, dia, branched)
+
+
+def oracle_canonical_encoding(n, leq, box, dia):
+    """Least encoding over the leaves of the individualization-refinement
+    search, refining by full rescans."""
+    return min(_oracle_encode(n, leq, box, dia, order)
+               for order in _oracle_orders(n, leq, box, dia, [0] * n))
+
+
+def oracle_canonical_form(A):
+    return oracle_canonical_encoding(A.size, A.leq, A.box, A.diamond)
+
+
+def oracle_automorphisms(A):
+    """Every permutation preserving the order and both operators, sorted."""
+    n = A.size
+    return tuple(p for p in itertools.permutations(range(n))
+                 if all(A.leq[x][y] == A.leq[p[x]][p[y]] for x in range(n) for y in range(n))
+                 and all(p[A.box[x]] == A.box[p[x]] and p[A.diamond[x]] == A.diamond[p[x]]
+                         for x in range(n)))
+
+
+def oracle_validate(A):
+    """The axiom checks with a triple loop for distributivity and one
+    predicate call per tuple for the operator axioms."""
+    violations = []
+    lat = A.lattice
+    if lat.defect is not None:
+        return ValidationReport(False, False, False, False, False, (lat.defect,))
+    n = A.size
+    meet, join, box, dia, leq = lat.meet, lat.join, A.box, A.diamond, A.leq
+
+    distributive = True
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+            violations.append(("distributivity", (a, b, c)))
+            distributive = False
+            break
+
+    def first_violation(code, pred, arity):
+        for args in itertools.product(range(n), repeat=arity):
+            if not pred(*args):
+                violations.append((code, args))
+                return False
+        return True
+
+    top, bot = lat.top, lat.bottom
+    pma = True
+    if box[top] != top:
+        violations.append(("box-top", (top,)))
+        pma = False
+    if dia[bot] != bot:
+        violations.append(("diamond-bottom", (bot,)))
+        pma = False
+    pma &= first_violation("box-meet", lambda a, b: box[meet[a][b]] == meet[box[a]][box[b]], 2)
+    pma &= first_violation("diamond-join", lambda a, b: dia[join[a][b]] == join[dia[a]][dia[b]], 2)
+    pma &= first_violation("box-diamond-meet",
+                           lambda a, b: leq[meet[box[a]][dia[b]]][dia[meet[a][b]]], 2)
+    pma &= first_violation("box-diamond-join",
+                           lambda a, b: leq[box[join[a][b]]][join[box[a]][dia[b]]], 2)
+    pma = pma and distributive
+    pk4 = pma
+    if pma:
+        pk4 &= first_violation("box-transitive", lambda a: leq[box[a]][box[box[a]]], 1)
+        pk4 &= first_violation("diamond-transitive", lambda a: leq[dia[dia[a]]][dia[a]], 1)
+    ps4 = pk4
+    if pk4:
+        ps4 &= first_violation("box-decreasing", lambda a: leq[box[a]][a], 1)
+        ps4 &= first_violation("diamond-increasing", lambda a: leq[a][dia[a]], 1)
+    return ValidationReport(True, distributive, bool(pma), bool(pk4), bool(ps4),
+                            tuple(violations))
+
+
+def oracle_sublattices01(L):
+    n = L.size
+    bot, top = L.bottom(), L.top()
+    middle = [x for x in range(n) if x != bot and x != top]
+    out = []
+    for picks in itertools.chain.from_iterable(
+            itertools.combinations(middle, r) for r in range(len(middle) + 1)):
+        members = {bot, top, *picks}
+        if all(L.meet(x, y) in members and L.join(x, y) in members
+               for x in members for y in members):
+            out.append(tuple(sorted(members)))
+    return out
+
+
+def oracle_operator_tables(kind, L):
+    """Candidate box and diamond tables through the method calls: interior
+    and closure operators of the 0,1-sublattices for PS4, else the
+    meet- and join-preserving tables from values on the irreducibles."""
+    n = L.size
+    if kind == "PS4":
+        subs = oracle_sublattices01(L)
+        return ([tuple(L.join_all(c for c in s if L.leq[c][a]) for a in range(n))
+                 for s in subs],
+                [tuple(L.meet_all(c for c in s if L.leq[a][c]) for a in range(n))
+                 for s in subs])
+    boxes, dias = {}, {}
+    mi, ji = L.lattice.meet_irreducibles, L.lattice.join_irreducibles
+    for values in itertools.product(range(n), repeat=len(mi)):
+        boxes.setdefault(tuple(L.meet_all(values[k] for k, m in enumerate(mi) if L.leq[a][m])
+                               for a in range(n)))
+    for values in itertools.product(range(n), repeat=len(ji)):
+        dias.setdefault(tuple(L.join_all(values[k] for k, j in enumerate(ji) if L.leq[j][a])
+                              for a in range(n)))
+    boxes = [t for t in boxes if t[L.top()] == L.top() and all(
+        t[L.meet(a, b)] == L.meet(t[a], t[b]) for a in range(n) for b in range(n))]
+    dias = [t for t in dias if t[L.bottom()] == L.bottom() and all(
+        t[L.join(a, b)] == L.join(t[a], t[b]) for a in range(n) for b in range(n))]
+    if kind == "PK4":
+        boxes = [t for t in boxes if all(L.leq[t[a]][t[t[a]]] for a in range(n))]
+        dias = [t for t in dias if all(L.leq[t[t[a]]][t[a]] for a in range(n))]
+    return boxes, dias
+
+
+def oracle_enumerate_size(kind, size):
+    """Every operator pair on every lattice of the size that passes the
+    mixed axioms, the first of each canonical form kept, sorted by it."""
+    found = {}
+    for L in enum_bdl(size):
+        if L.size != size:
+            continue
+        boxes, dias = oracle_operator_tables(kind, L)
+        for box in boxes:
+            for dia in dias:
+                if _mixed_axioms_hold(L, box, dia):
+                    A = FiniteAlgebra(L.size, L.leq, box, dia)
+                    found.setdefault(oracle_canonical_form(A), A)
+    return tuple(found[key] for key in sorted(found))

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -157,6 +158,49 @@ def test_cache_and_resume(tmp_path):
     assert (tmp_path / "ps4_size3.jsonl").exists()
     resumed = enum_algebras(task, cache_dir=tmp_path, resume=True)
     assert [a.to_json() for a in first] == [a.to_json() for a in resumed]
+
+
+def _truncate(lines):
+    return lines[:len(lines) // 2]
+
+
+def _swap_in_non_ps4(lines):
+    """Replace an algebra by a PMA algebra of the same size that is not PS4,
+    under a header recomputed to match, so only the validation can notice."""
+    from poma.enumeration import _cache_header, _enumerate_size
+    stranger = next(A for A in _enumerate_size("PMA", 4) if not validate(A).is_ps4)
+    body = lines[1:]
+    body[3] = stranger.to_json()
+    return [_cache_header("PS4", 4, body)] + body
+
+
+def _drop_header(lines):
+    return lines[1:]
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _swap_in_non_ps4, _drop_header])
+def test_resume_recomputes_a_corrupt_cache(tmp_path, capsys, corrupt):
+    task = EnumerationTask("PS4", 4)
+    cold = [a.to_json() for a in enum_algebras(task, cache_dir=tmp_path)]
+    path = tmp_path / "ps4_size4.jsonl"
+    good = path.read_text()
+    path.write_text("\n".join(corrupt(good.splitlines())) + "\n")
+    capsys.readouterr()
+    resumed = [a.to_json() for a in enum_algebras(task, cache_dir=tmp_path, resume=True)]
+    warnings = capsys.readouterr().err.splitlines()
+    assert resumed == cold
+    assert len(warnings) == 1 and "ps4_size4.jsonl" in warnings[0]
+    assert path.read_text() == good
+    assert [a.to_json() for a in enum_algebras(task, cache_dir=tmp_path, resume=True)] == cold
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_slice_starts_with_a_header(tmp_path):
+    enum_algebras(EnumerationTask("PMA", 3), cache_dir=tmp_path)
+    header, *body = (tmp_path / "pma_size3.jsonl").read_text().splitlines()
+    meta = json.loads(header)
+    assert (meta["format"], meta["kind"], meta["size"], meta["count"]) == (1, "PMA", 3, len(body))
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_task_validation():
