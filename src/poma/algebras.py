@@ -138,14 +138,23 @@ class Lattice:
         return self
 
 
-def downsets(leq: BoolMatrix) -> list[frozenset[int]]:
-    """All downsets of the relation, sorted by (cardinality, sorted contents).
-    The upsets of ``leq`` are the downsets of its transpose."""
+def downset_masks(leq: BoolMatrix) -> list[int]:
+    """All downsets of the relation as bitmasks, sorted by (cardinality,
+    sorted contents).  The upsets of ``leq`` are the downsets of its transpose."""
     n = len(leq)
     down = [sum(1 << i for i in range(n) if leq[i][j]) for j in range(n)]
-    out = [frozenset(_bits(mask)) for mask in range(1 << n)
-           if all(down[x] & ~mask == 0 for x in _bits(mask))]
-    return sorted(out, key=lambda d: (len(d), sorted(d)))
+    # below[m]: everything below some element of m, one new element per step
+    below = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        below[mask] = below[mask ^ low] | down[low.bit_length() - 1]
+    return sorted((mask for mask, b in enumerate(below) if not b & ~mask),
+                  key=lambda mask: (mask.bit_count(), list(_bits(mask))))
+
+
+def downsets(leq: BoolMatrix) -> list[frozenset[int]]:
+    """The downsets of :func:`downset_masks` as frozensets, in its order."""
+    return [frozenset(_bits(mask)) for mask in downset_masks(leq)]
 
 
 @dataclass(frozen=True)
@@ -292,9 +301,10 @@ class ModalAlgebra:
         A = self.algebra
         if len(self.complement) != A.size:
             raise StructuralError("complement table has wrong length")
-        if A.is_lattice:
+        lat = A.lattice
+        if lat.defect is None:
             for x, c in enumerate(self.complement):
-                if A.meet(x, c) != A.bottom() or A.join(x, c) != A.top():
+                if lat.meet[x][c] != lat.bottom or lat.join[x][c] != lat.top:
                     raise StructuralError(f"element {x} is not complemented by {c}")
 
 
@@ -416,3 +426,14 @@ def powerset_masks(n_atoms: int) -> tuple[int, ...]:
     """All subsets of an n_atoms set, as bitmasks sorted by (cardinality, value)."""
     masks = sorted(range(1 << n_atoms), key=lambda m: (bin(m).count("1"), m))
     return tuple(masks)
+
+
+@lru_cache(maxsize=9)           # up to 8 atoms: the cap of duality.MAX_POINTS
+def powerset(n_atoms: int) -> tuple[tuple[int, ...], dict[int, int], BoolMatrix, tuple[int, ...]]:
+    """The subsets of an n_atoms set as :func:`powerset_masks`, their index,
+    their inclusion order and the complement table: one copy shared by every
+    powerset carrier on n_atoms atoms."""
+    masks = powerset_masks(n_atoms)
+    index = {m: i for i, m in enumerate(masks)}
+    full = (1 << n_atoms) - 1
+    return masks, index, subset_order(masks), tuple(index[full ^ m] for m in masks)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .algebras import FiniteAlgebra, chain_order, powerset_masks, subset_order
+from .algebras import FiniteAlgebra, chain_order, powerset
 from .errors import PomaError
 
 
@@ -38,12 +38,10 @@ def _from_covers(n, covers, box, diamond, name):
 
 def _boolean(n_atoms, box_of_mask, name):
     """Powerset algebra over n_atoms atoms; diamond is the De Morgan dual."""
-    masks = powerset_masks(n_atoms)
-    index = {m: i for i, m in enumerate(masks)}
-    full = (1 << n_atoms) - 1
+    masks, index, order, complement = powerset(n_atoms)
     box = tuple(index[box_of_mask(m)] for m in masks)
-    diamond = tuple(index[full ^ box_of_mask(full ^ m)] for m in masks)
-    return FiniteAlgebra(len(masks), subset_order(masks), box, diamond, name)
+    diamond = tuple(complement[box[c]] for c in complement)
+    return FiniteAlgebra(len(masks), order, box, diamond, name)
 
 
 def _an_minus_box(n):

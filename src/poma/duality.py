@@ -8,8 +8,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebras import (BoolMatrix, FiniteAlgebra, ModalAlgebra, downsets,
-                       powerset_masks, subset_order, validate)
+from .algebras import (BoolMatrix, FiniteAlgebra, ModalAlgebra, _bits,
+                       downset_masks, powerset, subset_order, validate)
 from .congruences import Partition, con_lattice
 from .errors import BudgetError, PreconditionError
 from .morphisms import Hom
@@ -23,12 +23,7 @@ def join_irreducibles(A: FiniteAlgebra) -> list[int]:
     return list(A.lattice.require().join_irreducibles)
 
 
-def meet_irreducibles(A: FiniteAlgebra) -> list[int]:
-    """Elements with exactly one upper cover (excludes the top)."""
-    return list(A.lattice.require().meet_irreducibles)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def prime_filters(A: FiniteAlgebra) -> tuple[frozenset[int], ...]:
     """All prime filters: the principal upsets of join-irreducible elements,
     sorted by (cardinality, contents)."""
@@ -54,85 +49,86 @@ class DualSpace:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-def _compose(P: BoolMatrix, Q: BoolMatrix) -> BoolMatrix:
-    n = len(P)
-    return tuple(tuple(any(P[x][z] and Q[z][y] for z in range(n))
-                       for y in range(n)) for x in range(n))
+def _mask(row) -> int:
+    """The set bits of a boolean row."""
+    return sum(1 << j for j, v in enumerate(row) if v)
 
 
 def dual_space(A: FiniteAlgebra) -> DualSpace:
-    rep = validate(A)
-    if not rep.is_pma:
+    if not validate(A).is_pma:
         raise PreconditionError("dual spaces are defined for positive modal algebras")
     points = prime_filters(A)
-    n = len(points)
-    leq = tuple(tuple(points[i] <= points[j] for j in range(n)) for i in range(n))
-    box, dia = A.box, A.diamond
+    masks = [sum(1 << a for a in f) for f in points]
+    leq = tuple(tuple(f & g == f for g in masks) for f in masks)
     rel = []
-    for f in points:
-        box_inv = frozenset(a for a in range(A.size) if box[a] in f)
-        dia_inv = frozenset(a for a in range(A.size) if dia[a] in f)
-        rel.append(tuple(box_inv <= g <= dia_inv for g in points))
+    for f in masks:
+        box_inv = sum(1 << a for a, b in enumerate(A.box) if f >> b & 1)
+        dia_inv = sum(1 << a for a, d in enumerate(A.diamond) if f >> d & 1)
+        rel.append(tuple(box_inv & g == box_inv and g & dia_inv == g for g in masks))
     return DualSpace(points, leq, tuple(rel))
+
+
+def _modal_masks(succ: list[int], masks) -> tuple[list[int], list[int]]:
+    """Box and diamond of each mask on the frame where point x sees ``succ[x]``:
+    diamond m (the points seeing some point of m) is tabled over all masks, and
+    box m (the points seeing only m) is the complement of diamond of not-m."""
+    k = len(succ)
+    pred = [sum(1 << x for x, s in enumerate(succ) if s >> y & 1) for y in range(k)]
+    dia = [0] * (1 << k)
+    for m in range(1, 1 << k):
+        low = m & -m
+        dia[m] = dia[m ^ low] | pred[low.bit_length() - 1]
+    full = (1 << k) - 1
+    return [full ^ dia[full ^ m] for m in masks], [dia[m] for m in masks]
+
+
+def _upsets(X: DualSpace) -> tuple[list[int], dict[int, int], tuple[int, ...], tuple[int, ...]]:
+    """Check the space as :func:`check_kplus` documents, then return its
+    upsets as point masks in :func:`downset_masks` order, their index, and
+    box and diamond on them as index tables."""
+    n = len(X.points)
+    up = [_mask(row) for row in X.leq]
+    down = [_mask(col) for col in zip(*X.leq)]
+    succ = [_mask(row) for row in X.R]
+    for s in succ:
+        above = below = 0
+        for z in _bits(s):
+            above |= up[z]
+            below |= down[z]
+        if above & below != s:
+            raise PreconditionError("relation is not order-compatible")
+    if n > 16:
+        raise BudgetError("too many points to enumerate upsets")
+    masks = downset_masks(tuple(zip(*X.leq)))
+    index = {m: i for i, m in enumerate(masks)}
+    box, dia = _modal_masks(succ, masks)
+    try:
+        return masks, index, tuple(index[m] for m in box), tuple(index[m] for m in dia)
+    except KeyError:
+        raise PreconditionError("upsets are not closed under the modal operators") from None
 
 
 def check_kplus(X: DualSpace) -> None:
     """Finite-scale compatibility conditions on an ordered frame: the
     accessibility relation must equal the intersection of its two order
     compositions, and the modal operators must map upsets to upsets."""
-    n = len(X.points)
-    inv = tuple(tuple(X.leq[j][i] for j in range(n)) for i in range(n))
-    expected = tuple(tuple(a and b for a, b in zip(r1, r2))
-                     for r1, r2 in zip(_compose(X.R, X.leq), _compose(X.R, inv)))
-    if expected != X.R:
-        raise PreconditionError("relation is not order-compatible")
-    if n > 16:
-        raise BudgetError("too many points to enumerate upsets")
-    for v in downsets(inv):
-        if not _is_upset(X.leq, _box_r(X.R, v)) or not _is_upset(X.leq, _dia_r(X.R, v)):
-            raise PreconditionError("upsets are not closed under the modal operators")
-
-
-def _is_upset(leq: BoolMatrix, v: frozenset[int]) -> bool:
-    n = len(leq)
-    return all(leq[x][y] <= (y in v) for x in v for y in range(n))
-
-
-def _box_r(R: BoolMatrix, v: frozenset[int]) -> frozenset[int]:
-    n = len(R)
-    return frozenset(x for x in range(n)
-                     if all(y in v for y in range(n) if R[x][y]))
-
-
-def _dia_r(R: BoolMatrix, v: frozenset[int]) -> frozenset[int]:
-    n = len(R)
-    return frozenset(x for x in range(n)
-                     if any(y in v for y in range(n) if R[x][y]))
+    _upsets(X)
 
 
 def upset_algebra(X: DualSpace, name: str = "") -> FiniteAlgebra:
     """Algebra of all upsets of the space under intersection/union with the
     relational operators.  The space is checked for compatibility first."""
-    check_kplus(X)
-    carrier = downsets(tuple(zip(*X.leq)))
-    index = {v: i for i, v in enumerate(carrier)}
-    n = len(carrier)
-    leq = tuple(tuple(carrier[i] <= carrier[j] for j in range(n)) for i in range(n))
-    box = tuple(index[_box_r(X.R, v)] for v in carrier)
-    dia = tuple(index[_dia_r(X.R, v)] for v in carrier)
-    return FiniteAlgebra(n, leq, box, dia, name)
+    masks, _, box, dia = _upsets(X)
+    return FiniteAlgebra(len(masks), subset_order(masks), box, dia, name)
 
 
 def kappa(A: FiniteAlgebra) -> Hom:
     """Representation map sending a to the set of prime filters containing it;
     the target is the upset algebra of the dual space."""
     X = dual_space(A)
-    U = upset_algebra(X)
-    carrier = downsets(tuple(zip(*X.leq)))
-    index = {v: i for i, v in enumerate(carrier)}
-    mapping = tuple(index[frozenset(i for i, f in enumerate(X.points) if a in f)]
-                    for a in range(A.size))
-    return Hom(A, U, mapping)
+    masks, index, box, dia = _upsets(X)
+    U = FiniteAlgebra(len(masks), subset_order(masks), box, dia)
+    return Hom(A, U, tuple(index[_mask(a in f for f in X.points)] for a in range(A.size)))
 
 
 @dataclass(frozen=True)
@@ -154,32 +150,25 @@ def boolean_envelope(A: FiniteAlgebra) -> Envelope:
     return Envelope(modal, Hom(A, modal.algebra, mapping))
 
 
-@lru_cache(maxsize=None)
+def _powerset_frame(succ: list[int], name: str = "") -> FiniteAlgebra:
+    """The powerset algebra of the frame where point x sees ``succ[x]``."""
+    masks, index, order, _ = powerset(len(succ))
+    box, dia = _modal_masks(succ, masks)
+    return FiniteAlgebra(len(masks), order, tuple(index[m] for m in box),
+                         tuple(index[m] for m in dia), name)
+
+
+@lru_cache(maxsize=1024)
 def _nameless_envelope(A: FiniteAlgebra) -> tuple[ModalAlgebra, tuple[int, ...]]:
     """The envelope without names: the cache is keyed on A's value, which
     ignores its name, so a cached name would be the first caller's."""
     X = dual_space(A)
-    pts = X.points
-    k = len(pts)
+    k = len(X.points)
     if k > MAX_POINTS:
         raise BudgetError(f"envelope over {k} points exceeds the {MAX_POINTS}-point cap")
-    masks = powerset_masks(k)
-    index = {m: i for i, m in enumerate(masks)}
-    succ = [sum(1 << y for y in range(k) if X.R[x][y]) for x in range(k)]
-    full = (1 << k) - 1
-
-    def box_mask(m):
-        return sum(1 << x for x in range(k) if succ[x] & ~m == 0)
-
-    def dia_mask(m):
-        return sum(1 << x for x in range(k) if succ[x] & m)
-
-    box = tuple(index[box_mask(m)] for m in masks)
-    dia = tuple(index[dia_mask(m)] for m in masks)
-    M = FiniteAlgebra(len(masks), subset_order(masks), box, dia)
-    complement = tuple(index[full ^ m] for m in masks)
-    mapping = tuple(index[sum(1 << i for i, f in enumerate(pts) if a in f)]
-                    for a in range(A.size))
+    M = _powerset_frame([_mask(row) for row in X.R])
+    _, index, _, complement = powerset(k)
+    mapping = tuple(index[_mask(a in f for f in X.points)] for a in range(A.size))
     return ModalAlgebra(M, complement), mapping
 
 
@@ -193,55 +182,52 @@ def complex_algebra(n_worlds: int, relation, name: str = "") -> FiniteAlgebra:
     `relation` is a set/iterable of pairs or a square boolean matrix."""
     if n_worlds > MAX_POINTS:
         raise BudgetError(f"{n_worlds} worlds exceeds the {MAX_POINTS}-world cap")
-    pairs = _relation_pairs(n_worlds, relation)
-    masks = powerset_masks(n_worlds)
-    index = {m: i for i, m in enumerate(masks)}
-    succ = [0] * n_worlds
-    for x, y in pairs:
-        succ[x] |= 1 << y
-    box = tuple(index[sum(1 << x for x in range(n_worlds) if succ[x] & ~m == 0)]
-                for m in masks)
-    dia = tuple(index[sum(1 << x for x in range(n_worlds) if succ[x] & m)]
-                for m in masks)
-    return FiniteAlgebra(len(masks), subset_order(masks), box, dia, name)
+    return _powerset_frame(_successors(n_worlds, relation), name)
 
 
-def _relation_pairs(n: int, relation) -> set[tuple[int, int]]:
+def _successors(n: int, relation) -> list[int]:
+    """Each world's successors as a mask, from `relation` as
+    :func:`complex_algebra` takes it."""
+    if n < 0:
+        raise PreconditionError(f"{n} worlds: the count must be >= 0")
     if relation and isinstance(relation, (list, tuple)) and \
             isinstance(relation[0], (list, tuple)) and \
             all(len(row) == n for row in relation) and len(relation) == n and \
             all(isinstance(v, (bool, int)) and v in (0, 1, True, False)
                 for row in relation for v in row):
-        return {(x, y) for x in range(n) for y in range(n) if relation[x][y]}
-    return {(int(x), int(y)) for x, y in relation}
+        return [_mask(row) for row in relation]
+    succ = [0] * n
+    for x, y in relation:
+        x, y = int(x), int(y)
+        if not (0 <= x < n and 0 <= y < n):
+            raise PreconditionError(f"pair ({x}, {y}) is not between two of the {n} worlds")
+        succ[x] |= 1 << y
+    return succ
 
 
 def kripke_eval(n_worlds: int, relation, t: Term,
                 asg: dict[str, frozenset[int]]) -> frozenset[int]:
     """Evaluate a term directly over a frame, without materializing the
     powerset algebra.  Used for growth experiments on larger frames."""
-    pairs = _relation_pairs(n_worlds, relation)
-    succ: dict[int, set[int]] = {x: set() for x in range(n_worlds)}
-    for x, y in pairs:
-        succ[x].add(y)
+    succ = _successors(n_worlds, relation)
 
-    def go(t: Term) -> frozenset[int]:
+    def go(t: Term) -> int:
         if t.kind == "var":
-            return asg[t.var]
+            return _mask(x in asg[t.var] for x in range(n_worlds))
         if t.kind == "zero":
-            return frozenset()
+            return 0
         if t.kind == "one":
-            return frozenset(range(n_worlds))
+            return (1 << n_worlds) - 1
         if t.kind == "meet":
             return go(t.args[0]) & go(t.args[1])
         if t.kind == "join":
             return go(t.args[0]) | go(t.args[1])
         v = go(t.args[0])
         if t.kind == "box":
-            return frozenset(x for x in range(n_worlds) if succ[x] <= v)
-        return frozenset(x for x in range(n_worlds) if succ[x] & v)
+            return sum(1 << x for x, s in enumerate(succ) if s & ~v == 0)
+        return sum(1 << x for x, s in enumerate(succ) if s & v)
 
-    return go(t)
+    return frozenset(_bits(go(t)))
 
 
 # -- open filters ----------------------------------------------------------------

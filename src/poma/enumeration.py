@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .algebras import BoolMatrix, FiniteAlgebra, downsets, validate
+from .algebras import BoolMatrix, FiniteAlgebra, downset_masks, subset_order, validate
 from .congruences import is_fsi, is_si
 from .errors import PomaError
 from .morphisms import _least_leaves, automorphisms, canonical_form
@@ -57,10 +57,10 @@ def canonical_poset(leq: BoolMatrix) -> tuple:
     return _least_leaves(n, leq, ident, ident, 100_000)[0]
 
 
-def _extend_with_max(leq: BoolMatrix, down: frozenset[int]) -> BoolMatrix:
+def _extend_with_max(leq: BoolMatrix, down: int) -> BoolMatrix:
     """Add one new maximal element whose strict lower set is the given downset."""
     n = len(leq)
-    rows = [list(row) + [i in down] for i, row in enumerate(leq)]
+    rows = [list(row) + [bool(down >> i & 1)] for i, row in enumerate(leq)]
     rows.append([False] * n + [True])
     return tuple(tuple(row) for row in rows)
 
@@ -77,9 +77,9 @@ def enum_posets(k: int, max_downsets: int | None = None) -> list[BoolMatrix]:
     for _ in range(k):
         nxt: dict[tuple, BoolMatrix] = {}
         for leq in level.values():
-            for down in downsets(leq):
+            for down in downset_masks(leq):
                 bigger = _extend_with_max(leq, down)
-                if max_downsets is not None and len(downsets(bigger)) > max_downsets:
+                if max_downsets is not None and len(downset_masks(bigger)) > max_downsets:
                     continue
                 nxt.setdefault(canonical_poset(bigger), bigger)
         level = nxt
@@ -94,13 +94,11 @@ def enum_bdl(max_size: int) -> tuple[FiniteAlgebra, ...]:
     out: dict[tuple, FiniteAlgebra] = {}
     for k in range(max_size):
         for leq in enum_posets(k, max_downsets=max_size):
-            ds = downsets(leq)
+            ds = downset_masks(leq)
             if len(ds) > max_size:
                 continue
-            n = len(ds)
-            order = tuple(tuple(ds[i] <= ds[j] for j in range(n)) for i in range(n))
-            ident = tuple(range(n))
-            L = FiniteAlgebra(n, order, ident, ident)
+            ident = tuple(range(len(ds)))
+            L = FiniteAlgebra(len(ds), subset_order(ds), ident, ident)
             out.setdefault(canonical_form(L), L)
     return tuple(sorted(out.values(), key=lambda L: (L.size, canonical_form(L))))
 

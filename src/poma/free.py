@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .algebras import FiniteAlgebra, downsets, validate
+from .algebras import FiniteAlgebra, downset_masks, subset_order, validate
 from .errors import BudgetError, PreconditionError
 from .morphisms import (canonical_form, closure_universe, extend_hom,
                         si_quotients)
@@ -147,25 +147,22 @@ def figure1_algebra() -> FreeAlgebraResult:
     and bottom < [dia box x] < [dia box dia x] < [dia x] < top.  The battery
     in verify_figure1 guards this transcription."""
     p_leq = _fact52_leq()
-    points = downsets(tuple(zip(*p_leq)))           # prime-filter skeleton (upsets)
-    m = len(points)
-    j_leq = tuple(tuple(points[i] <= points[j] for j in range(m)) for i in range(m))
-    carrier = downsets(tuple(zip(*j_leq)))
+    points = downset_masks(tuple(zip(*p_leq)))      # prime-filter skeleton (upsets)
+    carrier = downset_masks(tuple(zip(*subset_order(points))))
     index = {u: i for i, u in enumerate(carrier)}
     n = len(carrier)
+    leq = subset_order(carrier)
 
     def ghat(p: int) -> int:
-        return index[frozenset(i for i, u in enumerate(points) if p in u)]
+        return index[sum(1 << i for i, u in enumerate(points) if u >> p & 1)]
 
-    bot = index[frozenset()]
-    top = index[frozenset(range(m))]
+    bot, top = index[0], index[(1 << len(points)) - 1]
     box_fixed = [bot, ghat(1), ghat(3), ghat(5), top]
     dia_fixed = [bot, ghat(2), ghat(6), ghat(4), top]
-    leq = tuple(tuple(carrier[i] <= carrier[j] for j in range(n)) for i in range(n))
-    box = tuple(max((f for f in box_fixed if carrier[f] <= carrier[a]),
-                    key=lambda f: len(carrier[f])) for a in range(n))
-    dia = tuple(min((f for f in dia_fixed if carrier[a] <= carrier[f]),
-                    key=lambda f: len(carrier[f])) for a in range(n))
+    box = tuple(max((f for f in box_fixed if leq[f][a]),
+                    key=lambda f: carrier[f].bit_count()) for a in range(n))
+    dia = tuple(min((f for f in dia_fixed if leq[a][f]),
+                    key=lambda f: carrier[f].bit_count()) for a in range(n))
     algebra = FiniteAlgebra(n, leq, box, dia, "F1_PS4")
     return FreeAlgebraResult(algebra, (ghat(0),), ())
 

@@ -4,9 +4,10 @@ import itertools
 import pytest
 
 from poma import FiniteAlgebra, Partition, ValidationReport, cg, corpus, validate
+from poma.duality import DualSpace
 from poma.enumeration import _mixed_axioms_hold, canonical_poset, enum_bdl
-from poma.errors import BudgetError
-from poma.morphisms import canonical_form
+from poma.errors import BudgetError, PreconditionError
+from poma.morphisms import Hom, canonical_form
 
 
 def oracle_derive_order(leq):
@@ -543,3 +544,81 @@ def oracle_enumerate_size(kind, size):
                     A = FiniteAlgebra(L.size, L.leq, box, dia)
                     found.setdefault(oracle_canonical_form(A), A)
     return tuple(found[key] for key in sorted(found))
+
+
+# -- duality: the frozenset routes that the bitmask ones replaced -----------------
+
+def _compose(P, Q):
+    """Relational product of two square boolean matrices."""
+    n = len(P)
+    return tuple(tuple(any(P[x][z] and Q[z][y] for z in range(n))
+                       for y in range(n)) for x in range(n))
+
+
+def _is_upset(leq, v):
+    n = len(leq)
+    return all(leq[x][y] <= (y in v) for x in v for y in range(n))
+
+
+def _box_r(R, v):
+    n = len(R)
+    return frozenset(x for x in range(n) if all(y in v for y in range(n) if R[x][y]))
+
+
+def _dia_r(R, v):
+    n = len(R)
+    return frozenset(x for x in range(n) if any(y in v for y in range(n) if R[x][y]))
+
+
+def oracle_dual_space(A):
+    """Prime filters as frozensets, related by frozenset inclusion tests."""
+    if not validate(A).is_pma:
+        raise PreconditionError("dual spaces are defined for positive modal algebras")
+    ji = oracle_join_irreducibles(A.leq)
+    points = tuple(sorted((frozenset(a for a in range(A.size) if A.leq[j][a]) for j in ji),
+                          key=lambda f: (len(f), sorted(f))))
+    n = len(points)
+    leq = tuple(tuple(points[i] <= points[j] for j in range(n)) for i in range(n))
+    rel = []
+    for f in points:
+        box_inv = frozenset(a for a in range(A.size) if A.box[a] in f)
+        dia_inv = frozenset(a for a in range(A.size) if A.diamond[a] in f)
+        rel.append(tuple(box_inv <= g <= dia_inv for g in points))
+    return DualSpace(points, leq, tuple(rel))
+
+
+def oracle_check_kplus(X):
+    """R must equal (R;leq) meet (R;leq^-1), then box and diamond must send
+    every upset, found by testing all subsets, to an upset."""
+    n = len(X.points)
+    inv = tuple(tuple(X.leq[j][i] for j in range(n)) for i in range(n))
+    expected = tuple(tuple(a and b for a, b in zip(r1, r2))
+                     for r1, r2 in zip(_compose(X.R, X.leq), _compose(X.R, inv)))
+    if expected != X.R:
+        raise PreconditionError("relation is not order-compatible")
+    if n > 16:
+        raise BudgetError("too many points to enumerate upsets")
+    for v in oracle_downsets(inv):
+        if not _is_upset(X.leq, _box_r(X.R, v)) or not _is_upset(X.leq, _dia_r(X.R, v)):
+            raise PreconditionError("upsets are not closed under the modal operators")
+
+
+def oracle_upset_algebra(X, name=""):
+    oracle_check_kplus(X)
+    carrier = oracle_downsets(tuple(zip(*X.leq)))
+    index = {v: i for i, v in enumerate(carrier)}
+    n = len(carrier)
+    leq = tuple(tuple(carrier[i] <= carrier[j] for j in range(n)) for i in range(n))
+    box = tuple(index[_box_r(X.R, v)] for v in carrier)
+    dia = tuple(index[_dia_r(X.R, v)] for v in carrier)
+    return FiniteAlgebra(n, leq, box, dia, name)
+
+
+def oracle_kappa(A):
+    """a goes to the frozenset of the prime filters holding it."""
+    X = oracle_dual_space(A)
+    U = oracle_upset_algebra(X)
+    index = {v: i for i, v in enumerate(oracle_downsets(tuple(zip(*X.leq))))}
+    mapping = tuple(index[frozenset(i for i, f in enumerate(X.points) if a in f)]
+                    for a in range(A.size))
+    return Hom(A, U, mapping)

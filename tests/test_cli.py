@@ -97,6 +97,14 @@ def test_envelope_and_complex(capsys):
     assert code == 0 and json.loads(out)["is_ps4"] is True
 
 
+def test_complex_rejects_worlds_outside_the_frame(capsys):
+    # a negative count crashed (exit 1); a successor past the last world
+    # gave an algebra in which that world could never be boxed (exit 0)
+    for worlds, preorder in (("-1", "id"), ("2", "0,5"), ("2", "2,0"), ("2", "0,-1")):
+        code, out, err = run(capsys, "complex", "--worlds", worlds, "--preorder", preorder)
+        assert (code, out) == (2, "") and err.startswith("error: "), (worlds, preorder)
+
+
 def test_free_commands(capsys):
     code, out, _ = run(capsys, "free", "--gens", "D4", "--rank", "1", "--json")
     obj = json.loads(out)

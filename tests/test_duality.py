@@ -12,6 +12,8 @@ from poma.errors import BudgetError, PreconditionError
 from poma.morphisms import embeddings
 from poma.terms import parse_term
 
+from conftest import _compose
+
 CORPUS = ("C2", "B2", "D3", "C3a", "C3b", "D4", "C4a", "C4b", "C5a", "C5b",
           "C6a", "C6b", "A4", "D5a", "D5b", "B4", "EX44III", "EX44IV")
 
@@ -45,7 +47,6 @@ def test_dual_space_identity_relation_on_identity_chain():
 
 
 def test_dual_space_order_compatibility():
-    from poma.duality import _compose
     for name in CORPUS:
         X = dual_space(corpus(name))
         n = len(X.points)

@@ -1,0 +1,105 @@
+"""The bitmask duality routes against the frozenset oracles in conftest:
+dual spaces, the compatibility check, upset algebras and the representation
+map give the same result, or the same exception type and message."""
+import random
+
+import pytest
+
+from poma import corpus, dual_space, kappa, upset_algebra
+from poma.corpus import CORPUS_NAMES, PARAMETRIC_NAMES
+from poma.duality import DualSpace, check_kplus
+from poma.enumeration import EnumerationTask, enum_algebras
+from poma.errors import PomaError
+
+from conftest import (oracle_check_kplus, oracle_dual_space, oracle_kappa,
+                      oracle_upset_algebra)
+
+ROUTES = ((check_kplus, oracle_check_kplus), (upset_algebra, oracle_upset_algebra))
+
+
+def _outcome(f, *args):
+    """A call's result as comparable data, or its exception type and message."""
+    try:
+        r = f(*args)
+    except PomaError as exc:
+        return type(exc).__name__, str(exc)
+    if r is None or isinstance(r, DualSpace):
+        return "ok", r and r.to_json()
+    if hasattr(r, "mapping"):
+        return "ok", r.target.to_json(), r.mapping
+    return "ok", r.to_json()
+
+
+def _check_space(X):
+    """Both routes on X; returns the shared outcome of upset_algebra."""
+    for new, old in ROUTES:
+        got = _outcome(new, X)
+        assert got == _outcome(old, X), X
+    return got
+
+
+def _flipped(X):
+    return DualSpace(X.points, X.leq, tuple(tuple(not v for v in row) for row in X.R))
+
+
+def _check_algebra(A):
+    assert _outcome(dual_space, A) == _outcome(oracle_dual_space, A), A
+    assert _outcome(kappa, A) == _outcome(oracle_kappa, A), A
+    try:
+        X = dual_space(A)
+    except PomaError:
+        return
+    assert _check_space(X)[0] == "ok"
+    _check_space(_flipped(X))
+
+
+def test_every_pma_up_to_five():
+    for A in enum_algebras(EnumerationTask("PMA", 5)):
+        _check_algebra(A)
+
+
+def test_every_corpus_spec():
+    specs = [(name,) for name in CORPUS_NAMES if name not in PARAMETRIC_NAMES]
+    specs += [(name, k) for name, lo in (("EX46", 3), ("AN_MINUS", 1), ("AN_SIMPLE", 2))
+              for k in range(lo, 7)]
+    for spec in specs:
+        _check_algebra(corpus(*spec))
+
+
+def _random_space(rng, n):
+    """A random partial order on n points (transitively closed random edges
+    along a shuffled linear order) with a random relation, made
+    order-compatible as (R;<=) meet (R;>=) in about two cases of three."""
+    rank = list(range(n))
+    rng.shuffle(rank)
+    leq = [[x == y or (rank[x] < rank[y] and rng.random() < 0.4) for y in range(n)]
+           for x in range(n)]
+    for z in range(n):
+        for x in range(n):
+            for y in range(n):
+                leq[x][y] = leq[x][y] or (leq[x][z] and leq[z][y])
+    rel = [[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.65:
+        rel = [[any(rel[x][z] and leq[z][y] for z in range(n)) and
+                any(rel[x][z] and leq[y][z] for z in range(n)) for y in range(n)]
+               for x in range(n)]
+    return DualSpace(tuple(frozenset({i}) for i in range(n)),
+                     tuple(map(tuple, leq)), tuple(map(tuple, rel)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_spaces_reach_every_outcome(seed):
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(400):
+        got = _check_space(_random_space(rng, rng.randint(0, 7)))
+        outcomes.add(got[1] if got[0] == "PreconditionError" else got[0])
+    assert outcomes == {"ok", "relation is not order-compatible",
+                        "upsets are not closed under the modal operators"}
+
+
+def test_seventeen_points_exceed_the_budget():
+    n = 17
+    ident = tuple(tuple(x == y for y in range(n)) for x in range(n))
+    X = DualSpace(tuple(frozenset({i}) for i in range(n)), ident, ident)
+    assert _check_space(X) == ("BudgetError", "too many points to enumerate upsets")

@@ -4,8 +4,9 @@ import json
 import pytest
 
 from poma import corpus, is_iso, validate
-from poma.enumeration import (EnumerationTask, canonical_poset, downsets,
-                              enum_algebras, enum_bdl, enum_posets)
+from poma.algebras import downsets
+from poma.enumeration import (EnumerationTask, canonical_poset, enum_algebras,
+                              enum_bdl, enum_posets)
 from poma.errors import PomaError
 from poma.morphisms import canonical_form
 

@@ -6,7 +6,7 @@ import random
 import weakref
 
 from poma import FiniteAlgebra, corpus
-from poma.algebras import Lattice, chain_order, downsets
+from poma.algebras import Lattice, chain_order, downset_masks, downsets
 
 from conftest import (oracle_covers, oracle_derive_order, oracle_downsets,
                       oracle_join_irreducibles, oracle_meet_irreducibles)
@@ -70,6 +70,8 @@ def _check_against_oracles(relations):
             assert [[x] for x in lat.lower_covers] == [
                 [x for x, y in covers if y == j] for j in lat.join_irreducibles], leq
         assert downsets(leq) == oracle_downsets(leq), leq
+        assert [frozenset(i for i in range(len(leq)) if m >> i & 1)
+                for m in downset_masks(leq)] == oracle_downsets(leq), leq
         n = len(leq)
         ident = tuple(range(n))
         assert FiniteAlgebra(n, leq, ident, ident).covers() == covers, leq
