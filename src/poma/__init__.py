@@ -11,7 +11,8 @@ from .duality import (DualSpace, Envelope, boolean_envelope, complex_algebra,
                       dual_space, is_p_morphism, join_irreducibles, kappa,
                       kripke_eval, open_filter_congruence_iso_check,
                       open_filters, prime_filters, upset_algebra)
-from .enumeration import EnumerationTask, enum_algebras, enum_bdl, enum_posets
+from .enumeration import (EnumerationTask, default_cache_dir, enum_algebras,
+                          enum_bdl, enum_posets)
 from .errors import (BudgetError, ConsistencyError, ParseError, PomaError,
                      PreconditionError, StructuralError)
 from .free import (FreeAlgebraResult, Figure1Report, GrowthReport, build_phi,
@@ -37,6 +38,5 @@ from .completeness import (OpenProblemRow, QuasiClassification, Verdict,
                            asc_necessary, classify_quasi, is_hsc_pk4, is_psc,
                            is_sc_pk4, lemma22_check, open_problem_scan,
                            theorem93_battery)
-from .config import Config, default_cache_dir
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -224,10 +224,6 @@ class FiniteAlgebra:
 
     # -- lattice structure ---------------------------------------------------
 
-    @property
-    def is_lattice(self) -> bool:
-        return self.lattice.defect is None
-
     # the tables are None when the order is not a bounded lattice
     def meet(self, x: int, y: int) -> int:
         try:
@@ -248,9 +244,6 @@ class FiniteAlgebra:
 
     def top(self) -> int:
         return self.lattice.require().top
-
-    def le(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
 
     def meet_all(self, xs: Iterable[int]) -> int:
         out = self.top()

@@ -12,11 +12,10 @@ from . import completeness as comp
 from . import dot as dotmod
 from . import duality, free, varieties
 from .algebras import FiniteAlgebra, validate
-from .config import Config, default_cache_dir
 from .congruences import (cg, con_lattice, is_si, is_simple,
                           is_well_connected, monolith)
 from .corpus import CORPUS_NAMES, corpus_by_spec
-from .enumeration import EnumerationTask, enum_algebras
+from .enumeration import EnumerationTask, default_cache_dir, enum_algebras
 from .errors import BudgetError, PomaError
 from .morphisms import hs_si
 from .terms import (eval_term, holds_pos_exist, holds_quasi, parse_equation,
@@ -233,8 +232,7 @@ def cmd_enumerate(args) -> int:
     task = EnumerationTask(args.kind, args.max_size, si_only=args.si_only)
     cache = None
     if args.cache or args.resume:
-        cfg = Config(cache_directory=args.cache or default_cache_dir())
-        cache = cfg.cache_directory
+        cache = Path(args.cache) if args.cache else default_cache_dir()
     algebras = enum_algebras(task, cache_dir=cache, resume=args.resume)
     for A in algebras:
         sys.stdout.write(A.to_json() + "\n")

@@ -13,9 +13,9 @@ from .corpus import corpus
 from .errors import ConsistencyError, PreconditionError
 from .free import free_over, free_zero
 from .morphisms import embeddings, is_iso, is_retract
-from .terms import (QuasiEquation, assignments, box_power, diamond_power,
-                    eq_holds_under, holds_eq, holds_quasi, Leq, Meet, Join,
-                    Var, equation_variables)
+from .terms import (QuasiEquation, box_power, diamond_power, equation_variables,
+                    first_assignment, holds_eq, holds_quasi, Leq, Meet, Join,
+                    Var)
 from .varieties import (EQ_BOX_BOT, EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT,
                         EQ_DIA_TOP, EQ_SPLIT_D3, VarietyHandle, equals,
                         member_si, variety_of)
@@ -102,15 +102,13 @@ def classify_quasi(V: VarietyHandle, q: QuasiEquation,
                      for m in range(max_free_rank + 1)]
     active_rank = None
     active_witness = None
-    variables = sorted(set().union(
-        *(equation_variables(p) for p in q.premises), set()))
+    variables = set().union(*map(equation_variables, q.premises))
     for m, fr in enumerate(free_algebras):
-        if active_rank is not None:
+        active_witness = first_assignment(fr.algebra, variables,
+                                          [(p,) for p in q.premises])
+        if active_witness is not None:
+            active_rank = m
             break
-        for asg in assignments(fr.algebra, variables):
-            if all(eq_holds_under(fr.algebra, p, asg) for p in q.premises):
-                active_rank, active_witness = m, asg
-                break
     refuted_at = None
     refutation_witness = None
     for m, fr in enumerate(free_algebras):

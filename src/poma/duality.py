@@ -7,13 +7,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_, or_
 
 from .algebras import (BoolMatrix, FiniteAlgebra, ModalAlgebra, _bits,
                        downset_masks, powerset, subset_order, validate)
 from .congruences import Partition, con_lattice
 from .errors import BudgetError, PreconditionError
 from .morphisms import Hom
-from .terms import Term
+from .terms import Term, evaluate
 
 MAX_POINTS = 8          # powerset carriers beyond 2^8 elements are refused
 
@@ -177,57 +178,58 @@ boolean_envelope.cache_info = _nameless_envelope.cache_info
 
 
 def complex_algebra(n_worlds: int, relation, name: str = "") -> FiniteAlgebra:
-    """Full powerset algebra of the frame ({0..n_worlds-1}, relation).
-
-    `relation` is a set/iterable of pairs or a square boolean matrix."""
+    """Full powerset algebra of the frame ({0..n_worlds-1}, relation), where
+    `relation` is an iterable of (x, y) pairs of worlds: x sees y."""
     if n_worlds > MAX_POINTS:
         raise BudgetError(f"{n_worlds} worlds exceeds the {MAX_POINTS}-world cap")
     return _powerset_frame(_successors(n_worlds, relation), name)
 
 
 def _successors(n: int, relation) -> list[int]:
-    """Each world's successors as a mask, from `relation` as
-    :func:`complex_algebra` takes it."""
+    """Each world's successors as a mask, from the pairs of `relation`."""
     if n < 0:
         raise PreconditionError(f"{n} worlds: the count must be >= 0")
-    if relation and isinstance(relation, (list, tuple)) and \
-            isinstance(relation[0], (list, tuple)) and \
-            all(len(row) == n for row in relation) and len(relation) == n and \
-            all(isinstance(v, (bool, int)) and v in (0, 1, True, False)
-                for row in relation for v in row):
-        return [_mask(row) for row in relation]
     succ = [0] * n
-    for x, y in relation:
-        x, y = int(x), int(y)
-        if not (0 <= x < n and 0 <= y < n):
-            raise PreconditionError(f"pair ({x}, {y}) is not between two of the {n} worlds")
+    for pair in relation:
+        try:
+            x, y = pair
+        except (TypeError, ValueError):
+            raise PreconditionError(f"{pair!r} is not a pair of worlds") from None
+        if not all(isinstance(w, int) and 0 <= w < n for w in (x, y)):
+            raise PreconditionError(f"pair ({x!r}, {y!r}) is not between two of the {n} worlds")
         succ[x] |= 1 << y
     return succ
+
+
+class _Frame:
+    """The carrier of the frame where world x sees ``succ[x]``: a value is
+    the mask of the worlds where it holds."""
+
+    meet, join = staticmethod(and_), staticmethod(or_)
+
+    def __init__(self, succ: list[int]):
+        self.succ = succ
+
+    def zero(self) -> int:
+        return 0
+
+    def one(self) -> int:
+        return (1 << len(self.succ)) - 1
+
+    def box(self, v: int) -> int:
+        return sum(1 << x for x, s in enumerate(self.succ) if s & ~v == 0)
+
+    def dia(self, v: int) -> int:
+        return sum(1 << x for x, s in enumerate(self.succ) if s & v)
 
 
 def kripke_eval(n_worlds: int, relation, t: Term,
                 asg: dict[str, frozenset[int]]) -> frozenset[int]:
     """Evaluate a term directly over a frame, without materializing the
     powerset algebra.  Used for growth experiments on larger frames."""
-    succ = _successors(n_worlds, relation)
-
-    def go(t: Term) -> int:
-        if t.kind == "var":
-            return _mask(x in asg[t.var] for x in range(n_worlds))
-        if t.kind == "zero":
-            return 0
-        if t.kind == "one":
-            return (1 << n_worlds) - 1
-        if t.kind == "meet":
-            return go(t.args[0]) & go(t.args[1])
-        if t.kind == "join":
-            return go(t.args[0]) | go(t.args[1])
-        v = go(t.args[0])
-        if t.kind == "box":
-            return sum(1 << x for x, s in enumerate(succ) if s & ~v == 0)
-        return sum(1 << x for x, s in enumerate(succ) if s & v)
-
-    return frozenset(_bits(go(t)))
+    frame = _Frame(_successors(n_worlds, relation))
+    env = {v: _mask(x in ws for x in range(n_worlds)) for v, ws in asg.items()}
+    return frozenset(_bits(evaluate(t, env, frame)))
 
 
 # -- open filters ----------------------------------------------------------------

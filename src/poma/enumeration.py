@@ -215,6 +215,14 @@ def enum_algebras(task: EnumerationTask, cache_dir: str | os.PathLike | None = N
     return out
 
 
+def default_cache_dir() -> Path:
+    """``$POMA_CACHE`` when set, else ``~/.cache/poma``."""
+    env = os.environ.get("POMA_CACHE")
+    if env:
+        return Path(env)
+    return Path.home() / ".cache" / "poma"
+
+
 def _cache_path(cache_dir, kind: str, size: int) -> Path:
     return Path(cache_dir) / f"{kind.lower()}_size{size}.jsonl"
 

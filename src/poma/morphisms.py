@@ -50,11 +50,6 @@ class Hom:
         """Whether the mapping is a homomorphism; the check extend_hom runs."""
         return _is_hom(self.source, self.target, self.mapping)
 
-    def compose(self, inner: "Hom") -> "Hom":
-        """self after inner."""
-        return Hom(inner.source, self.target,
-                   tuple(self.mapping[inner.mapping[x]] for x in range(inner.source.size)))
-
 
 def identity_hom(A: FiniteAlgebra) -> Hom:
     return Hom(A, A, tuple(range(A.size)))
@@ -148,15 +143,6 @@ def product(A: FiniteAlgebra, B: FiniteAlgebra, name: str = "") -> FiniteAlgebra
     box = [A.box[i] * nb + B.box[j] for i, j in pairs]
     dia = [A.diamond[i] * nb + B.diamond[j] for i, j in pairs]
     return FiniteAlgebra.make(leq, box, dia, name)
-
-
-def product_all(algebras: list[FiniteAlgebra], name: str = "") -> FiniteAlgebra:
-    if not algebras:
-        raise PreconditionError("empty product")
-    out = algebras[0]
-    for nxt in algebras[1:]:
-        out = product(out, nxt)
-    return out.rename(name) if name else out
 
 
 def quotient(A: FiniteAlgebra, p: Partition, name: str = "") -> tuple[FiniteAlgebra, Hom]:

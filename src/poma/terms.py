@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from operator import and_, eq, getitem, gt, or_
 
 from .algebras import FiniteAlgebra
 from .errors import ParseError, PomaError
@@ -348,31 +348,93 @@ def parse_pos_exist(text: str) -> PosExistSentence:
 
 # -- evaluation ---------------------------------------------------------------
 
-def eval_term(A: FiniteAlgebra, t: Term, asg: dict[str, int]) -> int:
+BLOCK = 4096        # assignments evaluated together, as one value vector
+
+
+def evaluate(t: Term, env: dict, carrier):
+    """The value of t on a carrier: an object whose methods ``zero``,
+    ``one``, ``meet``, ``join``, ``box`` and ``dia`` interpret the term kinds
+    of those names, where ``env`` gives each variable's value."""
     kind = t.kind
     if kind == "var":
         try:
-            return asg[t.var]
+            return env[t.var]
         except KeyError:
             raise PomaError(f"unassigned variable {t.var!r}")
-    if kind == "zero":
-        return A.bottom()
-    if kind == "one":
-        return A.top()
-    if kind == "box":
-        return A.box[eval_term(A, t.args[0], asg)]
-    if kind == "dia":
-        return A.diamond[eval_term(A, t.args[0], asg)]
-    x = eval_term(A, t.args[0], asg)
-    y = eval_term(A, t.args[1], asg)
-    return A.meet(x, y) if kind == "meet" else A.join(x, y)
+    op, args = getattr(carrier, kind), t.args
+    if len(args) == 2:
+        return op(evaluate(args[0], env, carrier), evaluate(args[1], env, carrier))
+    return op(evaluate(args[0], env, carrier)) if args else op()
 
 
-def assignments(A: FiniteAlgebra, variables) -> Iterator[dict[str, int]]:
-    """All assignments, lexicographic by variable name then element index."""
+class Vectors:
+    """The carrier of A's operations, coordinate by coordinate, on tuples of
+    ``length`` elements: the values of a term under that many assignments."""
+
+    __slots__ = ("algebra", "length")
+
+    def __init__(self, A: FiniteAlgebra, length: int):
+        self.algebra, self.length = A, length
+
+    def zero(self):
+        return (self.algebra.bottom(),) * self.length
+
+    def one(self):
+        return (self.algebra.top(),) * self.length
+
+    def meet(self, u, v):
+        rows = self.algebra.lattice.require().meet
+        return tuple(map(getitem, map(rows.__getitem__, u), v))
+
+    def join(self, u, v):
+        rows = self.algebra.lattice.require().join
+        return tuple(map(getitem, map(rows.__getitem__, u), v))
+
+    def box(self, u):
+        return tuple(map(self.algebra.box.__getitem__, u))
+
+    def dia(self, u):
+        return tuple(map(self.algebra.diamond.__getitem__, u))
+
+
+def eval_term(A: FiniteAlgebra, t: Term, asg: dict[str, int]) -> int:
+    """The value of t in A under one assignment."""
+    return evaluate(t, {v: (a,) for v, a in asg.items()}, Vectors(A, 1))[0]
+
+
+def first_assignment(A: FiniteAlgebra, variables, clauses,
+                     conclusion: Equation | None = None) -> dict[str, int] | None:
+    """The first assignment to the variables, lexicographic by variable name
+    then element index, under which every clause (a tuple of equations) has a
+    true equation and ``conclusion``, when given, is false; None when there is
+    none.  Terms are evaluated on :data:`BLOCK` assignments at a time, and an
+    equation only while some assignment of the block still depends on it."""
     names = sorted(variables)
-    for combo in itertools.product(range(A.size), repeat=len(names)):
-        yield dict(zip(names, combo))
+    combos = itertools.product(range(A.size), repeat=len(names))
+    while block := list(itertools.islice(combos, BLOCK)):
+        env = dict(zip(names, zip(*block)))
+        carrier = Vectors(A, len(block))
+
+        def holds(e):
+            return map(eq, evaluate(e.lhs, env, carrier), evaluate(e.rhs, env, carrier))
+
+        live = [True] * len(block)
+        for clause in clauses:
+            sat = [False] * len(block)
+            for e in clause:
+                if True not in map(gt, live, sat):
+                    break
+                sat = list(map(or_, sat, holds(e)))
+            live = list(map(and_, live, sat))
+            if True not in live:
+                break
+        else:       # some assignment of the block satisfies every clause
+            if conclusion is not None:
+                live = map(gt, live, holds(conclusion))
+            i = next(itertools.compress(itertools.count(), live), None)
+            if i is not None:
+                return dict(zip(names, block[i]))
+    return None
 
 
 @dataclass(frozen=True)
@@ -384,35 +446,22 @@ class CheckResult:
         return self.holds
 
 
-def eq_holds_under(A: FiniteAlgebra, e: Equation, asg: dict[str, int]) -> bool:
-    return eval_term(A, e.lhs, asg) == eval_term(A, e.rhs, asg)
-
-
 def holds_eq(A: FiniteAlgebra, e: Equation) -> CheckResult:
-    for asg in assignments(A, equation_variables(e)):
-        if not eq_holds_under(A, e, asg):
-            return CheckResult(False, asg)
-    return CheckResult(True)
+    """:func:`holds_quasi` for e with no premises."""
+    witness = first_assignment(A, equation_variables(e), (), e)
+    return CheckResult(witness is None, witness)
 
 
 def holds_quasi(A: FiniteAlgebra, q: QuasiEquation) -> CheckResult:
-    variables = set()
-    for e in q.premises:
-        variables |= equation_variables(e)
-    variables |= equation_variables(q.conclusion)
-    for asg in assignments(A, variables):
-        if all(eq_holds_under(A, p, asg) for p in q.premises):
-            if not eq_holds_under(A, q.conclusion, asg):
-                return CheckResult(False, asg)
-    return CheckResult(True)
+    """Does q hold in A?  If not, the witness is the first refuting assignment
+    in the order of :func:`first_assignment`."""
+    variables = set().union(*map(equation_variables, (*q.premises, q.conclusion)))
+    witness = first_assignment(A, variables, [(p,) for p in q.premises], q.conclusion)
+    return CheckResult(witness is None, witness)
 
 
 def holds_pos_exist(A: FiniteAlgebra, s: PosExistSentence) -> bool:
-    for asg in assignments(A, s.variables):
-        if all(any(eq_holds_under(A, e, asg) for e in clause)
-               for clause in s.matrix):
-            return True
-    return False
+    return first_assignment(A, s.variables, s.matrix) is not None
 
 
 # -- sequent translations -------------------------------------------------------

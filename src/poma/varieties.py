@@ -14,7 +14,7 @@ from .corpus import corpus
 from .errors import PreconditionError
 from .morphisms import canonical_form, hs_si
 from .terms import (Box, Diamond, Equation, Join, Leq, Meet, Term, Var,
-                    eval_term, holds_eq)
+                    Vectors, evaluate, holds_eq)
 
 _X = Var("x")
 
@@ -258,22 +258,19 @@ def equation_separation(A: FiniteAlgebra, B: FiniteAlgebra, depth: int = 4,
                         num_vars: int = 2) -> Equation | None:
     """Search for an equation valid in B but failing in A, over terms of
     bounded depth.  Terms are deduplicated by their joint value vectors, so
-    the frontier stays small."""
+    the frontier stays small; a new term's vectors are computed from those
+    of its parts."""
     names = [f"x{i}" for i in range(num_vars)]
-    asgs_b = [dict(zip(names, combo))
-              for combo in itertools.product(range(B.size), repeat=num_vars)]
-    asgs_a = [dict(zip(names, combo))
-              for combo in itertools.product(range(A.size), repeat=num_vars)]
 
-    def vec(t: Term):
-        return (tuple(eval_term(B, t, asg) for asg in asgs_b),
-                tuple(eval_term(A, t, asg) for asg in asgs_a))
+    def vectors(C: FiniteAlgebra):
+        combos = list(itertools.product(range(C.size), repeat=num_vars))
+        return dict(zip(names, zip(*combos))), Vectors(C, len(combos))
 
+    (env_b, ops_b), (env_a, ops_a) = vectors(B), vectors(A)
     by_bvec: dict[tuple, tuple[Term, tuple]] = {}
     seen: dict[tuple, Term] = {}
 
-    def register(t: Term):
-        bv, av = vec(t)
+    def register(t: Term, bv: tuple, av: tuple):
         if (bv, av) in seen:
             return None, False
         seen[(bv, av)] = t
@@ -282,28 +279,27 @@ def equation_separation(A: FiniteAlgebra, B: FiniteAlgebra, depth: int = 4,
         by_bvec.setdefault(bv, (t, av))
         return None, True
 
-    frontier = []
-    for t in [Term("zero"), Term("one"), *(Var(nm) for nm in names)]:
-        eqn, fresh = register(t)
-        if eqn:
-            return eqn
-        if fresh:
-            frontier.append(t)
-    for _ in range(depth):
-        new_frontier = []
-        pool = list(seen.values())
-        candidates = [Box(t) for t in frontier] + [Diamond(t) for t in frontier]
-        for t in frontier:
-            for s in pool:
-                candidates.append(Meet(t, s))
-                candidates.append(Join(t, s))
-        for t in candidates:
-            eqn, fresh = register(t)
+    def candidates(frontier, pool):
+        """The next level's terms with their vectors, in a fixed order."""
+        for op, make in (("box", Box), ("dia", Diamond)):
+            for t, bv, av in frontier:
+                yield make(t), getattr(ops_b, op)(bv), getattr(ops_a, op)(av)
+        for t, bv, av in frontier:
+            for s, bw, aw in pool:
+                yield Meet(t, s), ops_b.meet(bv, bw), ops_a.meet(av, aw)
+                yield Join(t, s), ops_b.join(bv, bw), ops_a.join(av, aw)
+
+    level = ((t, evaluate(t, env_b, ops_b), evaluate(t, env_a, ops_a))
+             for t in [Term("zero"), Term("one"), *(Var(nm) for nm in names)])
+    for _ in range(depth + 1):
+        frontier = []
+        for t, bv, av in level:
+            eqn, fresh = register(t, bv, av)
             if eqn:
                 return eqn
             if fresh:
-                new_frontier.append(t)
-        frontier = new_frontier
+                frontier.append((t, bv, av))
         if not frontier:
             break
+        level = candidates(frontier, [(t, bv, av) for (bv, av), t in seen.items()])
     return None

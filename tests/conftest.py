@@ -6,8 +6,9 @@ import pytest
 from poma import FiniteAlgebra, Partition, ValidationReport, cg, corpus, validate
 from poma.duality import DualSpace
 from poma.enumeration import _mixed_axioms_hold, canonical_poset, enum_bdl
-from poma.errors import BudgetError, PreconditionError
+from poma.errors import BudgetError, PomaError, PreconditionError
 from poma.morphisms import Hom, canonical_form
+from poma.terms import equation_variables
 
 
 def oracle_derive_order(leq):
@@ -622,3 +623,59 @@ def oracle_kappa(A):
     mapping = tuple(index[frozenset(i for i, f in enumerate(X.points) if a in f)]
                     for a in range(A.size))
     return Hom(A, U, mapping)
+
+
+# -- terms: one walk per assignment, the evaluator the value vectors replaced ------
+
+def oracle_eval_term(A, t, asg):
+    kind = t.kind
+    if kind == "var":
+        try:
+            return asg[t.var]
+        except KeyError:
+            raise PomaError(f"unassigned variable {t.var!r}")
+    if kind == "zero":
+        return A.bottom()
+    if kind == "one":
+        return A.top()
+    if kind == "box":
+        return A.box[oracle_eval_term(A, t.args[0], asg)]
+    if kind == "dia":
+        return A.diamond[oracle_eval_term(A, t.args[0], asg)]
+    x = oracle_eval_term(A, t.args[0], asg)
+    y = oracle_eval_term(A, t.args[1], asg)
+    return A.meet(x, y) if kind == "meet" else A.join(x, y)
+
+
+def oracle_assignments(A, variables):
+    """All assignments, lexicographic by variable name then element index."""
+    names = sorted(variables)
+    for combo in itertools.product(range(A.size), repeat=len(names)):
+        yield dict(zip(names, combo))
+
+
+def oracle_eq_holds_under(A, e, asg):
+    return oracle_eval_term(A, e.lhs, asg) == oracle_eval_term(A, e.rhs, asg)
+
+
+def oracle_solution(A, premises):
+    """The first assignment to the premises' variables satisfying them all."""
+    variables = set().union(*map(equation_variables, premises))
+    return next((asg for asg in oracle_assignments(A, variables)
+                 if all(oracle_eq_holds_under(A, p, asg) for p in premises)), None)
+
+
+def oracle_refutation(A, q):
+    """The first assignment satisfying q's premises but not its conclusion."""
+    variables = set().union(*map(equation_variables, (*q.premises, q.conclusion)))
+    for asg in oracle_assignments(A, variables):
+        if all(oracle_eq_holds_under(A, p, asg) for p in q.premises):
+            if not oracle_eq_holds_under(A, q.conclusion, asg):
+                return asg
+    return None
+
+
+def oracle_holds_pos_exist(A, s):
+    return any(all(any(oracle_eq_holds_under(A, e, asg) for e in clause)
+                   for clause in s.matrix)
+               for asg in oracle_assignments(A, s.variables))

@@ -98,9 +98,10 @@ def test_envelope_and_complex(capsys):
 
 
 def test_complex_rejects_worlds_outside_the_frame(capsys):
-    # a negative count crashed (exit 1); a successor past the last world
-    # gave an algebra in which that world could never be boxed (exit 0)
-    for worlds, preorder in (("-1", "id"), ("2", "0,5"), ("2", "2,0"), ("2", "0,-1")):
+    # a negative count or a lone world crashed (exit 1); a successor past the
+    # last world gave an algebra in which that world could never be boxed (exit 0)
+    for worlds, preorder in (("-1", "id"), ("2", "0,5"), ("2", "2,0"), ("2", "0,-1"),
+                             ("2", "1")):
         code, out, err = run(capsys, "complex", "--worlds", worlds, "--preorder", preorder)
         assert (code, out) == (2, "") and err.startswith("error: "), (worlds, preorder)
 
@@ -194,6 +195,19 @@ def test_eval_and_translate(capsys):
     assert code == 0 and out.count("|>") == 2
 
 
+def test_eval_and_quasi_json_bytes(capsys):
+    """Output pinned byte for byte: witnesses of the vector scan, and the
+    classification from the free algebras of rank 0 to 2."""
+    code, out, _ = run(capsys, "eval", "--name", "F1_PS4", "--equation",
+                       "dia x /\\ box y <= box (dia x /\\ y)", "--json")
+    assert (code, out) == (1, '{"holds":false,"witness":{"x":1,"y":19}}\n')
+    code, out, _ = run(capsys, "quasi", "classify", "--gens", "D4", "--quasi",
+                       "dia x ~ x & box y ~ y => x /\\ y ~ box (x /\\ y)", "--json")
+    assert (code, out) == (1, '{"active":true,"admissible_up_to_bound":false,'
+                              '"bound":2,"refuted_at":1,'
+                              '"status":"RefutedAdmissibilityAt(1)","valid":false}\n')
+
+
 def test_eval_assignment_past_the_carrier_is_usage_error(capsys):
     code, out, err = run(capsys, "eval", "--name", "D3", "--term", "x",
                          "--assign", "x=99")
@@ -257,17 +271,3 @@ def test_poma_cache_env(tmp_path, capsys, monkeypatch):
                      "--resume")
     assert code == 0
     assert (tmp_path / "ps4_size2.jsonl").exists()
-
-
-def test_config_validation(tmp_path):
-    import pytest
-
-    from poma import Config
-    from poma.errors import PomaError
-    cfg = Config(cache_directory=str(tmp_path))
-    assert cfg.cache_directory == tmp_path
-    assert cfg.enumeration_bounds["PS4"] == 8
-    with pytest.raises(PomaError):
-        Config(free_rank_bound=0)
-    with pytest.raises(PomaError):
-        Config(enumeration_bounds={"PS4": 0})

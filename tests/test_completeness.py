@@ -1,11 +1,12 @@
 import pytest
 
+from conftest import oracle_eq_holds_under, oracle_refutation, oracle_solution
 from poma import (asc_necessary, classify_quasi, corpus, equals, free_over,
                   free_zero, is_hsc_pk4, is_iso, is_psc, is_sc_pk4,
                   is_simple, lemma22_check, theorem93_battery, variety_of)
 from poma.errors import PreconditionError
 from poma.morphisms import embeddings
-from poma.terms import eq_holds_under, parse_quasi
+from poma.terms import parse_quasi
 
 
 def V(*specs):
@@ -47,9 +48,33 @@ def test_classify_quasi_refutation_is_replayable():
     assert cls.refuted_at is not None
     fr = free_over(handle.generators, cls.refuted_at)
     asg = cls.refutation_witness
-    assert all(eq_holds_under(fr.algebra, p, asg) for p in q.premises)
-    assert not eq_holds_under(fr.algebra, q.conclusion, asg)
+    assert all(oracle_eq_holds_under(fr.algebra, p, asg) for p in q.premises)
+    assert not oracle_eq_holds_under(fr.algebra, q.conclusion, asg)
     assert "RefutedAdmissibilityAt" in cls.status
+
+
+def test_classify_quasi_witnesses_match_the_oracle():
+    """The active and refutation witnesses are the first assignments, in
+    the oracle's order, in the least free algebra that has one."""
+    cases = [("B2", "x ~ dia x => x ~ 0", 0, {"x": 0}, None, None),
+             ("C2", "x ~ box x => x ~ 1", 0, {"x": 0}, 0, {"x": 0}),
+             ("C2", "box x ~ 0 & dia x ~ 1 => x ~ 0", None, None, None, None),
+             ("D4", "box x ~ 1 => x ~ 1", 0, {"x": 1}, None, None),
+             ("C3b", "box x ~ x => x ~ 1", 0, {"x": 0}, 0, {"x": 0}),
+             ("D4", "dia x ~ x & box y ~ y => x /\\ y ~ box (x /\\ y)",
+              0, {"x": 0, "y": 0}, 1, {"x": 3, "y": 4})]
+    for spec, text, active_rank, active, refuted_at, refutation in cases:
+        handle, q = V(spec), parse_quasi(text)
+        cls = classify_quasi(handle, q)
+        assert (cls.active_rank, cls.active_witness) == (active_rank, active), text
+        assert (cls.refuted_at, cls.refutation_witness) == (refuted_at, refutation), text
+        frees = [free_over(handle.generators, m).algebra for m in range(3)]
+        solutions = [oracle_solution(F, q.premises) for F in frees]
+        refutations = [oracle_refutation(F, q) for F in frees]
+        first = next((m for m, w in enumerate(solutions) if w is not None), None)
+        assert (first, None if first is None else solutions[first]) == (active_rank, active)
+        first = next((m for m, w in enumerate(refutations) if w is not None), None)
+        assert (first, None if first is None else refutations[first]) == (refuted_at, refutation)
 
 
 def test_classify_quasi_active_not_valid():

@@ -165,6 +165,25 @@ def test_complex_algebra_recovers_first_atom_family():
     assert A.leq == B.leq
 
 
+def test_complex_algebra_reads_a_list_of_pairs_as_pairs():
+    """Two pairs over two worlds, all entries 0 or 1, are still pairs: the
+    identity frame, as in set form."""
+    listed = complex_algebra(2, [(0, 0), (1, 1)])
+    assert listed == complex_algebra(2, {(0, 0), (1, 1)})
+    assert listed.box == listed.diamond == (0, 1, 2, 3)
+    x = frozenset({0})
+    for text in ("box x", "dia x", "1 /\\ dia 1"):
+        term = parse_term(text)
+        assert kripke_eval(2, [(0, 0), (1, 1)], term, {"x": x}) == \
+            kripke_eval(2, {(0, 0), (1, 1)}, term, {"x": x})
+    assert kripke_eval(2, [(0, 0), (1, 1)], parse_term("box x"), {"x": x}) == x
+    assert kripke_eval(2, [(0, 0), (1, 1)], parse_term("1 /\\ dia 1"), {}) == {0, 1}
+    assert kripke_eval(2, [(0, 0), (1, 1)], parse_term("0 \\/ box 0"), {}) == set()
+    for bad in ([(0, 1, 1)], [(0,)], [5], ["01"], [(0, 1.0)]):
+        with pytest.raises(PreconditionError):
+            complex_algebra(2, bad)
+
+
 def test_complex_algebra_world_cap():
     with pytest.raises(BudgetError):
         complex_algebra(9, {(i, i) for i in range(9)})

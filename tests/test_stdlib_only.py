@@ -1,0 +1,30 @@
+"""The runtime stays stdlib-only: every import in src/poma names a module of
+the standard library or of poma itself."""
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "poma"
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import (level > 0) stays inside poma
+            yield node.lineno, "poma" if node.level else node.module
+
+
+def test_src_imports_only_the_standard_library():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    foreign = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for lineno, name in _imported_modules(tree):
+            top = name.split(".")[0]
+            if top != "poma" and top not in sys.stdlib_module_names:
+                foreign.append(f"{path.name}:{lineno}: {name}")
+    assert not foreign, foreign

@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poma import (Box, Diamond, Equation, Join, Leq, Meet, ONE,
-                  PosExistSentence, QuasiEquation, Var, ZERO, corpus,
+from conftest import (oracle_eval_term, oracle_holds_pos_exist,
+                      oracle_refutation)
+from poma import (Box, Diamond, Equation, FiniteAlgebra, Join, Leq, Meet, ONE,
+                  PosExistSentence, QuasiEquation, Term, Var, ZERO, corpus,
                   eval_term, holds_eq, holds_pos_exist, holds_quasi,
                   parse_equation, parse_pos_exist, parse_quasi, parse_sequent,
                   parse_term, rho, tau, term_to_str)
-from poma.errors import ParseError, PomaError
-from poma.terms import (equation_to_str, make_sequent, pos_exist_to_str,
-                        quasi_to_str, sequent_to_str)
+from poma.errors import ParseError, PomaError, StructuralError
+from poma.terms import (BLOCK, equation_to_str, evaluate, make_sequent,
+                        pos_exist_to_str, quasi_to_str, sequent_to_str,
+                        Vectors)
 
 X, Y = Var("x"), Var("y")
 
@@ -180,3 +183,67 @@ def test_printing_other_syntax():
     e = parse_pos_exist("E x . x ~ 1 | x ~ 0 & dia x ~ 1")
     assert parse_pos_exist(pos_exist_to_str(e)) == e
     assert equation_to_str(Equation(X, Y)) == "x ~ y"
+
+
+# -- the vector evaluator against the per-assignment oracle ----------------------
+
+def _merge_z(t):
+    """t with z renamed y: on a large carrier, two variables keep the oracle's
+    scan of every assignment short."""
+    if t.kind == "var":
+        return Var("y") if t.var == "z" else t
+    return Term(t.kind, tuple(map(_merge_z, t.args)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_term_strategy, _term_strategy, _term_strategy,
+       st.sampled_from(["C2", "B2", "D3", "D4", "C6a", "EX44IV", "F1_PS4"]),
+       st.data())
+def test_vector_evaluation_matches_the_oracle(s, t, u, name, data):
+    A = corpus(name)
+    if A.size > 8:
+        s, t, u = map(_merge_z, (s, t, u))
+    asg = {v: data.draw(st.integers(0, A.size - 1)) for v in "xyz"}
+    assert eval_term(A, s, asg) == oracle_eval_term(A, s, asg)
+    e, p = Equation(s, t), Equation(t, u)
+    res = holds_eq(A, e)
+    assert res.witness == oracle_refutation(A, QuasiEquation((), e))
+    assert res.holds == (res.witness is None)
+    q = QuasiEquation((p, Equation(u, s)), e)
+    res = holds_quasi(A, q)
+    assert (res.holds, res.witness) == (res.witness is None, oracle_refutation(A, q))
+    sentence = PosExistSentence(("x", "y", "z"), ((e, p), (Equation(u, ONE),)))
+    assert holds_pos_exist(A, sentence) == oracle_holds_pos_exist(A, sentence)
+
+
+def test_first_failure_past_the_first_block():
+    F = corpus("F1_PS4")            # 37 elements: 50,653 assignments to x, y, z
+    for text, witness in (("x /\\ dia y /\\ box z <= box (dia y /\\ z)",
+                           {"x": 3, "y": 1, "z": 19}),
+                          ("box x /\\ dia y /\\ box z <= box (dia y /\\ z)",
+                           {"x": 19, "y": 1, "z": 19})):
+        e = parse_equation(text)
+        assert witness["x"] * 37 ** 2 + witness["y"] * 37 + witness["z"] >= BLOCK
+        res = holds_eq(F, e)
+        assert not res.holds and res.witness == witness
+        assert oracle_refutation(F, QuasiEquation((), e)) == witness
+
+
+def test_closed_terms_take_one_assignment():
+    B2 = corpus("B2")               # diamond sends everything to 0
+    assert evaluate(Diamond(ONE), {}, Vectors(B2, 1)) == (B2.bottom(),)
+    res = holds_eq(B2, Equation(Diamond(ONE), ONE))
+    assert (res.holds, res.witness) == (False, {})
+    assert oracle_refutation(B2, QuasiEquation((), Equation(Diamond(ONE), ONE))) == {}
+    assert holds_eq(corpus("C2"), Equation(Diamond(ONE), ONE))
+
+
+def test_non_lattice_carrier():
+    """On the 2-element antichain a term without meet, join or bounds still
+    gets a verdict; the others raise, as the per-assignment walk did."""
+    A = FiniteAlgebra.make([[1, 0], [0, 1]], (1, 0), (0, 1))
+    e = parse_equation("box x ~ x")
+    assert holds_eq(A, e).witness == {"x": 0} == oracle_refutation(A, QuasiEquation((), e))
+    for text in ("x /\\ y ~ y", "dia 0 ~ 0"):
+        with pytest.raises(StructuralError):
+            holds_eq(A, parse_equation(text))

@@ -9,7 +9,7 @@ from poma.free import free_over, same_one_var_theory
 from poma.morphisms import embeddings
 from poma.varieties import (equation_separation, lemma64_66_properties,
                             lemma92_battery, theorem610_battery)
-from poma.terms import holds_eq
+from poma.terms import equation_to_str, holds_eq
 
 
 def V(*names):
@@ -121,6 +121,18 @@ def test_membership_vs_equation_separation():
         if separating is not None:
             assert holds_eq(B, separating)
             assert not holds_eq(A, separating)
+
+
+def test_equation_separation_pins():
+    """The first separating equation in the search's candidate order."""
+    cases = [("D3", "C3a", "dia x0 ~ x0"), ("D4", "C4a", "dia box x0 ~ box x0"),
+             ("C3a", "C4b", "box dia x0 ~ dia x0"),
+             ("A4", "B4", "box x0 \\/ box x1 ~ box (x0 \\/ x1)"),
+             ("B4", "A4", "box (x0 \\/ x1) \\/ dia x0 /\\ x1 ~ box (x0 \\/ x1) \\/ x0 /\\ x1"),
+             ("C3a", "C4a", None)]
+    for member, generator, expected in cases:
+        separating = equation_separation(corpus(member), corpus(generator))
+        assert (separating and equation_to_str(separating)) == expected
 
 
 def test_one_variable_theory_shadow():
