@@ -40,7 +40,8 @@ class Lattice:
     :meth:`of`, which interns one per distinct order while an algebra holds it.
 
     ``up[i]``/``down[i]`` are the bitmasks of the elements above/below i.
-    ``lower_covers[k]`` is the unique lower cover of ``join_irreducibles[k]``.
+    ``lower_covers[k]`` is the unique lower cover of ``join_irreducibles[k]``;
+    ``join_masks[i]`` has bit k set when ``join_irreducibles[k]`` <= i.
     ``defect`` is None for a bounded lattice, else ``(code, witness)`` of the
     first failed check in the order reflexive, antisymmetric, transitive,
     bottom, top, then meet before join for each index pair i <= j; the
@@ -49,8 +50,8 @@ class Lattice:
     """
 
     __slots__ = ("size", "leq", "up", "down", "defect", "meet", "join", "bottom",
-                 "top", "join_irreducibles", "lower_covers", "meet_irreducibles",
-                 "_distributivity", "__weakref__")
+                 "top", "join_irreducibles", "lower_covers", "join_masks",
+                 "meet_irreducibles", "_distributivity", "__weakref__")
 
     _interned = weakref.WeakValueDictionary()      # order matrix -> Lattice
 
@@ -66,7 +67,7 @@ class Lattice:
         self.size, self.leq = n, leq
         self.up = tuple(sum(1 << j for j in range(n) if row[j]) for row in leq)
         self.down = tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
-        self.meet = self.join = self.bottom = self.top = None
+        self.meet = self.join = self.bottom = self.top = self.join_masks = None
         self.join_irreducibles = self.lower_covers = self.meet_irreducibles = None
         self._distributivity = _UNKNOWN
         self.defect = self._derive()
@@ -116,6 +117,8 @@ class Lattice:
             j for j in range(n) if (down[j] & ~(1 << j)) in by_down)
         self.lower_covers = tuple(
             by_down[down[j] & ~(1 << j)] for j in self.join_irreducibles)
+        self.join_masks = tuple(sum(1 << k for k, j in enumerate(self.join_irreducibles)
+                                    if d >> j & 1) for d in down)
         self.meet_irreducibles = tuple(
             m for m in range(n) if (up[m] & ~(1 << m)) in by_up)
         return None

@@ -3,28 +3,46 @@ well-connectedness, the simplicity criterion for positive K4-algebras, the
 order-definable principal-congruence shortcuts, and the congruence extension
 property check.
 
-Past :func:`cg`, a congruence is a mask over the join-irreducibles J of the
-lattice: bit k is set when ``join_irreducibles[k]`` is collapsed with its
-lower cover.  In every finite lattice, distributive or not:
+A congruence is a mask over the join-irreducibles J of the lattice: bit k is
+set when ``join_irreducibles[k]`` is collapsed with its lower cover.  In
+every finite lattice, distributive or not:
 
 - x <= y are related iff every j in J with j <= y and not j <= x is
   collapsed, so the mask fixes the congruence;
 - the mask of a join of congruences is the union of their masks, since a
   covering pair related by the join is related by one of them.
 
-So Con(A) is the set of unions of the |J| generators G_k, the masks of
-Cg(lower cover of J[k], J[k]), and for x < y, Cg(x, y) is the union of the
-G_k with J[k] <= y and not J[k] <= x.  Reading a mask back, x and y are
-related iff they lie above the same uncollapsed members of J.
+Write (l, j) for the pair (``lower_covers[k]``, ``join_irreducibles[k]``)
+and span(a, b) for the members of J below a join b and not below a meet b.
+Cg(a, b) is the union of the masks G_k of Cg(l, j) over k in span(a, b), and
+Con(A) is the set of unions of the G_k.
+
+G_k is the set of indices that k reaches (R. Freese, "Computing
+congruences efficiently", Algebra Universalis 59, 2008).  While (l, j) is
+collapsed, so is (l join x, j join x) for every x, and so are the box and
+diamond images of that pair; k has an edge to the span of each of the three.
+So everything k reaches lies in G_k.  Conversely, let R be what k reaches,
+relate the ends of every covering pair c < d with span(c, d) inside R, and
+close transitively.  Such a pair is (l' join c, j' join c) for j' minimal in
+span(c, d); j' is in R, so its edges keep the join translates and operator
+images of c < d inside R, and its meet translates stay inside span(c, d).
+So the relation is a congruence, and it contains (l, j).  It collapses
+(l', j') only for j' in R, since z -> (z meet j') join l' sends any path
+from l' to j' across a covering pair whose span holds j'.  So G_k = R.
+
+The join translates alone give the dependency relation on J of Freese,
+Ježek and Nation (Free Lattices, AMS, 1995).  On a distributive lattice a
+join translate of (l, j) has span {k} or none, so only the operators add
+edges there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import and_
 from typing import Iterable, Optional
 
-from .algebras import FiniteAlgebra, ModalAlgebra, validate
+from .algebras import FiniteAlgebra, ModalAlgebra, _bits, validate
 from .errors import BudgetError, PreconditionError
 
 
@@ -110,82 +128,71 @@ class Partition:
         return [list(b) for b in self.blocks]
 
 
-def cg(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
-    """Least congruence of A containing the given pairs.
-
-    Worklist closure: whenever two classes merge through a named pair, the
-    merge is propagated through both unary tables and through the meet/join
-    tables against every element.
-    """
-    n = A.size
-    lat = A.lattice.require()
-    meet, join = lat.meet, lat.join
-    box, dia = A.box, A.diamond
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    work = [(a, b) for a, b in pairs]
-    while work:
-        a, b = work.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[ra] = rb
-        work.append((box[a], box[b]))
-        work.append((dia[a], dia[b]))
-        ma, mb = meet[a], meet[b]
-        ja, jb = join[a], join[b]
-        for c in range(n):
-            if ma[c] != mb[c]:
-                work.append((ma[c], mb[c]))
-            if ja[c] != jb[c]:
-                work.append((ja[c], jb[c]))
-    return Partition.from_block_ids([find(x) for x in range(n)])
+def _span(lat, a: int, b: int) -> int:
+    """The mask of the lattice congruence Cg(a, b): the members of J below
+    a join b and not below a meet b."""
+    return lat.join_masks[lat.join[a][b]] & ~lat.join_masks[lat.meet[a][b]]
 
 
-def is_congruence(A: FiniteAlgebra, p: Partition) -> bool:
-    ids = p.block_ids()
-    n = A.size
-    meet, join = A.lattice.meet, A.lattice.join
-    for block in p.blocks:
-        a = block[0]
-        for b in block[1:]:
-            if ids[A.box[a]] != ids[A.box[b]]:
-                return False
-            if ids[A.diamond[a]] != ids[A.diamond[b]]:
-                return False
-            for c in range(n):
-                if ids[meet[a][c]] != ids[meet[b][c]]:
-                    return False
-                if ids[join[a][c]] != ids[join[b][c]]:
-                    return False
-    return True
+def _union(masks, ks: int) -> int:
+    """The union of ``masks[k]`` over the bits k of ks."""
+    out = 0
+    for k in _bits(ks):
+        out |= masks[k]
+    return out
 
 
 @lru_cache(maxsize=None)
 def _generators(A: FiniteAlgebra) -> tuple[int, ...]:
     """Masks G_k = Cg(lower_covers[k], join_irreducibles[k]), one per
-    join-irreducible: every congruence is a union of them."""
+    join-irreducible: everything reachable from k (module docstring)."""
     lat = A.lattice.require()
-    covers = tuple(zip(lat.lower_covers, lat.join_irreducibles))
-    out = []
-    for pair in covers:
-        ids = cg(A, [pair]).block_ids()
-        out.append(sum(1 << k for k, (low, j) in enumerate(covers) if ids[low] == ids[j]))
-    return tuple(out)
+    box, dia = A.box, A.diamond
+    reach = []
+    for low, j in zip(lat.lower_covers, lat.join_irreducibles):
+        edges = 0                       # x = bottom gives the pair itself
+        for a, b in zip(lat.join[low], lat.join[j]):
+            if a != b:
+                edges |= (_span(lat, a, b) | _span(lat, box[a], box[b])
+                          | _span(lat, dia[a], dia[b]))
+        reach.append(edges)
+    for i, via in enumerate(reach):             # Warshall's transitive closure
+        for k, mask in enumerate(reach):
+            if mask >> i & 1:
+                reach[k] = mask | via
+    return tuple(reach)
 
 
 def _partition(A: FiniteAlgebra, mask: int) -> Partition:
     """The congruence with this mask: x and y are related iff they lie above
     the same join-irreducibles that the mask leaves uncollapsed."""
-    lat = A.lattice
-    kept = sum(1 << j for k, j in enumerate(lat.join_irreducibles) if not mask >> k & 1)
-    return Partition.from_block_ids([d & kept for d in lat.down])
+    return Partition.from_block_ids([m & ~mask for m in A.lattice.join_masks])
+
+
+def _closure(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> int:
+    """The mask of the least congruence containing the pairs: the union of
+    the generators over the spans of the pairs."""
+    lat = A.lattice.require()
+    ks = 0
+    for a, b in pairs:
+        ks |= _span(lat, a, b)
+    return _union(_generators(A), ks)
+
+
+def cg(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
+    """Least congruence of A containing the given pairs."""
+    return _partition(A, _closure(A, pairs))
+
+
+def is_congruence(A: FiniteAlgebra, p: Partition) -> bool:
+    """Whether p, read through its block ids, is a congruence of A.  The
+    least congruence relating each element to the first of its block
+    contains p, so it is p exactly when it has as many blocks."""
+    if p.size != A.size:
+        raise PreconditionError(f"a partition of {p.size} elements on an algebra of {A.size}")
+    first: dict[int, int] = {}
+    mask = _closure(A, ((first.setdefault(b, x), x) for x, b in enumerate(p.block_ids())))
+    return len({m & ~mask for m in A.lattice.join_masks}) == len(first)
 
 
 @lru_cache(maxsize=None)
@@ -194,14 +201,11 @@ def principal_congruences(A: FiniteAlgebra) -> tuple[Partition, ...]:
     comparable pair generating each: Cg(a, b) = Cg(a meet b, a join b)."""
     lat = A.lattice.require()
     gens = _generators(A)
-    below = [sum(1 << k for k, j in enumerate(lat.join_irreducibles) if d >> j & 1)
-             for d in lat.down]
     seen: dict[int, Partition] = {}
     for a in range(A.size):
         for b in range(A.size):
             if a != b and lat.leq[a][b]:
-                ks = below[b] & ~below[a]
-                mask = reduce(or_, (g for k, g in enumerate(gens) if ks >> k & 1))
+                mask = _union(gens, _span(lat, a, b))
                 if mask not in seen:
                     seen[mask] = _partition(A, mask)
     return tuple(seen.values())
@@ -343,6 +347,13 @@ def cg_dl(A: FiniteAlgebra, a: int, b: int) -> Partition:
     return Partition.from_block_ids(ids)
 
 
+def iff(M: ModalAlgebra, x: int, y: int) -> int:
+    """The biconditional (not x or y) and (not y or x), from the lattice
+    tables."""
+    meet, join, neg = M.algebra.lattice.meet, M.algebra.lattice.join, M.complement
+    return meet[join[neg[x]][y]][join[neg[y]][x]]
+
+
 def cg_k4(M: ModalAlgebra, a: int, b: int) -> Partition:
     """Principal congruence of a Boolean-complemented K4 algebra, computed
     pointwise from the definable-congruence inequality."""
@@ -350,15 +361,10 @@ def cg_k4(M: ModalAlgebra, a: int, b: int) -> Partition:
     rep = validate(A)
     if not rep.is_pk4:
         raise PreconditionError("cg_k4 needs K4 operators")
-    neg = M.complement
-
-    def iff(x, y):
-        return A.meet(A.join(neg[x], y), A.join(neg[y], x))
-
-    e = A.meet(iff(a, b), A.box[iff(a, b)])
+    e = A.meet(iff(M, a, b), A.box[iff(M, a, b)])
     n = A.size
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n)
-             if A.leq[e][iff(x, y)]]
+             if A.leq[e][iff(M, x, y)]]
     return Partition.from_pairs(n, pairs)
 
 

@@ -11,7 +11,7 @@ from operator import and_, or_
 
 from .algebras import (BoolMatrix, FiniteAlgebra, ModalAlgebra, _bits,
                        downset_masks, powerset, subset_order, validate)
-from .congruences import Partition, con_lattice
+from .congruences import Partition, con_lattice, iff
 from .errors import BudgetError, PreconditionError
 from .morphisms import Hom
 from .terms import Term, evaluate
@@ -228,6 +228,9 @@ def kripke_eval(n_worlds: int, relation, t: Term,
     """Evaluate a term directly over a frame, without materializing the
     powerset algebra.  Used for growth experiments on larger frames."""
     frame = _Frame(_successors(n_worlds, relation))
+    for v, ws in asg.items():
+        if not all(isinstance(x, int) and 0 <= x < n_worlds for x in ws):
+            raise PreconditionError(f"{v} = {set(ws)!r} is not a set of the {n_worlds} worlds")
     env = {v: _mask(x in ws for x in range(n_worlds)) for v, ws in asg.items()}
     return frozenset(_bits(evaluate(t, env, frame)))
 
@@ -250,18 +253,13 @@ def open_filter_congruence_iso_check(M: ModalAlgebra) -> bool:
     """Verify that F |-> {(a,b) : a<->b in F} is an order isomorphism between
     open filters and congruences."""
     A = M.algebra
-    neg = M.complement
-
-    def iff(x, y):
-        return A.meet(A.join(neg[x], y), A.join(neg[y], x))
-
     cons = {theta.blocks for theta in con_lattice(A)}
     filters = open_filters(M)
     images = []
     for f in filters:
         fset = set(f)
         pairs = [(a, b) for a in range(A.size) for b in range(a + 1, A.size)
-                 if iff(a, b) in fset]
+                 if iff(M, a, b) in fset]
         images.append(Partition.from_pairs(A.size, pairs))
     if len({p.blocks for p in images}) != len(filters):
         return False

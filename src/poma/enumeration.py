@@ -28,7 +28,7 @@ from pathlib import Path
 from .algebras import BoolMatrix, FiniteAlgebra, downset_masks, subset_order, validate
 from .congruences import is_fsi, is_si
 from .errors import PomaError
-from .morphisms import _least_leaves, automorphisms, canonical_form
+from .morphisms import _least_leaves, automorphisms, canonical_form, subuniverses
 from .terms import Equation, holds_eq
 
 KINDS = ("PMA", "PK4", "PS4")
@@ -112,21 +112,6 @@ def _fold(table, start: int, xs) -> int:
     return start
 
 
-def sublattices01(L: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """Subsets containing the bounds and closed under meet and join."""
-    lat = L.lattice.require()
-    meet, join, bot, top = lat.meet, lat.join, lat.bottom, lat.top
-    middle = [x for x in range(L.size) if x != bot and x != top]
-    out = []
-    for picks in itertools.chain.from_iterable(
-            itertools.combinations(middle, r) for r in range(len(middle) + 1)):
-        members = {bot, top, *picks}
-        if all(meet[x][y] in members and join[x][y] in members
-               for x in members for y in members):
-            out.append(tuple(sorted(members)))
-    return out
-
-
 def _interior_table(L: FiniteAlgebra, fixed: tuple[int, ...]) -> tuple[int, ...]:
     """box from its fixed-point sublattice: greatest fixed point below."""
     lat, leq = L.lattice.require(), L.leq
@@ -179,7 +164,7 @@ def _operator_tables(kind: str, L: FiniteAlgebra):
     from pairs of 0,1-sublattices of fixed points, PMA/PK4 pairs from the
     meet- and join-preserving tables (K4: transitive ones)."""
     if kind == "PS4":
-        subs = sublattices01(L)
+        subs = subuniverses(L)      # the 0,1-sublattices: L has identity operators
         return ([_interior_table(L, s) for s in subs],
                 [_closure_table(L, s) for s in subs])
     boxes, dias = _preserving_tables(L, dual=False), _preserving_tables(L, dual=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import and_, eq, getitem, gt, or_
 
 from .algebras import FiniteAlgebra
-from .errors import ParseError, PomaError
+from .errors import ParseError, PomaError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -399,6 +399,9 @@ class Vectors:
 
 def eval_term(A: FiniteAlgebra, t: Term, asg: dict[str, int]) -> int:
     """The value of t in A under one assignment."""
+    for v, a in asg.items():
+        if not (isinstance(a, int) and 0 <= a < A.size):
+            raise PreconditionError(f"{v} = {a!r} is not one of the {A.size} elements")
     return evaluate(t, {v: (a,) for v, a in asg.items()}, Vectors(A, 1))[0]
 
 

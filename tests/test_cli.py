@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from poma import corpus
 from poma.cli import main
@@ -53,6 +56,23 @@ def test_cg_and_conlat(capsys):
     assert json.loads(out)["partition"] == [[0], [1, 2], [3], [4]]
     code, out, _ = run(capsys, "conlat", "--name", "C2", "--json")
     assert json.loads(out)["count"] == 2
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("conlat", "--name", "F1_PS4"),
+     "14aaa1c5ed133f02bfff9fa210339a615c13b88cb0c48a1a246ca4a12b8a5b57"),
+    (("hs", "--name", "F1_PS4"),
+     "2759596a8126935fab1b3c5a45bcebc7a6d940cf9b251df8121079fe303966e1"),
+    (("si", "--name", "F1_PS4"),
+     "726e91742bd9a2bfa5d6b33a3b0456afb02a0222c83e6bf2185e064272e8061b"),
+    (("cg", "--name", "F1_PS4", "--pairs", "1,19;3,4"),
+     "de1ce40845ecc80eb3e6ee6132fa088360f828292acd2a67ad6f5f14c3f40540"),
+], ids=["conlat", "hs", "si", "cg"])
+def test_congruence_commands_json_bytes(capsys, argv, digest):
+    """The --json stdout of the congruence commands on the free algebra,
+    pinned by its sha256 as printed by the element-pair union-find closure."""
+    _, out, _ = run(capsys, *argv, "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cg_negative_element_is_usage_error(capsys):

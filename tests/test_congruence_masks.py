@@ -1,21 +1,52 @@
 """Congruences as masks over join-irreducibles against the closure oracles
-in conftest: one closure per comparable pair, joins of partitions, and
+in conftest: the element-pair union-find for cg, the table scan for
+is_congruence, one closure per comparable pair, joins of partitions, and
 minimal principal congruences, on enumerated, corpus, non-distributive and
 random algebras."""
 import random
 
 import pytest
 
-from poma import (FiniteAlgebra, con_lattice, corpus, is_fsi, is_si, is_simple,
-                  monolith, validate)
+from poma import (FiniteAlgebra, Partition, cg, con_lattice, corpus, is_congruence,
+                  is_fsi, is_si, is_simple, monolith, validate)
 from poma.algebras import subset_order
 from poma.congruences import cmi_congruences, principal_congruences
 from poma.corpus import CORPUS_NAMES, PARAMETRIC_NAMES
 from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import BudgetError, PreconditionError, StructuralError
+from poma.morphisms import quotient
 
-from conftest import (oracle_atoms, oracle_cmi_congruences, oracle_con_lattice,
-                      oracle_principal_congruences)
+from conftest import (oracle_atoms, oracle_cg, oracle_cmi_congruences, oracle_con_lattice,
+                      oracle_is_congruence, oracle_principal_congruences)
+
+
+def _set_partitions(n):
+    """Every partition of range(n) as block ids, by restricted growth."""
+    if n == 0:
+        yield ()
+        return
+    for ids in _set_partitions(n - 1):
+        for b in range(max(ids, default=-1) + 2):
+            yield ids + (b,)
+
+
+def _check_cg(A, rng, lists=20):
+    """cg against the union-find oracle on every pair and on seeded random
+    pair lists; on at most 6 elements, is_congruence against the table scan
+    on every partition, also with its blocks listed in reverse."""
+    n = A.size
+    for a in range(n):
+        for b in range(n):
+            assert cg(A, [(a, b)]) == oracle_cg(A, [(a, b)]), (a, b)
+    for _ in range(lists):
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(5))]
+        assert cg(A, pairs) == oracle_cg(A, pairs), pairs
+    if n <= 6:
+        for ids in _set_partitions(n):
+            p = Partition.from_block_ids(ids)
+            expected = oracle_is_congruence(A, p)
+            assert is_congruence(A, p) == expected, p
+            assert is_congruence(A, Partition(n, p.blocks[::-1])) == expected, p
 
 
 def _check(A):
@@ -68,6 +99,13 @@ def test_masks_match_closure_oracle_enumerated(kind, max_size):
         _check(A)
 
 
+@pytest.mark.parametrize("kind,max_size", [("PMA", 5), ("PS4", 6), ("PK4", 5)])
+def test_cg_and_is_congruence_match_oracles_enumerated(kind, max_size):
+    rng = random.Random(f"{kind}{max_size}")
+    for A in enum_algebras(EnumerationTask(kind, max_size)):
+        _check_cg(A, rng)
+
+
 def test_masks_match_closure_oracle_corpus():
     specs = [name for name in CORPUS_NAMES
              if name not in PARAMETRIC_NAMES and name != "F1_PS4"]
@@ -86,12 +124,22 @@ def test_free_algebra_con_lattice_matches_oracle():
     assert cons == oracle_con_lattice(A)
 
 
+def test_free_algebra_cg_matches_oracle():
+    _check_cg(corpus("F1_PS4"), random.Random(37), lists=100)
+
+
 def test_non_distributive_lattices():
     m3, n5 = _lattice_algebra(M3), _lattice_algebra(N5)
     assert len(con_lattice(m3)) == 2 and is_simple(m3)
     assert len(con_lattice(n5)) == 5 and is_si(n5)
-    _check(m3)
-    _check(n5)
+    rng = random.Random(5)
+    for masks in (M3, N5):
+        # constant operators leave the join translates as the only edges
+        bounds = (tuple(len(masks) - 1 for _ in masks), tuple(0 for _ in masks))
+        for A in (_lattice_algebra(masks), _lattice_algebra(masks, rng),
+                  FiniteAlgebra.make(subset_order(masks), *bounds)):
+            _check_cg(A, rng)
+            _check(A)
 
 
 def test_random_closure_system_lattices():
@@ -102,6 +150,7 @@ def test_random_closure_system_lattices():
         A = _lattice_algebra(masks, rng)
         non_distributive += not validate(A).is_distributive
         _check(A)
+        _check_cg(A, rng, lists=5)
     assert non_distributive >= 100
 
 
@@ -128,3 +177,20 @@ def test_two_element_antichain_is_rejected_not_simple():
     for predicate in (is_simple, is_si, is_fsi, con_lattice, principal_congruences):
         with pytest.raises(StructuralError):
             predicate(A)
+
+
+def test_is_congruence_needs_a_lattice_and_a_partition_of_the_carrier():
+    """On a non-lattice every partition raises StructuralError, where the
+    table scan called the identity a congruence and failed on any other
+    with TypeError; a partition of another size raises PreconditionError in
+    is_congruence and in quotient."""
+    antichain = FiniteAlgebra.make(((True, False), (False, True)), (0, 1), (0, 1))
+    for p in (Partition.identity(2), Partition.total(2)):
+        with pytest.raises(StructuralError):
+            is_congruence(antichain, p)
+    d4 = corpus("D4")
+    for p in (Partition.identity(3), Partition.total(5)):
+        with pytest.raises(PreconditionError):
+            is_congruence(d4, p)
+        with pytest.raises(PreconditionError):
+            quotient(d4, p)

@@ -251,3 +251,13 @@ def test_envelope_carries_the_callers_names():
     assert env.kappa.source is second
     assert env.kappa.target is env.algebra
     assert env.algebra.lattice is boolean_envelope(first).algebra.lattice
+
+
+def test_kripke_eval_rejects_worlds_outside_the_frame():
+    """Worlds outside the frame were dropped without a word, as
+    complex_algebra rejects them in the relation."""
+    x = parse_term("x")
+    for worlds in ({5, -1}, {2}, {-1}):
+        with pytest.raises(PreconditionError):
+            kripke_eval(2, {(0, 0), (1, 1)}, x, {"x": worlds})
+    assert kripke_eval(2, {(0, 0), (1, 1)}, x, {"x": {1}}) == frozenset({1})

@@ -9,7 +9,7 @@ from poma import (Box, Diamond, Equation, FiniteAlgebra, Join, Leq, Meet, ONE,
                   eval_term, holds_eq, holds_pos_exist, holds_quasi,
                   parse_equation, parse_pos_exist, parse_quasi, parse_sequent,
                   parse_term, rho, tau, term_to_str)
-from poma.errors import ParseError, PomaError, StructuralError
+from poma.errors import ParseError, PomaError, PreconditionError, StructuralError
 from poma.terms import (BLOCK, equation_to_str, evaluate, make_sequent,
                         pos_exist_to_str, quasi_to_str, sequent_to_str,
                         Vectors)
@@ -247,3 +247,13 @@ def test_non_lattice_carrier():
     for text in ("x /\\ y ~ y", "dia 0 ~ 0"):
         with pytest.raises(StructuralError):
             holds_eq(A, parse_equation(text))
+
+
+def test_eval_term_rejects_elements_outside_the_carrier():
+    """A negative element was read from the end of the tables (box of -1 on
+    D3 gave 2) and one past the carrier raised a bare IndexError."""
+    A = corpus("D3")
+    for a in (-1, 3, "1"):
+        with pytest.raises(PreconditionError):
+            eval_term(A, parse_term("box x"), {"x": a})
+    assert eval_term(A, parse_term("box x"), {"x": 2}) == A.box[2]
