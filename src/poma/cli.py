@@ -540,7 +540,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except BudgetError as exc:
-        sys.stderr.write(f"budget exhausted: {exc}\n")
+        partial = "" if exc.partial is None else f" (partial: {exc.partial})"
+        sys.stderr.write(f"budget exhausted: {exc}{partial}\n")
         return BUDGET
     except PomaError as exc:
         sys.stderr.write(f"error: {exc}\n")

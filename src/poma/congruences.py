@@ -185,14 +185,17 @@ def cg(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
 
 
 def is_congruence(A: FiniteAlgebra, p: Partition) -> bool:
-    """Whether p, read through its block ids, is a congruence of A.  The
-    least congruence relating each element to the first of its block
-    contains p, so it is p exactly when it has as many blocks."""
+    """Whether p is a congruence of A; PreconditionError unless p's blocks
+    are nonempty and cover the carrier exactly once.  The least congruence
+    relating each element to the first of its block contains p, so it is p
+    exactly when it has as many blocks."""
     if p.size != A.size:
         raise PreconditionError(f"a partition of {p.size} elements on an algebra of {A.size}")
-    first: dict[int, int] = {}
-    mask = _closure(A, ((first.setdefault(b, x), x) for x, b in enumerate(p.block_ids())))
-    return len({m & ~mask for m in A.lattice.join_masks}) == len(first)
+    members = [x for block in p.blocks for x in block]
+    if not all(p.blocks) or len(members) != p.size or set(members) != set(range(p.size)):
+        raise PreconditionError(f"blocks {p.blocks} do not cover 0..{p.size - 1} exactly once")
+    mask = _closure(A, ((block[0], x) for block in p.blocks for x in block[1:]))
+    return len({m & ~mask for m in A.lattice.join_masks}) == len(p.blocks)
 
 
 @lru_cache(maxsize=None)

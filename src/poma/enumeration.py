@@ -12,7 +12,18 @@ Each isomorphism class is found once.  The lattices are pairwise
 non-isomorphic, and two algebras on one lattice L are isomorphic exactly when
 an automorphism of L conjugates one operator pair into the other; so the
 classes on L are the Aut(L)-orbits of operator pairs, and the first pair of
-each orbit is kept.  Canonical forms are computed only for those, to sort.
+each orbit is the only one checked.  Automorphisms preserve the axioms and
+every equation, so the conjugates of a checked pair are skipped whether it
+passed or failed.
+
+A task's equations are checked on each orbit representative as soon as it
+passes the mixed axioms, before anything costlier: canonical forms (to sort)
+and the validation self-check run only on the survivors.  Equations hold or
+fail alike on isomorphic algebras, and sorting a subset by an injective key
+keeps its relative order, so the filtered list is the full list filtered.
+The SI and FSI tests then run on each size as it is produced.  Slices live
+in a bounded in-memory cache, one entry per kind, size and equations; a
+JSON-lines cache on disk always holds the full, unfiltered slice.
 """
 from __future__ import annotations
 
@@ -186,17 +197,16 @@ def _conjugate(s: tuple[int, ...], table: tuple[int, ...]) -> tuple[int, ...]:
 def enum_algebras(task: EnumerationTask, cache_dir: str | os.PathLike | None = None,
                   resume: bool = False) -> list[FiniteAlgebra]:
     """Enumerate all algebras of the given kind up to isomorphism, size by
-    size, optionally caching each (kind, size) slice as a JSON-lines file."""
+    size, optionally caching each full (kind, size) slice as a JSON-lines
+    file.  Each size is filtered as it is produced."""
     out: list[FiniteAlgebra] = []
     for size in range(1, task.max_size + 1):
-        out.extend(_algebras_of_size(task.kind, size, cache_dir, resume))
-    # all filters are pure; the equations are the cheap and selective ones
-    for eq in task.satisfying:
-        out = [A for A in out if holds_eq(A, eq)]
-    if task.si_only:
-        out = [A for A in out if is_si(A)]
-    if task.fsi_only:
-        out = [A for A in out if is_fsi(A)]
+        found = _algebras_of_size(task.kind, size, task.satisfying, cache_dir, resume)
+        if task.si_only:
+            found = [A for A in found if is_si(A)]
+        if task.fsi_only:
+            found = [A for A in found if is_fsi(A)]
+        out.extend(found)
     return out
 
 
@@ -248,25 +258,33 @@ def _write_cache(path: Path, kind: str, size: int, algebras) -> None:
         raise
 
 
-def _algebras_of_size(kind: str, size: int, cache_dir, resume: bool) -> list[FiniteAlgebra]:
-    path = None if cache_dir is None else _cache_path(cache_dir, kind, size)
-    if path is not None and resume and path.exists():
+def _satisfies(A: FiniteAlgebra, equations: tuple[Equation, ...]) -> bool:
+    return all(holds_eq(A, eq) for eq in equations)
+
+
+def _algebras_of_size(kind: str, size: int, satisfying: tuple[Equation, ...],
+                      cache_dir, resume: bool) -> tuple[FiniteAlgebra, ...]:
+    if cache_dir is None:
+        return _enumerate_size(kind, size, satisfying)
+    path = _cache_path(cache_dir, kind, size)
+    algebras = None
+    if resume and path.exists():
         try:
-            return _read_cache(path, kind, size)
+            algebras = _read_cache(path, kind, size)
         except (OSError, ValueError, TypeError, PomaError) as exc:
             print(f"poma: ignoring cache {path}: {exc}; recomputing", file=sys.stderr)
-    algebras = _enumerate_size(kind, size)
-    if path is not None:
+    if algebras is None:
+        algebras = _enumerate_size(kind, size, ())
         _write_cache(path, kind, size, algebras)
-    return list(algebras)
+    return tuple(A for A in algebras if _satisfies(A, satisfying))
 
 
-@lru_cache(maxsize=None)
-def _enumerate_size(kind: str, size: int) -> tuple[FiniteAlgebra, ...]:
-    """The algebras of the kind with exactly ``size`` elements, one per
-    isomorphism class: the first operator pair of each Aut(L)-orbit (see the
-    module docstring), sorted by canonical form.  Automorphisms preserve the
-    axioms, so the conjugates of a kept pair are skipped unchecked."""
+@lru_cache(maxsize=64)
+def _enumerate_size(kind: str, size: int,
+                    satisfying: tuple[Equation, ...] = ()) -> tuple[FiniteAlgebra, ...]:
+    """The algebras of the kind with exactly ``size`` elements that satisfy
+    the equations, one per isomorphism class: the first operator pair of
+    each Aut(L)-orbit (see the module docstring), sorted by canonical form."""
     found = []
     for L in enum_bdl(size):
         if L.size != size:
@@ -274,15 +292,18 @@ def _enumerate_size(kind: str, size: int) -> tuple[FiniteAlgebra, ...]:
         others = automorphisms(L)[1:]           # the identity sorts first
         seen = set()
         boxes, dias = _operator_tables(kind, L)
+        dia_images = [[_conjugate(s, dia) for s in others] for dia in dias]
         for box in boxes:
-            for dia in dias:
-                if others and (box, dia) in seen:
+            box_images = [_conjugate(s, box) for s in others]
+            for dia, images in zip(dias, dia_images):
+                if (box, dia) in seen:
                     continue
+                seen.update(zip(box_images, images))
                 if not _mixed_axioms_hold(L, box, dia):
                     continue
-                found.append(FiniteAlgebra(size, L.leq, box, dia))
-                for s in others:
-                    seen.add((_conjugate(s, box), _conjugate(s, dia)))
+                A = FiniteAlgebra(size, L.leq, box, dia)
+                if _satisfies(A, satisfying):
+                    found.append(A)
     result = tuple(sorted(found, key=canonical_form))
     for A in result:
         if not validate(A).flag(kind):

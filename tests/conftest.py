@@ -4,11 +4,12 @@ import itertools
 import pytest
 
 from poma import FiniteAlgebra, Partition, ValidationReport, corpus, validate
+from poma.congruences import is_fsi, is_si
 from poma.duality import DualSpace
-from poma.enumeration import _mixed_axioms_hold, canonical_poset, enum_bdl
+from poma.enumeration import _enumerate_size, _mixed_axioms_hold, canonical_poset, enum_bdl
 from poma.errors import BudgetError, PomaError, PreconditionError
 from poma.morphisms import Hom, canonical_form
-from poma.terms import equation_variables
+from poma.terms import equation_variables, holds_eq
 
 
 def oracle_derive_order(leq):
@@ -596,6 +597,21 @@ def oracle_enumerate_size(kind, size):
                     A = FiniteAlgebra(L.size, L.leq, box, dia)
                     found.setdefault(oracle_canonical_form(A), A)
     return tuple(found[key] for key in sorted(found))
+
+
+def oracle_enum_algebras(task):
+    """Every algebra of every size first, then the equations, the SI and the
+    FSI filters over the whole list: the route of enum_algebras before the
+    equations moved into the enumerator."""
+    out = [A for size in range(1, task.max_size + 1)
+           for A in _enumerate_size(task.kind, size, ())]
+    for eq in task.satisfying:
+        out = [A for A in out if holds_eq(A, eq)]
+    if task.si_only:
+        out = [A for A in out if is_si(A)]
+    if task.fsi_only:
+        out = [A for A in out if is_fsi(A)]
+    return out
 
 
 # -- duality: the frozenset routes that the bitmask ones replaced -----------------

@@ -75,6 +75,25 @@ def test_congruence_commands_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("battery", "thm610", "--max-size", "8", "--json"),
+     "2d7f75579778854115241b4e11ba2e47db93235a8d92ba704f4457fbb0cfccba"),
+    (("battery", "lemma92", "--max-size", "6", "--json"),
+     "72d34551c975c8feb3c7df5f7ee39b56845378d0371338a3f16fdf517f782c56"),
+    (("enumerate", "--kind", "PS4", "--max-size", "6"),
+     "9a86c07e805f597c6793a189c2d053f6cb1e2d78259a126890bf3c460ce614ca"),
+    (("enumerate", "--kind", "PS4", "--max-size", "6", "--si-only"),
+     "0c70f520b3e1f3188d703a7420f1c30f03916bdc04b36767c28d52a98ab77c4e"),
+], ids=["thm610", "lemma92", "enumerate", "enumerate-si"])
+def test_enumeration_commands_stdout_bytes(capsys, argv, digest):
+    """The stdout of the batteries and of enumerate, pinned by its sha256 as
+    printed when every algebra was built, sorted and validated before any
+    filter ran."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cg_negative_element_is_usage_error(capsys):
     code, out, err = run(capsys, "cg", "--name", "D4", "--pairs=-1,2")
     assert code == 2 and out == ""
@@ -262,6 +281,13 @@ def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "conlat", "--name", "EX44IV", "--budget", "2")
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_budget_reports_partial_progress(capsys):
+    """EX44IV has more than 2 congruences; the third found trips the budget."""
+    code, out, err = run(capsys, "conlat", "--name", "EX44IV", "--budget", "2", "--json")
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: congruence lattice exceeds 2 members (partial: 3)\n"
 
 
 def test_figure1_verify_cli(capsys):

@@ -194,3 +194,28 @@ def test_is_congruence_needs_a_lattice_and_a_partition_of_the_carrier():
             is_congruence(d4, p)
         with pytest.raises(PreconditionError):
             quotient(d4, p)
+
+
+def _rejects_blocks(blocks):
+    d4 = corpus("D4")
+    p = Partition(4, blocks)
+    with pytest.raises(PreconditionError):
+        is_congruence(d4, p)
+    with pytest.raises(PreconditionError):
+        quotient(d4, p)
+
+
+def test_partition_missing_elements_is_rejected():
+    """Read through block ids, the missing elements fell into block 0 and
+    the quotient was the 1-element algebra."""
+    _rejects_blocks(((0,),))
+
+
+def test_partition_with_overlapping_blocks_is_rejected():
+    """Read through block ids, this was the partition {0}, {1, 2, 3}."""
+    _rejects_blocks(((0, 1), (1, 2, 3)))
+
+
+def test_partition_with_an_element_past_the_carrier_is_rejected():
+    """Read through block ids, this raised a bare IndexError."""
+    _rejects_blocks(((0, 5), (1, 2, 3)))

@@ -10,7 +10,7 @@ from poma.enumeration import (EnumerationTask, canonical_poset, enum_algebras,
 from poma.errors import PomaError
 from poma.morphisms import canonical_form
 
-from conftest import oracle_algebras
+from conftest import oracle_algebras, oracle_enum_algebras
 
 
 def _labeled_posets(k):
@@ -149,8 +149,37 @@ def test_equations_filter_before_si_keeps_list_and_order():
     for eq in eqs:
         old_order = [A for A in old_order if holds_eq(A, eq)]
     found = enum_algebras(EnumerationTask("PS4", 6, si_only=True, satisfying=eqs))
-    assert found and len(found) == len(old_order)
-    assert all(a is b for a, b in zip(found, old_order))
+    assert found and [A.to_json() for A in found] == [A.to_json() for A in old_order]
+
+
+def _battery_tasks():
+    from poma.varieties import EQ_BOX_IDEMPOTENT, EQ_BOX_ONE, EQ_DIA_IDEMPOTENT, EQ_DIA_ZERO
+    runs = (("PMA", 5, (EQ_BOX_ONE, EQ_DIA_ZERO)), ("PK4", 5, (EQ_BOX_IDEMPOTENT,)),
+            ("PS4", 7, (EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT)), ("PS4", 7, ()))
+    for kind, max_size, eqs in runs:
+        for si_only, fsi_only in ((False, False), (True, False), (False, True)):
+            yield EnumerationTask(kind, max_size, si_only, fsi_only, eqs)
+
+
+@pytest.mark.parametrize("task", list(_battery_tasks()),
+                         ids=lambda t: f"{t.kind}{t.max_size}-eqs{len(t.satisfying)}"
+                                       f"-si{int(t.si_only)}-fsi{int(t.fsi_only)}")
+def test_filtered_enumeration_matches_filter_after_oracle(task):
+    found = [A.to_json() for A in enum_algebras(task)]
+    assert found == [A.to_json() for A in oracle_enum_algebras(task)]
+
+
+def test_cache_with_equations_holds_the_full_slice(tmp_path):
+    from poma.enumeration import _enumerate_size
+    from poma.varieties import EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT
+    task = EnumerationTask("PS4", 5, satisfying=(EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT))
+    plain = [A.to_json() for A in enum_algebras(task)]
+    assert plain and len(plain) < len(enum_algebras(EnumerationTask("PS4", 5)))
+    assert [A.to_json() for A in enum_algebras(task, cache_dir=tmp_path)] == plain
+    assert [A.to_json() for A in enum_algebras(task, cache_dir=tmp_path, resume=True)] == plain
+    for size in range(1, 6):
+        body = (tmp_path / f"ps4_size{size}.jsonl").read_text().splitlines()[1:]
+        assert body == [A.to_json() for A in _enumerate_size("PS4", size, ())], size
 
 
 def test_cache_and_resume(tmp_path):

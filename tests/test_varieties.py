@@ -93,6 +93,13 @@ def test_theorem610_battery_small():
     assert theorem610_battery(2).passed            # trivially, only C2 found
 
 
+def test_theorem610_battery_size9():
+    """Past the size the batteries reached when every algebra was sorted and
+    validated before the equations ran: 53,553 PS4 algebras of size 9."""
+    rep = theorem610_battery(9)
+    assert rep.passed and rep.witnesses == ("C2", "D4")
+
+
 def test_lemma92_battery_small():
     rep = lemma92_battery(4)
     assert rep.passed
