@@ -46,12 +46,13 @@ class Lattice:
     first failed check in the order reflexive, antisymmetric, transitive,
     bottom, top, then meet before join for each index pair i <= j; the
     tables, bounds and irreducibles are then None.  The distributivity
-    witness is found on first use (:meth:`distributivity_witness`).
+    witness and the sets of principal masks are found on first use
+    (:meth:`distributivity_witness`, :meth:`principal_masks`).
     """
 
     __slots__ = ("size", "leq", "up", "down", "defect", "meet", "join", "bottom",
                  "top", "join_irreducibles", "lower_covers", "join_masks",
-                 "meet_irreducibles", "_distributivity", "__weakref__")
+                 "meet_irreducibles", "_distributivity", "_principal", "__weakref__")
 
     _interned = weakref.WeakValueDictionary()      # order matrix -> Lattice
 
@@ -69,7 +70,7 @@ class Lattice:
         self.down = tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
         self.meet = self.join = self.bottom = self.top = self.join_masks = None
         self.join_irreducibles = self.lower_covers = self.meet_irreducibles = None
-        self._distributivity = _UNKNOWN
+        self._distributivity, self._principal = _UNKNOWN, None
         self.defect = self._derive()
 
     def _derive(self) -> Optional[tuple[str, tuple[int, ...]]]:
@@ -132,6 +133,14 @@ class Lattice:
                 ((a, b, c) for a in rng for b in rng for c in rng
                  if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]), None)
         return self._distributivity
+
+    def principal_masks(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The up masks and the down masks of the elements, as sets: a set of
+        elements is a principal filter (ideal) iff its mask is in the first
+        (second).  Built once."""
+        if self._principal is None:
+            self._principal = frozenset(self.up), frozenset(self.down)
+        return self._principal
 
     def require(self) -> "Lattice":
         """This lattice; StructuralError when the order is not a bounded lattice."""

@@ -281,7 +281,7 @@ def _algebras_of_size(kind: str, size: int, satisfying: tuple[Equation, ...],
 
 @lru_cache(maxsize=64)
 def _enumerate_size(kind: str, size: int,
-                    satisfying: tuple[Equation, ...] = ()) -> tuple[FiniteAlgebra, ...]:
+                    satisfying: tuple[Equation, ...]) -> tuple[FiniteAlgebra, ...]:
     """The algebras of the kind with exactly ``size`` elements that satisfy
     the equations, one per isomorphism class: the first operator pair of
     each Aut(L)-orbit (see the module docstring), sorted by canonical form."""

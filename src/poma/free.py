@@ -201,9 +201,9 @@ def verify_figure1(enum_bound: int = 6) -> Figure1Report:
     stages.append(("a: axioms", rep.is_ps4,
                    f"size {F.size}, ps4={rep.is_ps4}"))
 
-    generated = len(closure_universe(F, (gen,))) == F.size
-    stages.append(("b: one-generated", generated,
-                   f"closure of generator has {len(closure_universe(F, (gen,)))} elements"))
+    closure = len(closure_universe(F, (gen,)))
+    stages.append(("b: one-generated", closure == F.size,
+                   f"closure of generator has {closure} elements"))
 
     catalog = si_quotients(F)
     expected = {canonical_form(corpus(name)): name for name in FIG2_NAMES}

@@ -229,5 +229,5 @@ def test_operator_tables_match_method_call_oracle():
 @pytest.mark.parametrize("kind,max_size", ENUMERATED)
 def test_enumerate_size_matches_setdefault_oracle(kind, max_size):
     for size in range(1, max_size + 1):
-        got = [A.to_json() for A in _enumerate_size(kind, size)]
+        got = [A.to_json() for A in _enumerate_size(kind, size, ())]
         assert got == [A.to_json() for A in oracle_enumerate_size(kind, size)], size

@@ -297,6 +297,15 @@ def test_figure1_verify_cli(capsys):
     assert obj["passed"] is True and obj["enum_bound"] == 3
 
 
+def test_figure1_verify_json_bytes(capsys):
+    """The --json stdout at the default bound 6, pinned by its sha256 as
+    printed when every homomorphism was checked on all index pairs."""
+    code, out, _ = run(capsys, "figure1-verify", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d69882bfec0739580afee494e6f02f8689ae836ff1dca4ed1cd45fba351ffb2b"
+
+
 def test_open_problem_scan_cli(capsys):
     code, out, _ = run(capsys, "complete", "openproblem", "--depth", "3",
                        "--json")

@@ -182,6 +182,19 @@ def test_cache_with_equations_holds_the_full_slice(tmp_path):
         assert body == [A.to_json() for A in _enumerate_size("PS4", size, ())], size
 
 
+def test_slice_cache_has_one_key_per_slice():
+    """Every caller names the equations, so the slice that enum_algebras
+    builds is the one a direct call with no equations reads."""
+    from poma.enumeration import _enumerate_size
+    enum_algebras(EnumerationTask("PS4", 5))
+    before = _enumerate_size.cache_info()
+    _enumerate_size("PS4", 5, ())
+    after = _enumerate_size.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    with pytest.raises(TypeError):
+        _enumerate_size("PS4", 5)
+
+
 def test_cache_and_resume(tmp_path):
     task = EnumerationTask("PS4", 3)
     first = enum_algebras(task, cache_dir=tmp_path)
@@ -198,7 +211,7 @@ def _swap_in_non_ps4(lines):
     """Replace an algebra by a PMA algebra of the same size that is not PS4,
     under a header recomputed to match, so only the validation can notice."""
     from poma.enumeration import _cache_header, _enumerate_size
-    stranger = next(A for A in _enumerate_size("PMA", 4) if not validate(A).is_ps4)
+    stranger = next(A for A in _enumerate_size("PMA", 4, ()) if not validate(A).is_ps4)
     body = lines[1:]
     body[3] = stranger.to_json()
     return [_cache_header("PS4", 4, body)] + body

@@ -1,19 +1,23 @@
-"""Homomorphism extension by a replayed generation program, the shared table
-check and the incremental subuniverse closure, against the fixed-point
-extension, the method-call check and brute-force subuniverses in conftest."""
+"""Homomorphism extension by a replayed generation program, the cone test
+of the homomorphism check and the incremental subuniverse closure, against
+the fixed-point extension, the method-call check and brute-force subuniverses
+in conftest."""
 import itertools
 import random
 
 import pytest
 
-from poma import FiniteAlgebra, corpus
+from poma import FiniteAlgebra, corpus, validate
+from poma.algebras import powerset_masks
+from poma.corpus import FIG2_NAMES
 from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import StructuralError
 from poma.free import figure1_algebra, free_over, same_one_var_theory
-from poma.morphisms import (Hom, _generation, closure_universe, extend_hom,
+from poma.morphisms import (Hom, _generation, _is_hom, closure_universe, extend_hom,
                             generating_set, product, subuniverses)
 
 from conftest import oracle_extend_hom, oracle_is_hom, oracle_subuniverses
+from test_congruence_masks import M3, N5, _closure_system, _lattice_algebra
 
 SMALL = list(enum_algebras(EnumerationTask("PMA", 4)))   # every algebra of size <= 4
 POOL = (SMALL + list(enum_algebras(EnumerationTask("PS4", 5)))
@@ -109,6 +113,103 @@ def test_non_lattice_side_raises():
         for check in (oracle_is_hom, lambda A, B, f: Hom(A, B, f).is_valid()):
             with pytest.raises(StructuralError):
                 check(A, B, f)
+
+
+def _agreed(A, B, f):
+    """The oracle's verdict, after checking that the cone test gives it."""
+    expected = oracle_is_hom(A, B, f)
+    assert _is_hom(A, B, f) == expected, (A, B, f)
+    return expected
+
+
+def _keeps(A, B, f, op):
+    """Whether f preserves the binary lattice operation op on every pair."""
+    return all(getattr(B, op)(f[x], f[y]) == f[getattr(A, op)(x, y)]
+               for x in range(A.size) for y in range(A.size))
+
+
+def _bounded_maps(A, B, rng, count):
+    """Maps keeping the bounds, the rest of each value drawn at random."""
+    for _ in range(count):
+        f = [rng.randrange(B.size) for _ in range(A.size)]
+        f[A.bottom()], f[A.top()] = B.bottom(), B.top()
+        yield tuple(f)
+
+
+def test_cones_on_closure_system_lattices():
+    """M3, N5 and random lattices with random operators: the identity with
+    every one-value move, and random bound-keeping maps into the lattice
+    itself and into another one."""
+    rng = random.Random(20191010)
+    algebras = [_lattice_algebra(M3), _lattice_algebra(N5),
+                _lattice_algebra(M3, rng), _lattice_algebra(N5, rng)]
+    algebras += [_lattice_algebra(_closure_system(rng, rng.randrange(3, 6)), rng)
+                 for _ in range(320)]
+    non_distributive = sum(not validate(A).is_distributive for A in algebras)
+    verdicts = {True: 0, False: 0}
+    for A in algebras:
+        for z, w in itertools.product(range(A.size), repeat=2):
+            f = tuple(w if x == z else x for x in range(A.size))
+            verdicts[_agreed(A, A, f)] += 1
+        for B in (A, rng.choice(algebras)):
+            for f in _bounded_maps(A, B, rng, 5):
+                verdicts[_agreed(A, B, f)] += 1
+    assert non_distributive >= 80
+    assert min(verdicts.values()) >= 300, verdicts
+
+
+def _cube(k):
+    """The Boolean lattice of subsets of k points, identity operators."""
+    return _lattice_algebra(powerset_masks(k))
+
+
+def test_cones_on_maps_keeping_one_operation():
+    """Maps into a cube that keep the bounds and the operators (all identity)
+    and one of meet and join: x -> {i : a_i <= x} keeps meets, and joins iff
+    every a_i is join-prime; x -> {i : x not <= m_i} keeps joins, and meets iff
+    every m_i is meet-prime."""
+    rng = random.Random(7)
+    sources = [_lattice_algebra(M3), _lattice_algebra(N5)]
+    sources += [_lattice_algebra(_closure_system(rng, rng.randrange(3, 6)))
+                for _ in range(60)]
+    only = {"meet": 0, "join": 0}
+    for A in sources:
+        up, down = A.lattice.up, A.lattice.down
+        for k in (1, 2, 3):
+            B, index = _cube(k), {m: i for i, m in enumerate(powerset_masks(k))}
+            for _ in range(4 if k > 1 else A.size):
+                a = [rng.choice([x for x in range(A.size) if x != A.bottom()]) for _ in range(k)]
+                m = [rng.choice([x for x in range(A.size) if x != A.top()]) for _ in range(k)]
+                f = tuple(index[sum(1 << i for i in range(k) if up[a[i]] >> x & 1)]
+                          for x in range(A.size))
+                g = tuple(index[sum(1 << i for i in range(k) if not down[m[i]] >> x & 1)]
+                          for x in range(A.size))
+                for kept, h in (("meet", f), ("join", g)):
+                    assert _keeps(A, B, h, kept)
+                    if not _agreed(A, B, h):
+                        assert not _keeps(A, B, h, {"meet": "join", "join": "meet"}[kept])
+                        only[kept] += 1
+    assert min(only.values()) >= 100, only
+
+
+def test_cones_on_free_algebra_into_figure2():
+    """Every homomorphism from the free algebra F1 to each of the eleven
+    Figure 2 algebras (one per image of the generator), and every map one
+    value away from one."""
+    F = figure1_algebra()
+    A, gen = F.algebra, F.generators[0]
+    checked = 0
+    for name in FIG2_NAMES:
+        B = corpus(name)
+        for b in range(B.size):
+            h = extend_hom(A, B, {gen: b})
+            assert h is not None and _agreed(A, B, h)
+            for x, w in itertools.product(range(A.size), range(B.size)):
+                if w != h[x]:
+                    assert not _agreed(A, B, h[:x] + (w,) + h[x + 1:])
+                    checked += 1
+    assert checked == sum(corpus(name).size * (corpus(name).size - 1)
+                          for name in FIG2_NAMES) * A.size
 
 
 def test_generation_program():
