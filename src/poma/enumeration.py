@@ -16,11 +16,18 @@ each orbit is the only one checked.  Automorphisms preserve the axioms and
 every equation, so the conjugates of a checked pair are skipped whether it
 passed or failed.
 
-A task's equations are checked on each orbit representative as soon as it
-passes the mixed axioms, before anything costlier: canonical forms (to sort)
-and the validation self-check run only on the survivors.  Equations hold or
-fail alike on isomorphic algebras, and sorting a subset by an injective key
-keeps its relative order, so the filtered list is the full list filtered.
+A task's equations are the first test, run on the operator tables with
+``terms.evaluate`` before any algebra is built.  An equation that does not
+mention the diamond filters the box tables once per lattice, one that
+mentions only the diamond filters the diamond tables, and one that mentions
+both runs on each orbit representative; the mixed axioms run only on the
+pairs that pass, and only the pairs that pass both become algebras, to be
+sorted by canonical form and validated.  The output is the full list
+filtered, in order.  An equation holds or fails alike on a pair and on its
+conjugates under Aut(L), so each table filter removes whole orbits; each
+filter keeps the relative order of the tables, and ``seen`` is updated
+before any test runs, so every surviving orbit keeps the same first pair as
+its representative.  Sorting a subset by an injective key keeps its order.
 The SI and FSI tests then run on each size as it is produced.  Slices live
 in a bounded in-memory cache, one entry per kind, size and equations; a
 JSON-lines cache on disk always holds the full, unfiltered slice.
@@ -40,7 +47,8 @@ from .algebras import BoolMatrix, FiniteAlgebra, downset_masks, subset_order, va
 from .congruences import is_fsi, is_si
 from .errors import PomaError
 from .morphisms import _least_leaves, automorphisms, canonical_form, subuniverses
-from .terms import Equation, holds_eq
+from .terms import (Equation, Vectors, assignment_blocks, equation_variables, evaluate,
+                    holds_eq, term_kinds)
 
 KINDS = ("PMA", "PK4", "PS4")
 
@@ -279,6 +287,36 @@ def _algebras_of_size(kind: str, size: int, satisfying: tuple[Equation, ...],
     return tuple(A for A in algebras if _satisfies(A, satisfying))
 
 
+def _equation_checks(size: int, satisfying: tuple[Equation, ...]):
+    """Each equation with its assignments to ``size`` elements, in blocks of
+    :data:`terms.BLOCK` as (environment, length) pairs, sorted into the
+    equations that do not mention the diamond, those that mention only the
+    diamond, and those that mention both operators."""
+    box_only, dia_only, both = [], [], []
+    for e in satisfying:
+        blocks = [(env, len(block)) for block, env in
+                  assignment_blocks(sorted(equation_variables(e)), size)]
+        kinds = term_kinds(e.lhs) | term_kinds(e.rhs)
+        if "dia" not in kinds:
+            box_only.append((e, blocks))
+        elif "box" not in kinds:
+            dia_only.append((e, blocks))
+        else:
+            both.append((e, blocks))
+    return box_only, dia_only, both
+
+
+def _tables_satisfy(lattice, box, dia, checks) -> bool:
+    """Do the checked equations hold on the lattice with these operator
+    tables?  A table an equation does not mention may be None."""
+    for e, blocks in checks:
+        for env, length in blocks:
+            carrier = Vectors(lattice, box, dia, length)
+            if evaluate(e.lhs, env, carrier) != evaluate(e.rhs, env, carrier):
+                return False
+    return True
+
+
 @lru_cache(maxsize=64)
 def _enumerate_size(kind: str, size: int,
                     satisfying: tuple[Equation, ...]) -> tuple[FiniteAlgebra, ...]:
@@ -286,12 +324,17 @@ def _enumerate_size(kind: str, size: int,
     the equations, one per isomorphism class: the first operator pair of
     each Aut(L)-orbit (see the module docstring), sorted by canonical form."""
     found = []
+    box_only, dia_only, both = _equation_checks(size, satisfying)
     for L in enum_bdl(size):
         if L.size != size:
             continue
+        boxes, dias = _operator_tables(kind, L)
+        boxes = [t for t in boxes if _tables_satisfy(L.lattice, t, None, box_only)]
+        dias = [t for t in dias if _tables_satisfy(L.lattice, None, t, dia_only)]
+        if not (boxes and dias):
+            continue
         others = automorphisms(L)[1:]           # the identity sorts first
         seen = set()
-        boxes, dias = _operator_tables(kind, L)
         dia_images = [[_conjugate(s, dia) for s in others] for dia in dias]
         for box in boxes:
             box_images = [_conjugate(s, box) for s in others]
@@ -299,11 +342,9 @@ def _enumerate_size(kind: str, size: int,
                 if (box, dia) in seen:
                     continue
                 seen.update(zip(box_images, images))
-                if not _mixed_axioms_hold(L, box, dia):
-                    continue
-                A = FiniteAlgebra(size, L.leq, box, dia)
-                if _satisfies(A, satisfying):
-                    found.append(A)
+                if _tables_satisfy(L.lattice, box, dia, both) \
+                        and _mixed_axioms_hold(L, box, dia):
+                    found.append(FiniteAlgebra(size, L.leq, box, dia))
     result = tuple(sorted(found, key=canonical_form))
     for A in result:
         if not validate(A).flag(kind):

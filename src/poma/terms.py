@@ -118,6 +118,15 @@ def equation_variables(e: Equation) -> set[str]:
     return term_variables(e.lhs) | term_variables(e.rhs)
 
 
+def term_kinds(t: Term) -> set[str]:
+    """The kinds of the nodes of t: ``"box" in term_kinds(t)`` when t
+    mentions the box."""
+    out = {t.kind}
+    for a in t.args:
+        out |= term_kinds(a)
+    return out
+
+
 # -- printing -----------------------------------------------------------------
 
 _LEVEL = {"var": 0, "zero": 0, "one": 0, "box": 1, "dia": 1, "meet": 2, "join": 3}
@@ -368,33 +377,41 @@ def evaluate(t: Term, env: dict, carrier):
 
 
 class Vectors:
-    """The carrier of A's operations, coordinate by coordinate, on tuples of
-    ``length`` elements: the values of a term under that many assignments."""
+    """The carrier of a lattice with a box and a diamond table, coordinate by
+    coordinate, on tuples of ``length`` elements: the values of a term under
+    that many assignments.  :meth:`of` takes the tables of an algebra.  The
+    lattice is required only by the kinds that read it, so a term without
+    meet, join or bounds gets values on any order."""
 
-    __slots__ = ("algebra", "length")
+    __slots__ = ("lattice", "box_table", "dia_table", "length")
 
-    def __init__(self, A: FiniteAlgebra, length: int):
-        self.algebra, self.length = A, length
+    def __init__(self, lattice, box, dia, length: int):
+        self.lattice, self.box_table, self.dia_table = lattice, box, dia
+        self.length = length
+
+    @classmethod
+    def of(cls, A: FiniteAlgebra, length: int) -> "Vectors":
+        return cls(A.lattice, A.box, A.diamond, length)
 
     def zero(self):
-        return (self.algebra.bottom(),) * self.length
+        return (self.lattice.require().bottom,) * self.length
 
     def one(self):
-        return (self.algebra.top(),) * self.length
+        return (self.lattice.require().top,) * self.length
 
     def meet(self, u, v):
-        rows = self.algebra.lattice.require().meet
+        rows = self.lattice.require().meet
         return tuple(map(getitem, map(rows.__getitem__, u), v))
 
     def join(self, u, v):
-        rows = self.algebra.lattice.require().join
+        rows = self.lattice.require().join
         return tuple(map(getitem, map(rows.__getitem__, u), v))
 
     def box(self, u):
-        return tuple(map(self.algebra.box.__getitem__, u))
+        return tuple(map(self.box_table.__getitem__, u))
 
     def dia(self, u):
-        return tuple(map(self.algebra.diamond.__getitem__, u))
+        return tuple(map(self.dia_table.__getitem__, u))
 
 
 def eval_term(A: FiniteAlgebra, t: Term, asg: dict[str, int]) -> int:
@@ -402,7 +419,16 @@ def eval_term(A: FiniteAlgebra, t: Term, asg: dict[str, int]) -> int:
     for v, a in asg.items():
         if not (isinstance(a, int) and 0 <= a < A.size):
             raise PreconditionError(f"{v} = {a!r} is not one of the {A.size} elements")
-    return evaluate(t, {v: (a,) for v, a in asg.items()}, Vectors(A, 1))[0]
+    return evaluate(t, {v: (a,) for v, a in asg.items()}, Vectors.of(A, 1))[0]
+
+
+def assignment_blocks(names, size: int):
+    """The assignments of elements 0..size-1 to the names, lexicographic, in
+    blocks of :data:`BLOCK`: each block as its list of value tuples and as an
+    environment of one value vector per name."""
+    combos = itertools.product(range(size), repeat=len(names))
+    while block := list(itertools.islice(combos, BLOCK)):
+        yield block, dict(zip(names, zip(*block)))
 
 
 def first_assignment(A: FiniteAlgebra, variables, clauses,
@@ -413,10 +439,8 @@ def first_assignment(A: FiniteAlgebra, variables, clauses,
     none.  Terms are evaluated on :data:`BLOCK` assignments at a time, and an
     equation only while some assignment of the block still depends on it."""
     names = sorted(variables)
-    combos = itertools.product(range(A.size), repeat=len(names))
-    while block := list(itertools.islice(combos, BLOCK)):
-        env = dict(zip(names, zip(*block)))
-        carrier = Vectors(A, len(block))
+    for block, env in assignment_blocks(names, A.size):
+        carrier = Vectors.of(A, len(block))
 
         def holds(e):
             return map(eq, evaluate(e.lhs, env, carrier), evaluate(e.rhs, env, carrier))

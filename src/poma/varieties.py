@@ -264,7 +264,7 @@ def equation_separation(A: FiniteAlgebra, B: FiniteAlgebra, depth: int = 4,
 
     def vectors(C: FiniteAlgebra):
         combos = list(itertools.product(range(C.size), repeat=num_vars))
-        return dict(zip(names, zip(*combos))), Vectors(C, len(combos))
+        return dict(zip(names, zip(*combos))), Vectors.of(C, len(combos))
 
     (env_b, ops_b), (env_a, ops_a) = vectors(B), vectors(A)
     by_bvec: dict[tuple, tuple[Term, tuple]] = {}

@@ -231,7 +231,7 @@ def test_first_failure_past_the_first_block():
 
 def test_closed_terms_take_one_assignment():
     B2 = corpus("B2")               # diamond sends everything to 0
-    assert evaluate(Diamond(ONE), {}, Vectors(B2, 1)) == (B2.bottom(),)
+    assert evaluate(Diamond(ONE), {}, Vectors.of(B2, 1)) == (B2.bottom(),)
     res = holds_eq(B2, Equation(Diamond(ONE), ONE))
     assert (res.holds, res.witness) == (False, {})
     assert oracle_refutation(B2, QuasiEquation((), Equation(Diamond(ONE), ONE))) == {}
