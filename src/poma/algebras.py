@@ -153,8 +153,12 @@ class Lattice:
 def downset_masks(leq: BoolMatrix) -> list[int]:
     """All downsets of the relation as bitmasks, sorted by (cardinality,
     sorted contents).  The upsets of ``leq`` are the downsets of its transpose."""
-    n = len(leq)
-    down = [sum(1 << i for i in range(n) if leq[i][j]) for j in range(n)]
+    return closed_masks([sum(1 << i for i, v in enumerate(col) if v) for col in zip(*leq)])
+
+
+def closed_masks(down: list[int]) -> list[int]:
+    """The masks m holding ``down[x]`` for each x in m, in downset_masks order."""
+    n = len(down)
     # below[m]: everything below some element of m, one new element per step
     below = [0] * (1 << n)
     for mask in range(1, 1 << n):

@@ -1,6 +1,7 @@
 """Finite duality: prime-filter spaces, upset algebras, the Boolean envelope,
 complex algebras of frames, frame-level term evaluation, open filters, and the
-p-morphism predicate.
+p-morphism predicate.  Each algebra's prime-filter frame is computed once, on
+bitmasks, and shared by dual_space, kappa and the envelope.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from functools import lru_cache
 from operator import and_, or_
 
 from .algebras import (BoolMatrix, FiniteAlgebra, ModalAlgebra, _bits,
-                       downset_masks, powerset, subset_order, validate)
+                       closed_masks, powerset, subset_order, validate)
 from .congruences import Partition, con_lattice, iff
 from .errors import BudgetError, PreconditionError
 from .morphisms import Hom
@@ -25,12 +26,43 @@ def join_irreducibles(A: FiniteAlgebra) -> list[int]:
 
 
 @lru_cache(maxsize=1024)
+def _frame(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The prime-filter frame on bitmasks: the filters as element masks in
+    :func:`prime_filters` order, ``up[i]`` the filters holding filter i, ``succ[i]``
+    those that filter i sees (None unless A is a PMA), ``point[a]`` those holding a."""
+    lat = A.lattice.require()
+    filters = tuple(sorted((lat.up[j] for j in lat.join_irreducibles),
+                           key=lambda f: (f.bit_count(), list(_bits(f)))))
+    up = tuple(sum(1 << j for j, g in enumerate(filters) if f & g == f) for f in filters)
+    point = tuple(sum(1 << i for i, f in enumerate(filters) if f >> a & 1)
+                  for a in range(A.size))
+    if not validate(A).is_pma:
+        return filters, up, None, point
+    # i sees j when box^-1 f_i <= f_j <= diamond^-1 f_i: f_j holds every a whose
+    # box is in f_i and no a whose diamond is not
+    succ = []
+    for i in range(len(filters)):
+        s = (1 << len(filters)) - 1
+        for a, p in enumerate(point):
+            if point[A.box[a]] >> i & 1:
+                s &= p
+            if not point[A.diamond[a]] >> i & 1:
+                s &= ~p
+        succ.append(s)
+    return filters, up, tuple(succ), point
+
+
+def _pma_frame(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The frame of a positive modal algebra; PreconditionError for any other."""
+    if A.lattice.defect is None and (frame := _frame(A))[2] is not None:
+        return frame
+    raise PreconditionError("dual spaces are defined for positive modal algebras")
+
+
 def prime_filters(A: FiniteAlgebra) -> tuple[frozenset[int], ...]:
     """All prime filters: the principal upsets of join-irreducible elements,
     sorted by (cardinality, contents)."""
-    filters = [frozenset(a for a in range(A.size) if A.leq[j][a])
-               for j in join_irreducibles(A)]
-    return tuple(sorted(filters, key=lambda f: (len(f), sorted(f))))
+    return tuple(frozenset(_bits(f)) for f in _frame(A)[0])
 
 
 @dataclass(frozen=True)
@@ -56,17 +88,9 @@ def _mask(row) -> int:
 
 
 def dual_space(A: FiniteAlgebra) -> DualSpace:
-    if not validate(A).is_pma:
-        raise PreconditionError("dual spaces are defined for positive modal algebras")
-    points = prime_filters(A)
-    masks = [sum(1 << a for a in f) for f in points]
-    leq = tuple(tuple(f & g == f for g in masks) for f in masks)
-    rel = []
-    for f in masks:
-        box_inv = sum(1 << a for a, b in enumerate(A.box) if f >> b & 1)
-        dia_inv = sum(1 << a for a, d in enumerate(A.diamond) if f >> d & 1)
-        rel.append(tuple(box_inv & g == box_inv and g & dia_inv == g for g in masks))
-    return DualSpace(points, leq, tuple(rel))
+    _, up, succ, _ = _pma_frame(A)
+    rows = [tuple(tuple(bool(r >> j & 1) for j in range(len(up))) for r in m) for m in (up, succ)]
+    return DualSpace(prime_filters(A), *rows)
 
 
 def _modal_masks(succ: list[int], masks) -> tuple[list[int], list[int]]:
@@ -83,14 +107,17 @@ def _modal_masks(succ: list[int], masks) -> tuple[list[int], list[int]]:
     return [full ^ dia[full ^ m] for m in masks], [dia[m] for m in masks]
 
 
-def _upsets(X: DualSpace) -> tuple[list[int], dict[int, int], tuple[int, ...], tuple[int, ...]]:
-    """Check the space as :func:`check_kplus` documents, then return its
-    upsets as point masks in :func:`downset_masks` order, their index, and
-    box and diamond on them as index tables."""
-    n = len(X.points)
-    up = [_mask(row) for row in X.leq]
-    down = [_mask(col) for col in zip(*X.leq)]
-    succ = [_mask(row) for row in X.R]
+def _upsets(X: DualSpace):
+    """:func:`_upset_masks` of a space given by its matrices."""
+    return _upset_masks([_mask(row) for row in X.leq], [_mask(row) for row in X.R])
+
+
+def _upset_masks(up, succ) -> tuple[list[int], dict[int, int], tuple[int, ...], tuple[int, ...]]:
+    """Check the frame where x is below ``up[x]`` and sees ``succ[x]`` as
+    :func:`check_kplus` documents, then return its upsets as point masks in
+    :func:`downset_masks` order, their index, and box and diamond as index tables."""
+    n = len(up)
+    down = [sum(1 << x for x, u in enumerate(up) if u >> z & 1) for z in range(n)]
     for s in succ:
         above = below = 0
         for z in _bits(s):
@@ -100,7 +127,7 @@ def _upsets(X: DualSpace) -> tuple[list[int], dict[int, int], tuple[int, ...], t
             raise PreconditionError("relation is not order-compatible")
     if n > 16:
         raise BudgetError("too many points to enumerate upsets")
-    masks = downset_masks(tuple(zip(*X.leq)))
+    masks = closed_masks(up)
     index = {m: i for i, m in enumerate(masks)}
     box, dia = _modal_masks(succ, masks)
     try:
@@ -126,10 +153,10 @@ def upset_algebra(X: DualSpace, name: str = "") -> FiniteAlgebra:
 def kappa(A: FiniteAlgebra) -> Hom:
     """Representation map sending a to the set of prime filters containing it;
     the target is the upset algebra of the dual space."""
-    X = dual_space(A)
-    masks, index, box, dia = _upsets(X)
+    _, up, succ, point = _pma_frame(A)
+    masks, index, box, dia = _upset_masks(up, succ)
     U = FiniteAlgebra(len(masks), subset_order(masks), box, dia)
-    return Hom(A, U, tuple(index[_mask(a in f for f in X.points)] for a in range(A.size)))
+    return Hom(A, U, tuple(index[m] for m in point))
 
 
 @dataclass(frozen=True)
@@ -163,18 +190,17 @@ def _powerset_frame(succ: list[int], name: str = "") -> FiniteAlgebra:
 def _nameless_envelope(A: FiniteAlgebra) -> tuple[ModalAlgebra, tuple[int, ...]]:
     """The envelope without names: the cache is keyed on A's value, which
     ignores its name, so a cached name would be the first caller's."""
-    X = dual_space(A)
-    k = len(X.points)
+    _, _, succ, point = _pma_frame(A)
+    k = len(succ)
     if k > MAX_POINTS:
         raise BudgetError(f"envelope over {k} points exceeds the {MAX_POINTS}-point cap")
-    M = _powerset_frame([_mask(row) for row in X.R])
     _, index, _, complement = powerset(k)
-    mapping = tuple(index[_mask(a in f for f in X.points)] for a in range(A.size))
-    return ModalAlgebra(M, complement), mapping
+    return ModalAlgebra(_powerset_frame(succ), complement), tuple(index[m] for m in point)
 
 
-# the statistics of the value-keyed cache behind the public function
+# the statistics of the value-keyed caches behind the public functions
 boolean_envelope.cache_info = _nameless_envelope.cache_info
+prime_filters.cache_info = _frame.cache_info
 
 
 def complex_algebra(n_worlds: int, relation, name: str = "") -> FiniteAlgebra:
@@ -276,6 +302,8 @@ def open_filter_congruence_iso_check(M: ModalAlgebra) -> bool:
 
 def is_p_morphism(X: DualSpace, Y: DualSpace, f: tuple[int, ...]) -> bool:
     nx, ny = len(X.points), len(Y.points)
+    if len(f) != nx or not all(isinstance(y, int) and 0 <= y < ny for y in f):
+        raise PreconditionError(f"{f!r} does not send each of the {nx} points to one of {ny}")
     for x in range(nx):
         for y in range(nx):
             if X.leq[x][y] and not Y.leq[f[x]][f[y]]:
@@ -294,12 +322,9 @@ def is_p_morphism(X: DualSpace, Y: DualSpace, f: tuple[int, ...]) -> bool:
 
 def dual_of_hom(h: Hom) -> tuple[int, ...]:
     """Inverse-image map between dual spaces, from the target's space to the
-    source's."""
-    XB = dual_space(h.target)
-    XA = dual_space(h.source)
-    pos = {p: i for i, p in enumerate(XA.points)}
-    out = []
-    for f in XB.points:
-        pre = frozenset(a for a in range(h.source.size) if h.mapping[a] in f)
-        out.append(pos[pre])
-    return tuple(out)
+    source's; PreconditionError unless h is a homomorphism of PMAs."""
+    target, source = _pma_frame(h.target)[0], _pma_frame(h.source)[0]
+    if not h.is_valid():
+        raise PreconditionError("the map is not a homomorphism")
+    return tuple(source.index(sum(1 << a for a, b in enumerate(h.mapping) if g >> b & 1))
+                 for g in target)

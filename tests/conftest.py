@@ -692,6 +692,28 @@ def oracle_kappa(A):
     return Hom(A, U, mapping)
 
 
+def oracle_boolean_envelope(A):
+    """The powerset algebra over oracle_dual_space's R on frozensets, listed
+    by (size, bitmask value) and named M(name) after A, with its complement
+    table and the embedding sending a to the prime filters holding it."""
+    X = oracle_dual_space(A)
+    k = len(X.points)
+    if k > 8:
+        raise BudgetError(f"envelope over {k} points exceeds the 8-point cap")
+    subsets = sorted((frozenset(c) for r in range(k + 1)
+                      for c in itertools.combinations(range(k), r)),
+                     key=lambda v: (len(v), sum(1 << x for x in v)))
+    index = {v: i for i, v in enumerate(subsets)}
+    leq = tuple(tuple(v <= w for w in subsets) for v in subsets)
+    M = FiniteAlgebra(len(subsets), leq, tuple(index[_box_r(X.R, v)] for v in subsets),
+                      tuple(index[_dia_r(X.R, v)] for v in subsets),
+                      f"M({A.name})" if A.name else "")
+    complement = tuple(index[frozenset(range(k)) - v] for v in subsets)
+    mapping = tuple(index[frozenset(i for i, f in enumerate(X.points) if a in f)]
+                    for a in range(A.size))
+    return M, complement, mapping
+
+
 # -- terms: one walk per assignment, the evaluator the value vectors replaced ------
 
 def oracle_eval_term(A, t, asg):

@@ -9,7 +9,7 @@ from poma.duality import (DualSpace, dual_of_hom, is_p_morphism, kripke_eval,
                           join_irreducibles)
 from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import BudgetError, PreconditionError
-from poma.morphisms import embeddings
+from poma.morphisms import Hom, embeddings
 from poma.terms import parse_term
 
 from conftest import _compose
@@ -231,6 +231,20 @@ def test_dual_of_hom_is_p_morphism():
         for h in embeddings(A, B):
             f = dual_of_hom(h)
             assert is_p_morphism(dual_space(B), dual_space(A), f)
+
+
+def test_dual_of_hom_rejects_a_non_homomorphism():
+    D4 = corpus("D4")
+    with pytest.raises(PreconditionError, match="not a homomorphism"):
+        dual_of_hom(Hom(D4, D4, (0,) * 4))
+
+
+def test_is_p_morphism_rejects_malformed_maps():
+    X = dual_space(corpus("D4"))
+    assert len(X.points) == 3 and is_p_morphism(X, X, (0, 1, 2))
+    for f in ((0,), (0, 1, 2, 5), (0, 1, 3), (0, -1, 2), (0, 1.0, 2)):
+        with pytest.raises(PreconditionError):
+            is_p_morphism(X, X, f)
 
 
 def test_join_irreducibles_of_boolean_cube_are_atoms():

@@ -1,18 +1,20 @@
 """The bitmask duality routes against the frozenset oracles in conftest:
-dual spaces, the compatibility check, upset algebras and the representation
-map give the same result, or the same exception type and message."""
+dual spaces, the compatibility check, upset algebras, the representation
+map and the Boolean envelope give the same result, or the same exception
+type and message."""
 import random
 
 import pytest
 
-from poma import corpus, dual_space, kappa, upset_algebra
+from poma import FiniteAlgebra, boolean_envelope, corpus, dual_space, kappa, upset_algebra
+from poma.algebras import chain_order
 from poma.corpus import CORPUS_NAMES, PARAMETRIC_NAMES
 from poma.duality import DualSpace, check_kplus
 from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import PomaError
 
-from conftest import (oracle_check_kplus, oracle_dual_space, oracle_kappa,
-                      oracle_upset_algebra)
+from conftest import (oracle_boolean_envelope, oracle_check_kplus, oracle_dual_space,
+                      oracle_kappa, oracle_upset_algebra)
 
 ROUTES = ((check_kplus, oracle_check_kplus), (upset_algebra, oracle_upset_algebra))
 
@@ -42,9 +44,26 @@ def _flipped(X):
     return DualSpace(X.points, X.leq, tuple(tuple(not v for v in row) for row in X.R))
 
 
+def _envelope_parts(A):
+    e = boolean_envelope(A)
+    return e.algebra, e.modal.complement, e.kappa.mapping
+
+
+def _envelope_outcome(route, A):
+    """The envelope's algebra (with its name), complement table and embedding
+    by one route, or its exception type and message."""
+    try:
+        M, complement, mapping = route(A)
+    except PomaError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", M.to_json(), complement, mapping
+
+
 def _check_algebra(A):
     assert _outcome(dual_space, A) == _outcome(oracle_dual_space, A), A
     assert _outcome(kappa, A) == _outcome(oracle_kappa, A), A
+    envelope = _envelope_outcome(_envelope_parts, A)
+    assert envelope == _envelope_outcome(oracle_boolean_envelope, A), A
     try:
         X = dual_space(A)
     except PomaError:
@@ -103,3 +122,11 @@ def test_seventeen_points_exceed_the_budget():
     ident = tuple(tuple(x == y for y in range(n)) for x in range(n))
     X = DualSpace(tuple(frozenset({i}) for i in range(n)), ident, ident)
     assert _check_space(X) == ("BudgetError", "too many points to enumerate upsets")
+
+
+def test_nine_points_exceed_the_envelope_cap():
+    n = 10
+    A = FiniteAlgebra(n, chain_order(n), tuple(range(n)), tuple(range(n)))
+    assert len(dual_space(A).points) == 9
+    assert _envelope_outcome(_envelope_parts, A) == (
+        "BudgetError", "envelope over 9 points exceeds the 8-point cap")
