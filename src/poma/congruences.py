@@ -34,6 +34,18 @@ The join translates alone give the dependency relation on J of Freese,
 Ježek and Nation (Free Lattices, AMS, 1995).  On a distributive lattice a
 join translate of (l, j) has span {k} or none, so only the operators add
 edges there.
+
+So a mask is a congruence iff it is closed under reach, and Con(A) is the
+lattice of closed sets of a preorder (B. A. Davey and H. A. Priestley,
+Introduction to Lattices and Order, 2nd ed., 2002, ch. 5).  theta_k =
+{i : k not in G_i} is the largest closed set that misses k: i reaching i'
+puts G_i' inside G_i, and a closed set holding i but not k has k outside
+G_i.  Every closed S is the intersection of the theta_k for k not in S, so
+if S has a least strict upper bound it is one of them (else all would hold
+that bound, and so would S).  And theta_k has one, theta_k | G_k: a closed
+set strictly above theta_k holds some i with k in G_i, hence G_k.  So the
+completely meet-irreducible congruences are the distinct theta_k.  A mask
+becomes a :class:`Partition` only where a public function returns one.
 """
 from __future__ import annotations
 
@@ -71,21 +83,6 @@ class Partition:
     def total(cls, n: int) -> "Partition":
         return cls(n, (tuple(range(n)),))
 
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Partition":
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-        for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return cls.from_block_ids([find(x) for x in range(n)])
-
     def block_ids(self) -> tuple[int, ...]:
         ids = [0] * self.size
         for k, block in enumerate(self.blocks):
@@ -100,11 +97,6 @@ class Partition:
     def refines(self, other: "Partition") -> bool:
         oid = other.block_ids()
         return all(len({oid[x] for x in block}) == 1 for block in self.blocks)
-
-    def join(self, other: "Partition") -> "Partition":
-        pairs = [(b[0], x) for b in self.blocks for x in b[1:]]
-        pairs += [(b[0], x) for b in other.blocks for x in b[1:]]
-        return Partition.from_pairs(self.size, pairs)
 
     def meet(self, other: "Partition") -> "Partition":
         oid = other.block_ids()
@@ -241,18 +233,14 @@ def con_lattice(A: FiniteAlgebra, max_congruences: int = 100_000) -> tuple[Parti
 
 
 @lru_cache(maxsize=None)
-def cmi_congruences(A: FiniteAlgebra, max_congruences: int = 100_000) -> tuple[Partition, ...]:
-    """Congruences theta whose strict upper bounds have a least element, i.e.
-    exactly those with subdirectly irreducible quotient.  Each strict upper
-    bound contains theta | G_k for a G_k not inside theta, so the least one
-    exists iff the intersection of those joins is one of them."""
-    gens = set(_generators(A))
-    out = []
-    for theta in _con_ids(A, max_congruences):
-        above = {theta | g for g in gens if g & ~theta}
-        if above and reduce(and_, above) in above:   # empty: theta is total
-            out.append(_partition(A, theta))
-    return tuple(sorted(out, key=lambda p: p.blocks))
+def cmi_congruences(A: FiniteAlgebra) -> tuple[Partition, ...]:
+    """Congruences whose strict upper bounds have a least element, i.e.
+    exactly those with subdirectly irreducible quotient: the distinct
+    theta_k = {i : k not in G_i}, canonically sorted (module docstring)."""
+    gens = _generators(A)
+    thetas = {sum(1 << i for i, g in enumerate(gens) if not g >> k & 1)
+              for k in range(len(gens))}
+    return tuple(sorted((_partition(A, theta) for theta in thetas), key=lambda p: p.blocks))
 
 
 def _monolith_mask(A: FiniteAlgebra) -> Optional[int]:
@@ -295,13 +283,14 @@ def is_well_connected(A: FiniteAlgebra) -> bool:
     rep = validate(A)
     if not rep.is_ps4:
         raise PreconditionError("well-connectedness is defined for positive S4-algebras")
+    lat = A.lattice.require()
+    meet, join, top, bot = lat.meet, lat.join, lat.top, lat.bottom
     n, box, dia = A.size, A.box, A.diamond
-    top, bot = A.top(), A.bottom()
     for a in range(n):
         for b in range(n):
-            if A.join(box[a], box[b]) == top and a != top and b != top:
+            if join[box[a]][box[b]] == top and a != top and b != top:
                 return False
-            if A.meet(dia[a], dia[b]) == bot and a != bot and b != bot:
+            if meet[dia[a]][dia[b]] == bot and a != bot and b != bot:
                 return False
     return True
 
@@ -314,8 +303,9 @@ def is_simple_lemma45(A: FiniteAlgebra) -> bool:
     rep = validate(A)
     if not rep.is_pk4 or A.size < 2:
         raise PreconditionError("the simplicity criterion needs a non-trivial positive K4-algebra")
-    n, box, dia = A.size, A.box, A.diamond
-    top, bot = A.top(), A.bottom()
+    lat = A.lattice.require()
+    meet, join, top, bot = lat.meet, lat.join, lat.top, lat.bottom
+    n, box, dia, leq = A.size, A.box, A.diamond, A.leq
     if n == 2 and box[bot] == top and dia[top] == bot:
         return True
     for a in range(n):
@@ -326,9 +316,9 @@ def is_simple_lemma45(A: FiniteAlgebra) -> bool:
     middles = [c for c in range(n) if c != bot and c != top]
     for a in middles:
         for b in middles:
-            if a != b and A.leq[a][b]:
-                if not any((A.leq[a][c] and A.join(b, c) == top)
-                           or (A.leq[c][b] and A.meet(a, c) == bot)
+            if a != b and leq[a][b]:
+                if not any((leq[a][c] and join[b][c] == top)
+                           or (leq[c][b] and meet[a][c] == bot)
                            for c in middles):
                     return False
     return True
@@ -338,37 +328,25 @@ def cg_dl(A: FiniteAlgebra, a: int, b: int) -> Partition:
     """Principal congruence of the bounded-lattice reduct, computed pointwise:
     c and d collapse iff they agree after meeting and joining with both
     generators."""
-    A.lattice.require()
-    n = A.size
-    keys = {}
-    ids = []
-    m = A.meet(a, b)
-    j = A.join(a, b)
-    for c in range(n):
-        key = (A.meet(c, m), A.join(c, j))
-        ids.append(keys.setdefault(key, len(keys)))
-    return Partition.from_block_ids(ids)
-
-
-def iff(M: ModalAlgebra, x: int, y: int) -> int:
-    """The biconditional (not x or y) and (not y or x), from the lattice
-    tables."""
-    meet, join, neg = M.algebra.lattice.meet, M.algebra.lattice.join, M.complement
-    return meet[join[neg[x]][y]][join[neg[y]][x]]
+    lat = A.lattice.require()
+    m, j = lat.meet[a][b], lat.join[a][b]
+    return Partition.from_block_ids([(lat.meet[c][m], lat.join[c][j]) for c in range(A.size)])
 
 
 def cg_k4(M: ModalAlgebra, a: int, b: int) -> Partition:
     """Principal congruence of a Boolean-complemented K4 algebra, computed
-    pointwise from the definable-congruence inequality."""
+    pointwise from the definable-congruence inequality: x and y collapse iff
+    x <-> y >= e for e = (a <-> b) meet box(a <-> b).  In a Boolean algebra
+    e <= not x or y iff e meet x <= y, so x <-> y >= e iff x meet e =
+    y meet e, and the blocks are keyed by x meet e."""
     A = M.algebra
     rep = validate(A)
     if not rep.is_pk4:
         raise PreconditionError("cg_k4 needs K4 operators")
-    e = A.meet(iff(M, a, b), A.box[iff(M, a, b)])
-    n = A.size
-    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)
-             if A.leq[e][iff(M, x, y)]]
-    return Partition.from_pairs(n, pairs)
+    meet, join, neg = A.lattice.meet, A.lattice.join, M.complement
+    d = meet[join[neg[a]][b]][join[neg[b]][a]]              # a <-> b
+    e = meet[d][A.box[d]]
+    return Partition.from_block_ids([meet[x][e] for x in range(A.size)])
 
 
 @dataclass(frozen=True)
@@ -385,17 +363,18 @@ def has_cep(A: FiniteAlgebra, max_subuniverses: int = 10_000) -> CepResult:
     congruence of a subalgebra must be the trace of a congruence of A."""
     from .morphisms import subalgebra_from_universe, subuniverses
 
-    con_a = con_lattice(A)
+    join_masks, con_a = A.lattice.require().join_masks, _con_ids(A, 100_000)
     for universe in subuniverses(A, limit=max_subuniverses):
         if len(universe) == A.size:
             continue
         sub, embed = subalgebra_from_universe(A, universe)
-        traces = set()
-        for theta in con_a:
-            ids = theta.block_ids()
-            trace_ids = [ids[embed.mapping[x]] for x in range(sub.size)]
-            traces.add(Partition.from_block_ids(trace_ids).blocks)
-        for theta in con_lattice(sub):
-            if theta.blocks not in traces:
-                return CepResult(False, (sub, theta))
+        e, lat = embed.mapping, sub.lattice
+        # theta's trace collapses the covering pair l < j of sub iff theta
+        # holds every join-irreducible of A below e(j) and not below e(l)
+        gaps = [join_masks[e[j]] & ~join_masks[e[l]]
+                for l, j in zip(lat.lower_covers, lat.join_irreducibles)]
+        traces = {sum(1 << k for k, gap in enumerate(gaps) if not gap & ~theta) for theta in con_a}
+        missing = [_partition(sub, m) for m in _con_ids(sub, 100_000) if m not in traces]
+        if missing:
+            return CepResult(False, (sub, min(missing, key=lambda p: p.blocks)))
     return CepResult(True)

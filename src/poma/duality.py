@@ -12,7 +12,7 @@ from operator import and_, or_
 
 from .algebras import (BoolMatrix, FiniteAlgebra, ModalAlgebra, _bits,
                        closed_masks, powerset, subset_order, validate)
-from .congruences import Partition, con_lattice, iff
+from .congruences import Partition, con_lattice
 from .errors import BudgetError, PreconditionError
 from .morphisms import Hom
 from .terms import Term, evaluate
@@ -277,16 +277,20 @@ def open_filters(M: ModalAlgebra) -> list[tuple[int, ...]]:
 
 def open_filter_congruence_iso_check(M: ModalAlgebra) -> bool:
     """Verify that F |-> {(a,b) : a<->b in F} is an order isomorphism between
-    open filters and congruences."""
+    open filters and congruences.  In a Boolean algebra g <= not a or b iff
+    g meet a <= b, so a <-> b lies in the filter above g iff a meet g =
+    b meet g, and the image of F is keyed by a meet g for g the least element
+    of F.  PreconditionError unless the lattice is distributive, so Boolean."""
     A = M.algebra
+    lat = A.lattice.require()
+    if lat.distributivity_witness() is not None:
+        raise PreconditionError("the open-filter check needs a Boolean algebra")
     cons = {theta.blocks for theta in con_lattice(A)}
     filters = open_filters(M)
     images = []
     for f in filters:
-        fset = set(f)
-        pairs = [(a, b) for a in range(A.size) for b in range(a + 1, A.size)
-                 if iff(M, a, b) in fset]
-        images.append(Partition.from_pairs(A.size, pairs))
+        g = lat.up.index(sum(1 << a for a in f))
+        images.append(Partition.from_block_ids([lat.meet[a][g] for a in range(A.size)]))
     if len({p.blocks for p in images}) != len(filters):
         return False
     if {p.blocks for p in images} != cons:

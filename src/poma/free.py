@@ -45,8 +45,10 @@ def free_over(basis: Sequence[FiniteAlgebra], n: int,
         for v in itertools.product(range(A.size), repeat=n):
             coords.append((A, v))
 
-    bot = tuple(A.bottom() for A, _ in coords)
-    top = tuple(A.top() for A, _ in coords)
+    lats = [A.lattice.require() for A, _ in coords]
+    meets, joins = [lat.meet for lat in lats], [lat.join for lat in lats]
+    bot = tuple(lat.bottom for lat in lats)
+    top = tuple(lat.top for lat in lats)
     gens = [tuple(v[i] for _, v in coords) for i in range(n)]
 
     def vbox(vec):
@@ -56,10 +58,10 @@ def free_over(basis: Sequence[FiniteAlgebra], n: int,
         return tuple(A.diamond[x] for (A, _), x in zip(coords, vec))
 
     def vmeet(u, w):
-        return tuple(A.meet(x, y) for (A, _), x, y in zip(coords, u, w))
+        return tuple(meet[x][y] for meet, x, y in zip(meets, u, w))
 
     def vjoin(u, w):
-        return tuple(A.join(x, y) for (A, _), x, y in zip(coords, u, w))
+        return tuple(join[x][y] for join, x, y in zip(joins, u, w))
 
     pool: dict[tuple, None] = {}
     frontier = []

@@ -33,6 +33,10 @@ ed., 2002, ch. 7 and 11).  In every finite lattice, distributive or not:
 
 The test costs O(|A| + |f(A)|·(|J(B)| + |M(B)|)), where the meet and join
 tables on every index pair cost O(|A|²).
+
+Quotients have one builder, :func:`_quotient`.  The public :func:`quotient`
+first checks that its partition is a congruence; :func:`si_quotients` hands
+it the congruences of :func:`cmi_congruences` unchecked.
 """
 from __future__ import annotations
 
@@ -68,9 +72,13 @@ class Hom:
         return self.is_injective and self.is_surjective
 
     def is_valid(self) -> bool:
-        """Whether the mapping is a homomorphism, by :func:`_is_hom`, the
-        check extend_hom runs; StructuralError for a non-lattice side."""
-        return _is_hom(self.source, self.target, self.mapping)
+        """Whether the mapping is a homomorphism, by :func:`_is_hom`, the check
+        extend_hom runs; StructuralError for a non-lattice side, and
+        PreconditionError unless it sends each source element to a target one."""
+        f, n, m = self.mapping, self.source.size, self.target.size
+        if len(f) != n or min(f) < 0 or max(f) >= m:
+            raise PreconditionError(f"{f!r} does not send each of {n} elements to one of {m}")
+        return _is_hom(self.source, self.target, f)
 
 
 def identity_hom(A: FiniteAlgebra) -> Hom:
@@ -170,15 +178,20 @@ def product(A: FiniteAlgebra, B: FiniteAlgebra, name: str = "") -> FiniteAlgebra
 def quotient(A: FiniteAlgebra, p: Partition, name: str = "") -> tuple[FiniteAlgebra, Hom]:
     if not is_congruence(A, p):
         raise PreconditionError("partition is not a congruence")
+    return _quotient(A, p, name)
+
+
+def _quotient(A: FiniteAlgebra, p: Partition, name: str) -> tuple[FiniteAlgebra, Hom]:
+    """The quotient by p, which must be a congruence: block i lies below
+    block j iff the meet of their first elements lies in block i."""
     ids = p.block_ids()
     reps = [block[0] for block in p.blocks]
-    n = len(reps)
-    leq = tuple(tuple(ids[A.meet(reps[i], reps[j])] == i for j in range(n))
-                for i in range(n))
+    meet = A.lattice.meet
+    leq = tuple(tuple(ids[meet[r][s]] == i for s in reps) for i, r in enumerate(reps))
     box = tuple(ids[A.box[r]] for r in reps)
     dia = tuple(ids[A.diamond[r]] for r in reps)
-    Q = FiniteAlgebra(n, leq, box, dia, name)
-    return Q, Hom(A, Q, tuple(ids))
+    Q = FiniteAlgebra(len(reps), leq, box, dia, name)
+    return Q, Hom(A, Q, ids)
 
 
 # -- homomorphism search ------------------------------------------------------------
@@ -394,13 +407,13 @@ def is_iso(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
 
 # -- subdirectly irreducible closures ------------------------------------------------
 
-def si_quotients(A: FiniteAlgebra, max_congruences: int = 100_000) -> tuple[FiniteAlgebra, ...]:
+def si_quotients(A: FiniteAlgebra) -> tuple[FiniteAlgebra, ...]:
     """Subdirectly irreducible homomorphic images, deduplicated up to
     isomorphism and sorted by (size, canonical form).  These are the quotients
     by congruences whose strict upper bounds have a least element."""
     out: dict[tuple, FiniteAlgebra] = {}
-    for theta in cmi_congruences(A, max_congruences):
-        Q, _ = quotient(A, theta)
+    for theta in cmi_congruences(A):
+        Q, _ = _quotient(A, theta, "")
         out.setdefault(canonical_form(Q), canonical_algebra(Q))
     return tuple(sorted(out.values(), key=lambda q: (q.size, canonical_form(q))))
 

@@ -217,26 +217,26 @@ def lemma64_66_properties(A: FiniteAlgebra) -> EndomorphismReport:
         raise PreconditionError(
             "endomorphism battery needs a PS4 algebra satisfying the idempotence equations")
     n, box, dia = A.size, A.box, A.diamond
+    lat = A.lattice.require()
+    meet, join = lat.meet, lat.join
     checks = []
-    endo = all(box[A.join(a, b)] == A.join(box[a], box[b]) and
-               box[A.meet(a, b)] == A.meet(box[a], box[b]) and
-               dia[A.join(a, b)] == A.join(dia[a], dia[b]) and
-               dia[A.meet(a, b)] == A.meet(dia[a], dia[b])
+    endo = all(box[join[a][b]] == join[box[a]][box[b]] and
+               box[meet[a][b]] == meet[box[a]][box[b]] and
+               dia[join[a][b]] == join[dia[a]][dia[b]] and
+               dia[meet[a][b]] == meet[dia[a]][dia[b]]
                for a in range(n) for b in range(n))
     checks.append(("operators are bounded lattice endomorphisms", endo))
     kernels = all((box[a] == box[b]) == (dia[a] == dia[b])
                   for a in range(n) for b in range(n))
     checks.append(("kernels coincide", kernels))
-    kernel_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
-                    if box[a] == box[b]]
-    kernel = Partition.from_pairs(n, kernel_pairs)
+    kernel = Partition.from_block_ids(box)
     checks.append(("kernel is a congruence", is_congruence(A, kernel)))
     if is_si(A):
         mono = monolith(A)
         block = next(b for b in mono.blocks if len(b) > 1)
         lo = next(x for x in block if all(A.leq[x][y] for y in block))
         hi = next(x for x in block if all(A.leq[y][x] for y in block))
-        top, bot = A.top(), A.bottom()
+        top, bot = lat.top, lat.bottom
         fixed_hi = all(dia[c] == c for c in range(n)
                        if A.leq[hi][c] and c != top)
         fixed_lo = all(box[c] == c for c in range(n)

@@ -1,10 +1,12 @@
 """Shared fixtures and independent brute-force oracles used by the tests."""
 import itertools
+from functools import reduce
+from operator import and_
 
 import pytest
 
 from poma import FiniteAlgebra, Partition, ValidationReport, corpus, validate
-from poma.congruences import is_fsi, is_si
+from poma.congruences import _con_ids, _generators, is_fsi, is_si
 from poma.duality import DualSpace
 from poma.enumeration import _enumerate_size, _mixed_axioms_hold, canonical_poset, enum_bdl
 from poma.errors import BudgetError, PomaError, PreconditionError
@@ -247,6 +249,20 @@ def oracle_cmi_congruences(A, principals):
         if any(all(_ids_refine(c, d) for d in cands) for c in cands):
             out.append(Partition.from_block_ids(ids))
     return tuple(sorted(out, key=lambda p: p.blocks))
+
+
+def oracle_cmi_masks(A):
+    """The masks of the congruences with a least strict upper bound, by a
+    scan over all of Con(A): each strict upper bound of theta contains
+    theta | G_k for a G_k not inside theta, so the least one exists iff the
+    intersection of those joins is one of them."""
+    gens = set(_generators(A))
+    out = set()
+    for theta in _con_ids(A, 100_000):
+        above = {theta | g for g in gens if g & ~theta}
+        if above and reduce(and_, above) in above:   # empty: theta is total
+            out.add(theta)
+    return out
 
 
 def oracle_atoms(principals):

@@ -2,7 +2,8 @@
 in conftest: the element-pair union-find for cg, the table scan for
 is_congruence, one closure per comparable pair, joins of partitions, and
 minimal principal congruences, on enumerated, corpus, non-distributive and
-random algebras."""
+random algebras; cmi_congruences against the scan over Con(A), and
+si_quotients against the checked public quotient."""
 import random
 
 import pytest
@@ -14,10 +15,12 @@ from poma.congruences import cmi_congruences, principal_congruences
 from poma.corpus import CORPUS_NAMES, PARAMETRIC_NAMES
 from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import BudgetError, PreconditionError, StructuralError
-from poma.morphisms import quotient
+from poma.morphisms import (canonical_algebra, canonical_form, quotient, si_quotients,
+                            subalgebra_from_universe, subuniverses)
 
-from conftest import (oracle_atoms, oracle_cg, oracle_cmi_congruences, oracle_con_lattice,
-                      oracle_is_congruence, oracle_principal_congruences)
+from conftest import (oracle_atoms, oracle_cg, oracle_cmi_congruences, oracle_cmi_masks,
+                      oracle_con_lattice, oracle_is_congruence,
+                      oracle_principal_congruences)
 
 
 def _set_partitions(n):
@@ -114,6 +117,63 @@ def test_masks_match_closure_oracle_corpus():
     for spec in specs:
         A = corpus(*spec) if isinstance(spec, tuple) else corpus(spec)
         _check(A)
+
+
+def _partition_mask(A, p):
+    """The join-irreducibles that p collapses with their lower covers."""
+    lat, ids = A.lattice, p.block_ids()
+    return sum(1 << k for k, (low, j) in enumerate(zip(lat.lower_covers, lat.join_irreducibles))
+               if ids[low] == ids[j])
+
+
+def _check_cmi(A):
+    got = cmi_congruences(A)
+    assert list(got) == sorted(got, key=lambda p: p.blocks)
+    masks = [_partition_mask(A, p) for p in got]
+    assert len(set(masks)) == len(masks)
+    assert set(masks) == oracle_cmi_masks(A)
+
+
+@pytest.mark.parametrize("kind,max_size", [("PS4", 7), ("PK4", 5)])
+def test_cmi_congruences_match_the_con_scan_enumerated(kind, max_size):
+    for A in enum_algebras(EnumerationTask(kind, max_size)):
+        _check_cmi(A)
+
+
+def test_cmi_congruences_match_the_con_scan_on_free_subalgebras():
+    F = corpus("F1_PS4")
+    universes = subuniverses(F)
+    assert len(universes) == 1_081
+    for universe in universes:
+        _check_cmi(subalgebra_from_universe(F, universe)[0])
+
+
+def _checked_catalog(A):
+    """si_quotients through the public quotient, which checks each
+    congruence; every quotient must be subdirectly irreducible."""
+    out = {}
+    for theta in cmi_congruences(A):
+        Q, _ = quotient(A, theta)
+        assert is_si(Q), theta
+        out.setdefault(canonical_form(Q), canonical_algebra(Q))
+    return sorted(out.values(), key=lambda q: (q.size, canonical_form(q)))
+
+
+def _same_catalog(A):
+    assert [q.to_json() for q in si_quotients(A)] == [q.to_json() for q in _checked_catalog(A)]
+
+
+def test_si_quotients_match_the_checked_quotient_enumerated():
+    for A in enum_algebras(EnumerationTask("PS4", 6)):
+        _same_catalog(A)
+
+
+def test_si_quotients_match_the_checked_quotient_corpus():
+    specs = [name for name in CORPUS_NAMES if name not in PARAMETRIC_NAMES]
+    specs += [(name, k) for name, lo in (("EX46", 3), ("AN_MINUS", 1), ("AN_SIMPLE", 2))
+              for k in range(lo, 7)]
+    for spec in specs:
+        _same_catalog(corpus(*spec) if isinstance(spec, tuple) else corpus(spec))
 
 
 def test_free_algebra_con_lattice_matches_oracle():

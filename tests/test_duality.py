@@ -1,9 +1,11 @@
 import pytest
 
-from poma import (boolean_envelope, complex_algebra, corpus, corpus_by_spec,
+from poma import (FiniteAlgebra, ModalAlgebra, boolean_envelope, complex_algebra,
+                  corpus, corpus_by_spec,
                   dual_space, is_fsi, is_iso, is_simple, is_well_connected, kappa,
                   open_filter_congruence_iso_check, open_filters,
                   prime_filters, upset_algebra, validate)
+from poma.algebras import subset_order
 from poma.congruences import con_lattice
 from poma.duality import (DualSpace, dual_of_hom, is_p_morphism, kripke_eval,
                           join_irreducibles)
@@ -225,6 +227,14 @@ def test_open_filter_congruence_correspondence():
         assert open_filter_congruence_iso_check(boolean_envelope(corpus(name)).modal)
 
 
+def test_open_filter_check_needs_a_boolean_algebra():
+    """M3 with every atom complemented by the next is complemented but not
+    distributive, so a <-> b in F no longer reads as a meet b-key."""
+    m3 = FiniteAlgebra.make(subset_order((0, 1, 2, 4, 7)), range(5), range(5))
+    with pytest.raises(PreconditionError, match="Boolean"):
+        open_filter_congruence_iso_check(ModalAlgebra(m3, (4, 2, 3, 1, 0)))
+
+
 def test_dual_of_hom_is_p_morphism():
     for src, dst in (("C2", "D3"), ("C2", "D4"), ("D3", "EX44IV")):
         A, B = corpus(src), corpus(dst)
@@ -237,6 +247,18 @@ def test_dual_of_hom_rejects_a_non_homomorphism():
     D4 = corpus("D4")
     with pytest.raises(PreconditionError, match="not a homomorphism"):
         dual_of_hom(Hom(D4, D4, (0,) * 4))
+
+
+def test_hom_is_valid_rejects_maps_of_the_wrong_shape():
+    """A short map and one past the target raised a bare IndexError, and a
+    map with an entry too many was called a homomorphism."""
+    D4 = corpus("D4")
+    assert Hom(D4, D4, (0, 1, 2, 3)).is_valid()
+    for f in ((0,), (0, 9, 2, 3), (0, 1, 2, 3, 7), (0, -1, 2, 3)):
+        with pytest.raises(PreconditionError, match="does not send"):
+            Hom(D4, D4, f).is_valid()
+    with pytest.raises(PreconditionError, match="does not send"):
+        dual_of_hom(Hom(D4, D4, (0,)))
 
 
 def test_is_p_morphism_rejects_malformed_maps():
