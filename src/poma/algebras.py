@@ -13,6 +13,7 @@ import json
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .errors import StructuralError
@@ -21,7 +22,7 @@ BoolMatrix = tuple[tuple[bool, ...], ...]
 
 
 def _freeze_matrix(rows) -> BoolMatrix:
-    return tuple(tuple(bool(x) for x in row) for row in rows)
+    return tuple(tuple(map(bool, row)) for row in rows)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -216,6 +217,12 @@ class FiniteAlgebra:
             raise StructuralError(f"missing key in algebra object: {exc}")
         if not isinstance(size, int) or len(leq) != size:
             raise StructuralError("size does not match leq matrix")
+        try:    # booleans or truthy entries would print unlike the equal algebra
+            valid = {*map(type, chain(*leq, box, diamond))} <= {int} and {*chain(*leq)} <= {0, 1}
+        except TypeError:
+            valid = False
+        if not valid:
+            raise StructuralError("leq entries must be 0 or 1 and table entries integers")
         return cls.make(leq, box, diamond, obj.get("name", ""))
 
     @classmethod

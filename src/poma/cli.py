@@ -242,6 +242,8 @@ def cmd_enumerate(args) -> int:
 def cmd_variety(args) -> int:
     if args.mode == "include":
         V = _load_gens(args)
+        if not args.other:
+            raise PomaError("variety include needs --other with a comma-separated generator list")
         W = varieties.variety_of(
             [corpus_by_spec(s) for s in args.other.split(",")],
             "V(" + args.other + ")")
@@ -249,6 +251,8 @@ def cmd_variety(args) -> int:
         _emit(args, {"includes": verdict}, f"{V.label} includes {W.label}: {verdict}")
         return PASS if verdict else FAIL
     if args.mode == "covers":
+        if not args.gens:
+            raise PomaError("variety covers needs --gens with a ';'-separated generator list")
         handles = [varieties.variety_of([corpus_by_spec(s)], f"V({s})")
                    for s in args.gens.split(";")]
         edges = varieties.covers_poset(handles)
@@ -390,6 +394,8 @@ def cmd_eval(args) -> int:
         verdict = holds_pos_exist(A, parse_pos_exist(args.sentence))
         _emit(args, {"holds": verdict}, f"holds: {verdict}")
         return PASS if verdict else FAIL
+    if not args.term:
+        raise PomaError("eval needs one of --term, --equation or --sentence")
     value = eval_term(A, parse_term(args.term), _assignment(args.assign, A.size))
     _emit(args, {"value": value}, f"value: {value}")
     return PASS

@@ -232,15 +232,20 @@ def con_lattice(A: FiniteAlgebra, max_congruences: int = 100_000) -> tuple[Parti
                         key=lambda p: p.blocks))
 
 
+def _cmi_masks(A: FiniteAlgebra) -> set[int]:
+    """The masks of the completely meet-irreducible congruences: the distinct
+    theta_k = {i : k not in G_i} (module docstring)."""
+    gens = _generators(A)
+    return {sum(1 << i for i, g in enumerate(gens) if not g >> k & 1)
+            for k in range(len(gens))}
+
+
 @lru_cache(maxsize=None)
 def cmi_congruences(A: FiniteAlgebra) -> tuple[Partition, ...]:
     """Congruences whose strict upper bounds have a least element, i.e.
-    exactly those with subdirectly irreducible quotient: the distinct
-    theta_k = {i : k not in G_i}, canonically sorted (module docstring)."""
-    gens = _generators(A)
-    thetas = {sum(1 << i for i, g in enumerate(gens) if not g >> k & 1)
-              for k in range(len(gens))}
-    return tuple(sorted((_partition(A, theta) for theta in thetas), key=lambda p: p.blocks))
+    exactly those with subdirectly irreducible quotient, canonically sorted."""
+    return tuple(sorted((_partition(A, theta) for theta in _cmi_masks(A)),
+                        key=lambda p: p.blocks))
 
 
 def _monolith_mask(A: FiniteAlgebra) -> Optional[int]:

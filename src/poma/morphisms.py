@@ -34,9 +34,11 @@ ed., 2002, ch. 7 and 11).  In every finite lattice, distributive or not:
 The test costs O(|A| + |f(A)|·(|J(B)| + |M(B)|)), where the meet and join
 tables on every index pair cost O(|A|²).
 
-Quotients have one builder, :func:`_quotient`.  The public :func:`quotient`
-first checks that its partition is a congruence; :func:`si_quotients` hands
-it the congruences of :func:`cmi_congruences` unchecked.
+Quotient tables have one builder, :func:`_quotient_tables`; :func:`quotient`
+checks its partition first, :func:`si_quotients` and :func:`hs_si` do not.
+These two skip a subalgebra or quotient whose tables they have met, so they
+build one algebra and canonical form per distinct table, and one canonical
+algebra, from its key, per isomorphism class.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .algebras import FiniteAlgebra
-from .congruences import Partition, cmi_congruences, is_congruence
+from .congruences import Partition, _cmi_masks, is_congruence
 from .errors import BudgetError, PreconditionError
 
 
@@ -135,15 +137,20 @@ def subuniverses(A: FiniteAlgebra, limit: int = 10_000) -> list[tuple[int, ...]]
     return sorted((tuple(sorted(u)) for u in seen), key=lambda u: (len(u), u))
 
 
+def _subalgebra_tables(A: FiniteAlgebra, elems: tuple[int, ...]) -> tuple:
+    """(size, leq, box, diamond) of the subalgebra on the sorted subuniverse
+    ``elems``, element i standing for ``elems[i]``."""
+    pos = {e: i for i, e in enumerate(elems)}
+    leq = tuple(tuple(row[e] for e in elems) for row in map(A.leq.__getitem__, elems))
+    box = tuple(pos[A.box[e]] for e in elems)
+    dia = tuple(pos[A.diamond[e]] for e in elems)
+    return len(elems), leq, box, dia
+
+
 def subalgebra_from_universe(A: FiniteAlgebra, universe: Iterable[int],
                              name: str = "") -> tuple[FiniteAlgebra, Hom]:
     elems = tuple(sorted(universe))
-    pos = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    leq = tuple(tuple(A.leq[elems[i]][elems[j]] for j in range(n)) for i in range(n))
-    box = tuple(pos[A.box[e]] for e in elems)
-    dia = tuple(pos[A.diamond[e]] for e in elems)
-    sub = FiniteAlgebra(n, leq, box, dia, name)
+    sub = FiniteAlgebra(*_subalgebra_tables(A, elems), name)
     return sub, Hom(sub, A, elems)
 
 
@@ -178,20 +185,21 @@ def product(A: FiniteAlgebra, B: FiniteAlgebra, name: str = "") -> FiniteAlgebra
 def quotient(A: FiniteAlgebra, p: Partition, name: str = "") -> tuple[FiniteAlgebra, Hom]:
     if not is_congruence(A, p):
         raise PreconditionError("partition is not a congruence")
-    return _quotient(A, p, name)
-
-
-def _quotient(A: FiniteAlgebra, p: Partition, name: str) -> tuple[FiniteAlgebra, Hom]:
-    """The quotient by p, which must be a congruence: block i lies below
-    block j iff the meet of their first elements lies in block i."""
     ids = p.block_ids()
-    reps = [block[0] for block in p.blocks]
+    Q = FiniteAlgebra(*_quotient_tables(A, ids), name)
+    return Q, Hom(A, Q, ids)
+
+
+def _quotient_tables(A: FiniteAlgebra, ids) -> tuple:
+    """(size, leq, box, diamond) of the quotient by the congruence that puts
+    x in block ``ids[x]``, blocks numbered 0, 1, ...: block i lies below
+    block j iff the meet of their first elements lies in block i."""
+    reps = [ids.index(i) for i in range(max(ids) + 1)]
     meet = A.lattice.meet
     leq = tuple(tuple(ids[meet[r][s]] == i for s in reps) for i, r in enumerate(reps))
     box = tuple(ids[A.box[r]] for r in reps)
     dia = tuple(ids[A.diamond[r]] for r in reps)
-    Q = FiniteAlgebra(len(reps), leq, box, dia, name)
-    return Q, Hom(A, Q, ids)
+    return len(reps), leq, box, dia
 
 
 # -- homomorphism search ------------------------------------------------------------
@@ -395,10 +403,15 @@ def automorphisms(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(o[pos[x]] for x in range(A.size)) for o in least))
 
 
+def _keyed_algebra(key: tuple, name: str = "") -> FiniteAlgebra:
+    """The algebra whose serialization is the canonical form ``key``."""
+    n, bits, box, dia = key
+    leq = tuple(bits[i * n:(i + 1) * n] for i in range(n))
+    return FiniteAlgebra(n, leq, box, dia, name)
+
+
 def canonical_algebra(A: FiniteAlgebra, name: str = "") -> FiniteAlgebra:
-    n, bits, box, dia = canonical_form(A)
-    leq = tuple(tuple(bits[i * n + j] for j in range(n)) for i in range(n))
-    return FiniteAlgebra(n, leq, box, dia, name or A.name)
+    return _keyed_algebra(canonical_form(A), name or A.name)
 
 
 def is_iso(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
@@ -407,25 +420,43 @@ def is_iso(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
 
 # -- subdirectly irreducible closures ------------------------------------------------
 
+def _si_classes(A: FiniteAlgebra, out: dict[tuple, FiniteAlgebra], seen: set) -> None:
+    """Add the canonical algebra of each subdirectly irreducible quotient of
+    A to ``out``, keyed by its canonical form.  ``seen`` holds the quotient
+    tables met so far; a table in it is skipped before any algebra is built."""
+    join_masks = A.lattice.join_masks
+    for theta in _cmi_masks(A):
+        index: dict[int, int] = {}      # blocks by least element, as in Partition
+        tables = _quotient_tables(A, [index.setdefault(m & ~theta, len(index))
+                                      for m in join_masks])
+        if tables not in seen:
+            seen.add(tables)
+            key = canonical_form(FiniteAlgebra(*tables))
+            if key not in out:
+                out[key] = _keyed_algebra(key)
+
+
 def si_quotients(A: FiniteAlgebra) -> tuple[FiniteAlgebra, ...]:
     """Subdirectly irreducible homomorphic images, deduplicated up to
-    isomorphism and sorted by (size, canonical form).  These are the quotients
-    by congruences whose strict upper bounds have a least element."""
+    isomorphism and sorted by canonical form, which starts with the size.
+    These are the quotients by congruences whose strict upper bounds have a
+    least element."""
     out: dict[tuple, FiniteAlgebra] = {}
-    for theta in cmi_congruences(A):
-        Q, _ = _quotient(A, theta, "")
-        out.setdefault(canonical_form(Q), canonical_algebra(Q))
-    return tuple(sorted(out.values(), key=lambda q: (q.size, canonical_form(q))))
+    _si_classes(A, out, set())
+    return tuple(out[key] for key in sorted(out))
 
 
 @lru_cache(maxsize=None)
 def hs_si(A: FiniteAlgebra, max_subuniverses: int = 10_000) -> tuple[FiniteAlgebra, ...]:
-    """Subdirectly irreducible members of HS(A) up to isomorphism.  For the
-    lattice-based algebras here this is the subdirectly irreducible part of
-    the variety generated by A."""
+    """Subdirectly irreducible members of HS(A) up to isomorphism, as
+    :func:`si_quotients` sorts them.  For the lattice-based algebras here
+    this is the subdirectly irreducible part of the variety generated by A."""
     out: dict[tuple, FiniteAlgebra] = {}
+    subs: set[tuple] = set()
+    seen: set[tuple] = set()
     for universe in subuniverses(A, limit=max_subuniverses):
-        sub, _ = subalgebra_from_universe(A, universe)
-        for q in si_quotients(sub):
-            out.setdefault(canonical_form(q), q)
-    return tuple(sorted(out.values(), key=lambda q: (q.size, canonical_form(q))))
+        tables = _subalgebra_tables(A, universe)
+        if tables not in subs:
+            subs.add(tables)
+            _si_classes(FiniteAlgebra(*tables), out, seen)
+    return tuple(out[key] for key in sorted(out))

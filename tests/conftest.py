@@ -6,11 +6,12 @@ from operator import and_
 import pytest
 
 from poma import FiniteAlgebra, Partition, ValidationReport, corpus, validate
-from poma.congruences import _con_ids, _generators, is_fsi, is_si
+from poma.congruences import _con_ids, _generators, cmi_congruences, is_fsi, is_si
 from poma.duality import DualSpace
 from poma.enumeration import _enumerate_size, _mixed_axioms_hold, canonical_poset, enum_bdl
 from poma.errors import BudgetError, PomaError, PreconditionError
-from poma.morphisms import Hom, canonical_form
+from poma.morphisms import (Hom, canonical_algebra, canonical_form, quotient,
+                            subalgebra_from_universe, subuniverses)
 from poma.terms import equation_variables, holds_eq
 
 
@@ -263,6 +264,28 @@ def oracle_cmi_masks(A):
         if above and reduce(and_, above) in above:   # empty: theta is total
             out.add(theta)
     return out
+
+
+def oracle_si_quotients(A):
+    """si_quotients through the public quotient, which checks each
+    congruence; every quotient must be subdirectly irreducible."""
+    out = {}
+    for theta in cmi_congruences(A):
+        Q, _ = quotient(A, theta)
+        assert is_si(Q), theta
+        out.setdefault(canonical_form(Q), canonical_algebra(Q))
+    return sorted(out.values(), key=lambda q: (q.size, canonical_form(q)))
+
+
+def oracle_hs_si(A):
+    """hs_si with one subalgebra per subuniverse and the catalog of
+    :func:`oracle_si_quotients` for each, deduplicated by canonical form."""
+    out = {}
+    for universe in subuniverses(A):
+        sub, _ = subalgebra_from_universe(A, universe)
+        for q in oracle_si_quotients(sub):
+            out.setdefault(canonical_form(q), q)
+    return sorted(out.values(), key=lambda q: (q.size, canonical_form(q)))
 
 
 def oracle_atoms(principals):

@@ -140,6 +140,31 @@ def test_json_round_trip_is_canonical():
     assert B.to_json() == text
 
 
+@pytest.mark.parametrize("field,value", [
+    ("box", [False, True]),
+    ("diamond", [True, 1]),
+    ("leq", [[True, 1], [0, 1]]),
+    ("leq", [[2, 1], [0, 1]]),
+    ("leq", [["0", 1], [0, 1]]),
+    ("leq", [[1.0, 1], [0, 1]]),
+    ("box", [0, 1.0]),
+    ("leq", [1, 2]),
+    ("box", 5),
+], ids=["bool-box", "bool-diamond", "bool-leq", "leq-2", "leq-string", "leq-float",
+        "box-float", "leq-flat", "box-scalar"])
+def test_json_rejects_entries_that_are_not_0_1_or_int(field, value):
+    obj = {"size": 2, "leq": [[1, 1], [0, 1]], "box": [0, 1], "diamond": [0, 1]}
+    obj[field] = value
+    with pytest.raises(StructuralError):
+        FiniteAlgebra.from_json(json.dumps(obj))
+
+
+def test_json_round_trip_holds_for_canonical_output():
+    for name in ("C2", "D4", "EX44IV", "F1_PS4", "trivial"):
+        text = corpus(name).to_json()
+        assert FiniteAlgebra.from_json(text).to_json() == text
+
+
 def test_json_key_order_fixed():
     obj = json.loads(corpus("C3a").to_json())
     assert list(obj) == ["size", "leq", "box", "diamond", "name"]

@@ -94,6 +94,34 @@ def test_enumeration_commands_stdout_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("variety", "figure4"),
+     "f219877cbb8a11aeb5d874f41ead7bc4d5682519cc8ef0c1efbe0c770bf88afc"),
+    (("variety", "covers", "--gens", "C2;D3;C3a;C3b;D4"),
+     "641d959eae888a3250f638491fe34d1e3d9085b115cc07daa7d25ef4d7701ca4"),
+    (("complete", "hsc", "--gens", "D4"),
+     "3ed7f67249b022683fe357d4409940426476cd2d11b53ea130ded2c98aa60662"),
+], ids=["figure4", "covers", "hsc"])
+def test_hs_si_commands_json_bytes(capsys, argv, digest):
+    """The --json stdout of commands decided by hs_si, pinned by its sha256
+    as printed when hs_si built one subalgebra per subuniverse and one
+    quotient algebra per completely meet-irreducible congruence."""
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("variety", "include", "--gens", "D3"), "--other"),
+    (("variety", "covers"), "--gens"),
+    (("eval", "--name", "D4"), "--term"),
+], ids=["include", "covers", "eval"])
+def test_missing_required_option_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_cg_negative_element_is_usage_error(capsys):
     code, out, err = run(capsys, "cg", "--name", "D4", "--pairs=-1,2")
     assert code == 2 and out == ""

@@ -15,12 +15,12 @@ from poma.congruences import cmi_congruences, principal_congruences
 from poma.corpus import CORPUS_NAMES, PARAMETRIC_NAMES
 from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import BudgetError, PreconditionError, StructuralError
-from poma.morphisms import (canonical_algebra, canonical_form, quotient, si_quotients,
+from poma.morphisms import (_si_classes, hs_si, quotient, si_quotients,
                             subalgebra_from_universe, subuniverses)
 
 from conftest import (oracle_atoms, oracle_cg, oracle_cmi_congruences, oracle_cmi_masks,
-                      oracle_con_lattice, oracle_is_congruence,
-                      oracle_principal_congruences)
+                      oracle_con_lattice, oracle_hs_si, oracle_is_congruence,
+                      oracle_principal_congruences, oracle_si_quotients)
 
 
 def _set_partitions(n):
@@ -148,19 +148,14 @@ def test_cmi_congruences_match_the_con_scan_on_free_subalgebras():
         _check_cmi(subalgebra_from_universe(F, universe)[0])
 
 
-def _checked_catalog(A):
-    """si_quotients through the public quotient, which checks each
-    congruence; every quotient must be subdirectly irreducible."""
-    out = {}
-    for theta in cmi_congruences(A):
-        Q, _ = quotient(A, theta)
-        assert is_si(Q), theta
-        out.setdefault(canonical_form(Q), canonical_algebra(Q))
-    return sorted(out.values(), key=lambda q: (q.size, canonical_form(q)))
-
-
 def _same_catalog(A):
-    assert [q.to_json() for q in si_quotients(A)] == [q.to_json() for q in _checked_catalog(A)]
+    """si_quotients against the checked quotient; the tables it compares
+    before building any algebra are those of the checked quotient."""
+    assert [q.to_json() for q in si_quotients(A)] == [q.to_json() for q in oracle_si_quotients(A)]
+    seen = set()
+    _si_classes(A, {}, seen)
+    quotients = [quotient(A, theta)[0] for theta in cmi_congruences(A)]
+    assert seen == {(Q.size, Q.leq, Q.box, Q.diamond) for Q in quotients}
 
 
 def test_si_quotients_match_the_checked_quotient_enumerated():
@@ -174,6 +169,44 @@ def test_si_quotients_match_the_checked_quotient_corpus():
               for k in range(lo, 7)]
     for spec in specs:
         _same_catalog(corpus(*spec) if isinstance(spec, tuple) else corpus(spec))
+
+
+def _same_hs_si(A):
+    assert [q.to_json() for q in hs_si(A)] == [q.to_json() for q in oracle_hs_si(A)]
+
+
+@pytest.mark.parametrize("kind,max_size", [("PS4", 6), ("PMA", 4), ("PK4", 5)])
+def test_hs_si_matches_the_oracle_enumerated(kind, max_size):
+    for A in enum_algebras(EnumerationTask(kind, max_size)):
+        _same_hs_si(A)
+
+
+def test_hs_si_matches_the_oracle_corpus():
+    """Every non-parametric corpus algebra, F1_PS4 among them."""
+    for name in CORPUS_NAMES:
+        if name not in PARAMETRIC_NAMES:
+            _same_hs_si(corpus(name))
+
+
+def test_hs_si_of_the_free_algebra_builds_one_algebra_per_table(monkeypatch):
+    """F1_PS4 has 1,081 subuniverses, 1,020 distinct subalgebras, 12
+    distinct SI quotient tables and 11 classes: at most 1,100 algebras are
+    built, against 24,145 with one subalgebra per subuniverse and two
+    algebras per congruence."""
+    F = corpus("F1_PS4")
+    built = []
+    post_init = FiniteAlgebra.__post_init__
+
+    def counting(self):
+        built.append(self.size)
+        post_init(self)
+
+    hs_si.cache_clear()
+    monkeypatch.setattr(FiniteAlgebra, "__post_init__", counting)
+    members = hs_si(F)
+    monkeypatch.undo()
+    assert len(members) == 11
+    assert len(built) <= 1_100
 
 
 def test_free_algebra_con_lattice_matches_oracle():
