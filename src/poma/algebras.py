@@ -158,15 +158,37 @@ def downset_masks(leq: BoolMatrix) -> list[int]:
 
 
 def closed_masks(down: list[int]) -> list[int]:
-    """The masks m holding ``down[x]`` for each x in m, in downset_masks order."""
-    n = len(down)
-    # below[m]: everything below some element of m, one new element per step
-    below = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        below[mask] = below[mask ^ low] | down[low.bit_length() - 1]
-    return sorted((mask for mask, b in enumerate(below) if not b & ~mask),
+    """The masks m holding ``down[x]`` for each x in m, in downset_masks order:
+    the unions of what each point reaches."""
+    return sorted(_unions(_reach(down)),
                   key=lambda mask: (mask.bit_count(), list(_bits(mask))))
+
+
+def _reach(edges) -> tuple[int, ...]:
+    """For each x, the mask of x and of everything it reaches along the
+    edges x -> ``edges[x]`` (Warshall's transitive closure)."""
+    reach = [e | 1 << x for x, e in enumerate(edges)]
+    for i, via in enumerate(reach):
+        for k, mask in enumerate(reach):
+            if mask >> i & 1:
+                reach[k] = mask | via
+    return tuple(reach)
+
+
+def _unions(family) -> Iterator[int]:
+    """Every union of members of the family once, the empty union 0 first,
+    then one pass per member over the unions found so far.  A member that
+    is already one of them is skipped: its pass would find nothing new."""
+    found, seen = [0], {0}
+    yield 0
+    for g in family:
+        if g not in seen:
+            for i in range(len(found)):
+                mask = found[i] | g
+                if mask not in seen:
+                    seen.add(mask)
+                    found.append(mask)
+                    yield mask
 
 
 def downsets(leq: BoolMatrix) -> list[frozenset[int]]:
@@ -215,7 +237,7 @@ class FiniteAlgebra:
             diamond = obj["diamond"]
         except (KeyError, TypeError) as exc:
             raise StructuralError(f"missing key in algebra object: {exc}")
-        if not isinstance(size, int) or len(leq) != size:
+        if not isinstance(size, int) or not isinstance(leq, list) or len(leq) != size:
             raise StructuralError("size does not match leq matrix")
         try:    # booleans or truthy entries would print unlike the equal algebra
             valid = {*map(type, chain(*leq, box, diamond))} <= {int} and {*chain(*leq)} <= {0, 1}
@@ -223,7 +245,10 @@ class FiniteAlgebra:
             valid = False
         if not valid:
             raise StructuralError("leq entries must be 0 or 1 and table entries integers")
-        return cls.make(leq, box, diamond, obj.get("name", ""))
+        name = obj.get("name", "")
+        if not isinstance(name, str):
+            raise StructuralError("name must be a string")
+        return cls.make(leq, box, diamond, name)
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteAlgebra":

@@ -40,6 +40,8 @@ def _load_algebra(args) -> FiniteAlgebra:
             return FiniteAlgebra.from_json(Path(args.file).read_text())
         except json.JSONDecodeError as exc:
             raise PomaError(f"{args.file} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError:
+            raise PomaError(f"{args.file} is not UTF-8 text") from None
     raise PomaError("need --name or --file")
 
 
@@ -74,8 +76,8 @@ def _assignment(text: str, size: int) -> dict[str, int]:
     return out
 
 
-def _pairs(text: str, size: int) -> list[tuple[int, ...]]:
-    return [_elements(piece.partition(",")[::2], size, "--pairs wants 'a,b;c,d'", piece)
+def _pairs(text: str, size: int, option: str) -> list[tuple[int, ...]]:
+    return [_elements(piece.partition(",")[::2], size, f"{option} wants 'a,b;c,d'", piece)
             for piece in text.split(";")]
 
 
@@ -115,7 +117,7 @@ def cmd_show(args) -> int:
 
 def cmd_cg(args) -> int:
     A = _load_algebra(args)
-    part = cg(A, _pairs(args.pairs, A.size))
+    part = cg(A, _pairs(args.pairs, A.size, "--pairs"))
     _emit(args, {"partition": part.to_json_obj()}, f"{part.to_json_obj()}")
     return PASS
 
@@ -193,7 +195,7 @@ def cmd_complex(args) -> int:
     elif args.preorder == "id":
         rel = {(i, i) for i in range(args.worlds)}
     else:
-        rel = {tuple(map(int, p.split(","))) for p in args.preorder.split(";")}
+        rel = _pairs(args.preorder, args.worlds, "--preorder")
     A = duality.complex_algebra(args.worlds, rel)
     rep = validate(A)
     obj = A.to_dict()
@@ -552,7 +554,7 @@ def main(argv=None) -> int:
     except PomaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE
 

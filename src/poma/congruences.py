@@ -51,10 +51,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import islice
 from operator import and_
 from typing import Iterable, Optional
 
-from .algebras import FiniteAlgebra, ModalAlgebra, _bits, validate
+from .algebras import FiniteAlgebra, ModalAlgebra, _bits, _reach, _unions, validate
 from .errors import BudgetError, PreconditionError
 
 
@@ -140,19 +141,15 @@ def _generators(A: FiniteAlgebra) -> tuple[int, ...]:
     join-irreducible: everything reachable from k (module docstring)."""
     lat = A.lattice.require()
     box, dia = A.box, A.diamond
-    reach = []
+    edges = []
     for low, j in zip(lat.lower_covers, lat.join_irreducibles):
-        edges = 0                       # x = bottom gives the pair itself
+        out = 0                         # x = bottom gives the pair itself
         for a, b in zip(lat.join[low], lat.join[j]):
             if a != b:
-                edges |= (_span(lat, a, b) | _span(lat, box[a], box[b])
-                          | _span(lat, dia[a], dia[b]))
-        reach.append(edges)
-    for i, via in enumerate(reach):             # Warshall's transitive closure
-        for k, mask in enumerate(reach):
-            if mask >> i & 1:
-                reach[k] = mask | via
-    return tuple(reach)
+                out |= (_span(lat, a, b) | _span(lat, box[a], box[b])
+                        | _span(lat, dia[a], dia[b]))
+        edges.append(out)
+    return _reach(edges)
 
 
 def _partition(A: FiniteAlgebra, mask: int) -> Partition:
@@ -208,21 +205,14 @@ def principal_congruences(A: FiniteAlgebra) -> tuple[Partition, ...]:
 
 @lru_cache(maxsize=None)
 def _con_ids(A: FiniteAlgebra, max_congruences: int) -> tuple[int, ...]:
-    """All congruences as masks: the unions of the generators, built one
-    generator at a time."""
-    found = [0]
-    seen = {0}
-    for g in dict.fromkeys(_generators(A)):
-        for i in range(len(found)):
-            mask = found[i] | g
-            if mask not in seen:
-                seen.add(mask)
-                found.append(mask)
-                if len(found) > max_congruences:
-                    raise BudgetError(
-                        f"congruence lattice exceeds {max_congruences} members",
-                        partial=len(found))
-    return tuple(found)
+    """All congruences as masks: the unions of the generators.  The identity
+    is always admitted; BudgetError past ``max_congruences`` members."""
+    limit = max(max_congruences, 1)
+    found = tuple(islice(_unions(_generators(A)), limit + 1))
+    if len(found) > limit:
+        raise BudgetError(f"congruence lattice exceeds {max_congruences} members",
+                          partial=len(found))
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -363,13 +353,13 @@ class CepResult:
         return self.has_cep
 
 
-def has_cep(A: FiniteAlgebra, max_subuniverses: int = 10_000) -> CepResult:
+def has_cep(A: FiniteAlgebra) -> CepResult:
     """Check the congruence extension property over every subalgebra: each
     congruence of a subalgebra must be the trace of a congruence of A."""
     from .morphisms import subalgebra_from_universe, subuniverses
 
     join_masks, con_a = A.lattice.require().join_masks, _con_ids(A, 100_000)
-    for universe in subuniverses(A, limit=max_subuniverses):
+    for universe in subuniverses(A):
         if len(universe) == A.size:
             continue
         sub, embed = subalgebra_from_universe(A, universe)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .algebras import FiniteAlgebra, chain_order, powerset
+from .algebras import FiniteAlgebra, _reach, chain_order, powerset
 from .errors import PomaError
 
 
@@ -20,20 +20,9 @@ def _chain(box, diamond, name):
 
 
 def _from_covers(n, covers, box, diamond, name):
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for lo, hi in covers:
-        leq[lo][hi] = True
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if leq[i][j]:
-                    for k in range(n):
-                        if leq[j][k] and not leq[i][k]:
-                            leq[i][k] = True
-                            changed = True
-    return FiniteAlgebra.make(leq, box, diamond, name)
+    up = _reach([sum(1 << hi for lo, hi in covers if lo == x) for x in range(n)])
+    leq = tuple(tuple(bool(u >> j & 1) for j in range(n)) for u in up)
+    return FiniteAlgebra(n, leq, tuple(box), tuple(diamond), name)
 
 
 def _boolean(n_atoms, box_of_mask, name):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .algebras import FiniteAlgebra, downset_masks, subset_order, validate
+from .algebras import FiniteAlgebra, _reach, downset_masks, subset_order, validate
 from .errors import BudgetError, PreconditionError
 from .morphisms import (canonical_form, closure_universe, extend_hom,
                         si_quotients)
@@ -40,6 +40,8 @@ def free_over(basis: Sequence[FiniteAlgebra], n: int,
     basis = tuple(basis)
     if not basis:
         raise PreconditionError("free_over needs at least one basis algebra")
+    if n < 0:
+        raise PreconditionError(f"rank {n}: the rank must be >= 0")
     coords: list[tuple[FiniteAlgebra, tuple[int, ...]]] = []
     for A in basis:
         for v in itertools.product(range(A.size), repeat=n):
@@ -113,16 +115,9 @@ def sigma_terms() -> list[Term]:
 _FACT52_EDGES = ((1, 3), (3, 5), (3, 2), (5, 6), (2, 6), (6, 4), (1, 0), (0, 4))
 
 
-def _fact52_leq() -> tuple[tuple[bool, ...], ...]:
-    leq = [[i == j for j in range(7)] for i in range(7)]
-    for a, b in _FACT52_EDGES:
-        leq[a][b] = True
-    for k in range(7):
-        for i in range(7):
-            for j in range(7):
-                if leq[i][k] and leq[k][j]:
-                    leq[i][j] = True
-    return tuple(tuple(row) for row in leq)
+# the landmark order: the reflexive-transitive closure of the edges
+_FACT52_LEQ = tuple(tuple(bool(up >> j & 1) for j in range(7)) for up in _reach(
+    [sum(1 << b for a, b in _FACT52_EDGES if a == x) for x in range(7)]))
 
 
 def fact52_check(B: FiniteAlgebra, b: int) -> bool:
@@ -131,9 +126,8 @@ def fact52_check(B: FiniteAlgebra, b: int) -> bool:
     if not validate(B).is_ps4:
         raise PreconditionError("the landmark diagram is asserted for positive S4-algebras")
     values = [eval_term(B, t, {"x": b}) for t in sigma_terms()]
-    expected = _fact52_leq()
     return all(B.leq[values[i]][values[j]]
-               for i in range(7) for j in range(7) if expected[i][j])
+               for i in range(7) for j in range(7) if _FACT52_LEQ[i][j])
 
 
 # -- the free one-generated positive S4-algebra ----------------------------------
@@ -148,8 +142,7 @@ def figure1_algebra() -> FreeAlgebraResult:
     fixed-point chains bottom < [box x] < [box dia box x] < [box dia x] < top
     and bottom < [dia box x] < [dia box dia x] < [dia x] < top.  The battery
     in verify_figure1 guards this transcription."""
-    p_leq = _fact52_leq()
-    points = downset_masks(tuple(zip(*p_leq)))      # prime-filter skeleton (upsets)
+    points = downset_masks(tuple(zip(*_FACT52_LEQ)))      # prime-filter skeleton (upsets)
     carrier = downset_masks(tuple(zip(*subset_order(points))))
     index = {u: i for i, u in enumerate(carrier)}
     n = len(carrier)
@@ -229,9 +222,8 @@ def verify_figure1(enum_bound: int = 6) -> Figure1Report:
                    + (f"; failures {failures[:3]}" if failures else "")))
 
     values = [eval_term(F, t, {"x": gen}) for t in sigma_terms()]
-    expected_leq = _fact52_leq()
     exact = len(set(values)) == 7 and all(
-        F.leq[values[i]][values[j]] == expected_leq[i][j]
+        F.leq[values[i]][values[j]] == _FACT52_LEQ[i][j]
         for i in range(7) for j in range(7))
     stages.append(("e: landmark subposet", exact,
                    f"values {values}"))

@@ -51,6 +51,11 @@ from .algebras import FiniteAlgebra
 from .congruences import Partition, _cmi_masks, is_congruence
 from .errors import BudgetError, PreconditionError
 
+# search budgets: past them the search raises BudgetError
+MAX_SUBUNIVERSES = 10_000           # subuniverses found
+HOM_BUDGET = 1_000_000              # candidate maps tried by homs
+SEARCH_CAP = 50_000                 # leaves of the canonical-form search
+
 
 @dataclass(frozen=True)
 class Hom:
@@ -120,7 +125,7 @@ def closure_universe(A: FiniteAlgebra, gens: Iterable[int]) -> frozenset[int]:
     return frozenset(_close(A, members, list(members)))
 
 
-def subuniverses(A: FiniteAlgebra, limit: int = 10_000) -> list[tuple[int, ...]]:
+def subuniverses(A: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All subuniverses, found by growing closed sets one generator at a time."""
     queue = [closure_universe(A, ())]
     seen = set(queue)
@@ -132,8 +137,8 @@ def subuniverses(A: FiniteAlgebra, limit: int = 10_000) -> list[tuple[int, ...]]
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
-                    if len(seen) > limit:
-                        raise BudgetError(f"more than {limit} subuniverses")
+                    if len(seen) > MAX_SUBUNIVERSES:
+                        raise BudgetError(f"more than {MAX_SUBUNIVERSES} subuniverses")
     return sorted((tuple(sorted(u)) for u in seen), key=lambda u: (len(u), u))
 
 
@@ -270,8 +275,7 @@ def extend_hom(A: FiniteAlgebra, B: FiniteAlgebra,
     return tuple(g) if _is_hom(A, B, g) else None
 
 
-def homs(A: FiniteAlgebra, B: FiniteAlgebra, seed: dict[int, int] | None = None,
-         budget: int = 1_000_000) -> list[Hom]:
+def homs(A: FiniteAlgebra, B: FiniteAlgebra, seed: dict[int, int] | None = None) -> list[Hom]:
     """All homomorphisms from A to B (extending the optional partial map),
     enumerated deterministically via a generating set of A."""
     gens = [g for g in generating_set(A) if not seed or g not in seed]
@@ -280,8 +284,8 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, seed: dict[int, int] | None = None,
     tried = 0
     for combo in itertools.product(range(B.size), repeat=len(gens)):
         tried += 1
-        if tried > budget:
-            raise BudgetError(f"hom search exceeded {budget} candidates")
+        if tried > HOM_BUDGET:
+            raise BudgetError(f"hom search exceeded {HOM_BUDGET} candidates")
         attempt = dict(base)
         attempt.update(zip(gens, combo))
         mapping = extend_hom(A, B, attempt)
@@ -290,9 +294,8 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, seed: dict[int, int] | None = None,
     return out
 
 
-def embeddings(A: FiniteAlgebra, B: FiniteAlgebra,
-               budget: int = 1_000_000) -> list[Hom]:
-    return [h for h in homs(A, B, budget=budget) if h.is_injective]
+def embeddings(A: FiniteAlgebra, B: FiniteAlgebra) -> list[Hom]:
+    return [h for h in homs(A, B) if h.is_injective]
 
 
 def is_retract(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
@@ -379,14 +382,11 @@ def _least_leaves(n, leq, box, dia, cap) -> tuple[tuple, list[tuple[int, ...]]]:
     return best, least
 
 
-SEARCH_CAP = 50_000                 # leaves before the search raises BudgetError
-
-
 @lru_cache(maxsize=None)
-def canonical_form(A: FiniteAlgebra, cap: int = SEARCH_CAP) -> tuple:
+def canonical_form(A: FiniteAlgebra) -> tuple:
     """Isomorphism-invariant encoding: minimum relabelled serialization over
     the orderings produced by colour refinement with individualization."""
-    return _least_leaves(A.size, A.leq, A.box, A.diamond, cap)[0]
+    return _least_leaves(A.size, A.leq, A.box, A.diamond, SEARCH_CAP)[0]
 
 
 def automorphisms(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
@@ -447,14 +447,14 @@ def si_quotients(A: FiniteAlgebra) -> tuple[FiniteAlgebra, ...]:
 
 
 @lru_cache(maxsize=None)
-def hs_si(A: FiniteAlgebra, max_subuniverses: int = 10_000) -> tuple[FiniteAlgebra, ...]:
+def hs_si(A: FiniteAlgebra) -> tuple[FiniteAlgebra, ...]:
     """Subdirectly irreducible members of HS(A) up to isomorphism, as
     :func:`si_quotients` sorts them.  For the lattice-based algebras here
     this is the subdirectly irreducible part of the variety generated by A."""
     out: dict[tuple, FiniteAlgebra] = {}
     subs: set[tuple] = set()
     seen: set[tuple] = set()
-    for universe in subuniverses(A, limit=max_subuniverses):
+    for universe in subuniverses(A):
         tables = _subalgebra_tables(A, universe)
         if tables not in subs:
             subs.add(tables)

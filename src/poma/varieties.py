@@ -167,26 +167,26 @@ def _label_for(A: FiniteAlgebra) -> str:
     return f"<{A.size}-element {A.to_json()}>"
 
 
-def theorem610_battery(max_size: int = 8, cache_dir=None, resume=False) -> BatteryReport:
+def theorem610_battery(max_size: int = 8) -> BatteryReport:
     """Every enumerated subdirectly irreducible PS4 algebra (up to the bound)
     satisfying both operator-idempotence equations must be C2 or D4."""
     from .enumeration import EnumerationTask, enum_algebras
     task = EnumerationTask("PS4", max_size, si_only=True,
                            satisfying=(EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT))
-    found = enum_algebras(task, cache_dir=cache_dir, resume=resume)
+    found = enum_algebras(task)
     allowed = {canonical_form(corpus("C2")), canonical_form(corpus("D4"))}
     witnesses = tuple(sorted(_label_for(A) for A in found))
     passed = {canonical_form(A) for A in found} <= allowed
     return BatteryReport(passed, max_size, witnesses)
 
 
-def lemma92_battery(max_size: int = 6, cache_dir=None, resume=False) -> BatteryReport:
+def lemma92_battery(max_size: int = 6) -> BatteryReport:
     """Every enumerated subdirectly irreducible PMA algebra satisfying
     box x ~ 1 and dia x ~ 0 must be the two-element collapsed algebra."""
     from .enumeration import EnumerationTask, enum_algebras
     task = EnumerationTask("PMA", max_size, si_only=True,
                            satisfying=(EQ_BOX_ONE, EQ_DIA_ZERO))
-    found = enum_algebras(task, cache_dir=cache_dir, resume=resume)
+    found = enum_algebras(task)
     allowed = {canonical_form(corpus("B2"))}
     witnesses = tuple(sorted(_label_for(A) for A in found))
     passed = {canonical_form(A) for A in found} <= allowed

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -168,6 +169,22 @@ def test_json_round_trip_holds_for_canonical_output():
 def test_json_key_order_fixed():
     obj = json.loads(corpus("C3a").to_json())
     assert list(obj) == ["size", "leq", "box", "diamond", "name"]
+
+
+def test_corpus_json_is_pinned():
+    """sha256 over to_json() of every corpus spec, one line each, the
+    parametric ones at every allowed parameter.  The digest was taken from
+    the code before the corpus orders and F1_PS4's landmark order came from
+    the shared reach closure; it guards those orders and F1_PS4's element
+    order."""
+    from poma.corpus import CORPUS_NAMES
+    lowest = {"EX46": 3, "AN_SIMPLE": 2, "AN_MINUS": 1}
+    digest = hashlib.sha256()
+    for name in CORPUS_NAMES:
+        for parameter in range(lowest[name], 7) if name in lowest else (None,):
+            digest.update(corpus(name, parameter).to_json().encode() + b"\n")
+    assert digest.hexdigest() == \
+        "c4572a8dd66cf6f36f2c52787e30bd959407976a33d14478f490656d0d1a0949"
 
 
 def test_corpus_name_handling():

@@ -168,7 +168,7 @@ def test_complex_rejects_worlds_outside_the_frame(capsys):
     # a negative count or a lone world crashed (exit 1); a successor past the
     # last world gave an algebra in which that world could never be boxed (exit 0)
     for worlds, preorder in (("-1", "id"), ("2", "0,5"), ("2", "2,0"), ("2", "0,-1"),
-                             ("2", "1")):
+                             ("2", "1"), ("2", "x,y"), ("2", "0,1;")):
         code, out, err = run(capsys, "complex", "--worlds", worlds, "--preorder", preorder)
         assert (code, out) == (2, "") and err.startswith("error: "), (worlds, preorder)
 
@@ -303,6 +303,34 @@ def test_malformed_json_file_is_usage_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == (f"error: {path} is not valid JSON: "
                    "Expecting value: line 1 column 1 (char 0)\n")
+
+
+ALGEBRA = {"size": 2, "leq": [[1, 1], [0, 1]], "box": [0, 1], "diamond": [0, 1]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "--file", "{dir}"],
+    ["show", "--file", "{binary}"],
+    ["validate", "--file", "{leq_scalar}"],
+    ["validate", "--file", "{leq_null}"],
+    ["validate", "--file", "{name_int}"],
+    ["free", "--gens", "D4", "--rank", "-1"],
+    ["enumerate", "--kind", "PS4", "--max-size", "2", "--cache", "{regular}"],
+], ids=["file-is-dir", "file-not-text", "leq-scalar", "leq-null", "name-int",
+        "negative-rank", "cache-is-file"])
+def test_bad_input_is_usage_error_not_false(tmp_path, capsys, argv):
+    # each of these raised an uncaught exception, exit 1, which reads as false
+    files = {"dir": tmp_path / "d", "binary": tmp_path / "b.json",
+             "leq_scalar": tmp_path / "s.json", "leq_null": tmp_path / "n.json",
+             "name_int": tmp_path / "i.json", "regular": tmp_path / "r"}
+    files["dir"].mkdir()
+    files["binary"].write_bytes(b"\xff\xfe\x00\x81")
+    files["leq_scalar"].write_text(json.dumps({**ALGEBRA, "leq": 5}))
+    files["leq_null"].write_text(json.dumps({**ALGEBRA, "leq": None}))
+    files["name_int"].write_text(json.dumps({**ALGEBRA, "name": 5}))
+    files["regular"].write_text("")
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out) == (2, "") and err.startswith("error: "), err
 
 
 def test_budget_exit_code(capsys):

@@ -2,11 +2,18 @@
 interning: one lattice per distinct order, freed with its last algebra."""
 import gc
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
+import poma
 from poma import FiniteAlgebra, corpus
-from poma.algebras import Lattice, chain_order, downset_masks, downsets
+from poma.algebras import (Lattice, _reach, _unions, chain_order, closed_masks,
+                           downset_masks, downsets)
 
 from conftest import (oracle_covers, oracle_derive_order, oracle_downsets,
                       oracle_join_irreducibles, oracle_meet_irreducibles)
@@ -121,3 +128,63 @@ def test_lattice_is_dropped_with_its_last_algebra():
     gc.collect()
     assert ref() is None
     assert leq not in Lattice._interned
+
+
+def _oracle_reach(edges):
+    """x and every point some path x -> edges[x] -> ... reaches, by search."""
+    out = []
+    for x in range(len(edges)):
+        seen, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for z in range(len(edges)):
+                if edges[y] >> z & 1 and z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+        out.append(sum(1 << z for z in seen))
+    return out
+
+
+def test_reach_unions_and_closed_masks_match_brute_force_on_seven_to_ten_points():
+    # most of these relations are neither reflexive nor transitive
+    rng = random.Random(15)
+    for n in range(7, 11):
+        for density in (0.1, 0.2, 0.4):
+            for _ in range(2):
+                edges = [sum(1 << y for y in range(n) if rng.random() < density)
+                         for _ in range(n)]
+                reach = _reach(edges)
+                assert list(reach) == _oracle_reach(edges), edges
+                unions = list(_unions(reach))
+                subsets = {0}
+                for m in reach:
+                    subsets |= {s | m for s in subsets}
+                assert unions[0] == 0 and len(unions) == len(set(unions)), edges
+                assert set(unions) == subsets, edges
+                leq = tuple(tuple(bool(edges[j] >> i & 1) for j in range(n))
+                            for i in range(n))
+                expected = oracle_downsets(leq)
+                assert [frozenset(i for i in range(n) if m >> i & 1)
+                        for m in closed_masks(edges)] == expected, edges
+                assert downset_masks(leq) == closed_masks(edges), edges
+
+
+def test_unions_keep_the_order_of_one_pass_per_distinct_member():
+    family = (0b0011, 0b0100, 0b0011, 0b1000, 0b0110)
+    assert list(_unions(family)) == [0, 0b0011, 0b0100, 0b0111, 0b1000, 0b1011,
+                                     0b1100, 0b1111, 0b0110, 0b1110]
+
+
+def test_downsets_of_a_forty_chain_are_listed_without_a_table_over_all_subsets():
+    """A chain of 40 has 41 downsets.  The child process runs under a 1 GiB
+    address-space limit, so a table over all 2^40 subsets fails there
+    instead of filling the machine's memory."""
+    limit = 1 << 30
+    src = str(Path(poma.__file__).resolve().parents[1])
+    code = ("from poma.algebras import chain_order, downset_masks\n"
+            "print(downset_masks(chain_order(40)) == [(1 << k) - 1 for k in range(41)])")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr

@@ -189,7 +189,7 @@ def test_variety_membership_of_products():
 def test_battery_labels_surface_budget_errors(monkeypatch):
     import poma.varieties as varieties
 
-    def over_budget(A, cap=50_000):
+    def over_budget(A):
         raise BudgetError("canonical form over budget")
 
     monkeypatch.setattr(varieties, "canonical_form", over_budget)
