@@ -94,6 +94,8 @@ def classify_quasi(V: VarietyHandle, q: QuasiEquation,
     of rank <= max_free_rank: a failure there is a sound refutation, passing
     is bounded evidence only.  Activity searches those same free algebras for
     an assignment making every premise hold."""
+    if max_free_rank < 0:
+        raise PreconditionError(f"free rank {max_free_rank}: the bound must be >= 0")
     if V.generators and not V.is_trivial:
         valid = all(holds_quasi(g, q) for g in V.generators)
     else:

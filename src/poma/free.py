@@ -31,70 +31,118 @@ class FreeAlgebraResult:
         return obj
 
 
+# Dedekind numbers M(0)..M(8): the sizes of the free bounded distributive
+# lattices on 0..8 generators
+_DEDEKIND = (2, 3, 6, 20, 168, 7_581, 7_828_354, 2_414_682_040_998,
+             56_130_437_228_687_557_907_788)
+
+
 def free_over(basis: Sequence[FiniteAlgebra], n: int,
               max_size: int = 20_000) -> FreeAlgebraResult:
     """Free n-generated algebra over the quasi-variety generated by `basis`:
     the subalgebra of the product of all `A^(A^n)` generated by the n
-    projection tuples.  Elements are represented as value vectors, one
-    coordinate per (algebra, assignment) pair."""
+    projection tuples, one coordinate per (algebra, assignment) pair.
+
+    Encoding.  In a finite distributive lattice, x -> {join-irreducibles <= x}
+    is a 0,1-lattice embedding (Birkhoff), so ``join_masks`` turns meet into
+    AND and join into OR.  Coordinate c holds ``join_masks[x_c]`` in a slot of
+    len(J(A_c)) bits at a fixed shift, so an element is one int: meet and
+    join are ``&`` and ``|``, and box and diamond map each slot's mask through
+    a table.  In a lattice that is not distributive OR is not the join, so a
+    basis algebra whose lattice is not distributive raises PreconditionError.
+    The elements come out in the order of their value vectors, and u <= w iff
+    ``u & ~w == 0``.
+
+    Closure.  The pool holds every join of members of ``meets``, and the
+    meet of two members is in the pool; by distributivity the pool is then
+    closed under meet and join.  An element g not in the pool becomes a
+    member with its meets with the members that are not in the pool, and the
+    pool takes the joins of what it holds with the new members, layer by
+    layer.  The work is about |F| times the number of members rather than
+    |F|^2.  Each element gets its box and diamond once; one not in the pool
+    is a new g.
+
+    Budget.  If some basis algebra A has two elements or more, then |F| is at
+    least the Dedekind number M(n).  On the coordinates (A, v) with v in
+    {0, 1}^n, the bounds and the generators are the constant and projection
+    functions {0, 1}^n -> {0, 1}, and {0, 1} is a sublattice of A; under meet
+    and join alone they give every monotone Boolean function of n variables
+    (its disjunctive normal form), M(n) of them.  So F maps onto a set of
+    M(n) values there, and a rank whose M(n) exceeds ``max_size`` (M(8) for
+    every n >= 8, as M grows) raises BudgetError before any coordinate is
+    built.  Otherwise BudgetError comes when the closure passes ``max_size``
+    elements."""
     basis = tuple(basis)
     if not basis:
         raise PreconditionError("free_over needs at least one basis algebra")
     if n < 0:
         raise PreconditionError(f"rank {n}: the rank must be >= 0")
-    coords: list[tuple[FiniteAlgebra, tuple[int, ...]]] = []
-    for A in basis:
+    lats = [A.lattice.require() for A in basis]
+    for A, lat in zip(basis, lats):
+        witness = lat.distributivity_witness()
+        if witness is not None:
+            raise PreconditionError(f"{A.name or '?'}: free_over needs a distributive"
+                                    f" lattice, distributivity fails at {witness}")
+    if max(A.size for A in basis) > 1 and _DEDEKIND[min(n, 8)] > max_size:
+        raise BudgetError(f"free algebra exceeds {max_size} elements: rank {n} gives"
+                          f" at least M({min(n, 8)}) = {_DEDEKIND[min(n, 8)]}")
+
+    boxes, dias, decodes = [], [], []      # (shift, slot mask, table) per coordinate
+    gens = [0] * n
+    shift = 0
+    for A, lat in zip(basis, lats):
+        masks, full = lat.join_masks, (1 << len(lat.join_irreducibles)) - 1
+        box = {m: masks[y] for m, y in zip(masks, A.box)}
+        dia = {m: masks[y] for m, y in zip(masks, A.diamond)}
+        decode = {m: x for x, m in enumerate(masks)}
         for v in itertools.product(range(A.size), repeat=n):
-            coords.append((A, v))
+            for i, x in enumerate(v):
+                gens[i] |= masks[x] << shift
+            boxes.append((shift, full, box))
+            dias.append((shift, full, dia))
+            decodes.append((shift, full, decode))
+            shift += full.bit_length()
 
-    lats = [A.lattice.require() for A, _ in coords]
-    meets, joins = [lat.meet for lat in lats], [lat.join for lat in lats]
-    bot = tuple(lat.bottom for lat in lats)
-    top = tuple(lat.top for lat in lats)
-    gens = [tuple(v[i] for _, v in coords) for i in range(n)]
+    def image(e, slots):
+        return sum([table[e >> s & f] << s for s, f, table in slots])
 
-    def vbox(vec):
-        return tuple(A.box[x] for (A, _), x in zip(coords, vec))
+    pool: set[int] = set()
+    meets: list[int] = []
+    boxed, dia_of = {}, {}
+    pending = [0, (1 << shift) - 1, *gens]      # bottom, top, generators
+    while pending:
+        g = pending.pop()
+        if g in pool:
+            continue
+        new = {g & m for m in meets}
+        new.add(g)
+        new -= pool
+        meets += new
+        found = set()
+        layer = new.union(*[{e | m for e in pool} for m in new])
+        while layer:
+            layer -= pool
+            layer -= found
+            found |= layer
+            # past the Dedekind check the n + 2 seeds fit the budget, so it
+            # runs out at max_size + 1 in any order of the closure
+            if len(pool) + len(found) > max_size:
+                raise BudgetError(f"free algebra exceeds {max_size} elements",
+                                  partial=max_size + 1)
+            layer = {e | m for e in layer for m in new}
+        pool |= found
+        for e in found:
+            boxed[e], dia_of[e] = image(e, boxes), image(e, dias)
+            pending += (boxed[e], dia_of[e])
 
-    def vdia(vec):
-        return tuple(A.diamond[x] for (A, _), x in zip(coords, vec))
-
-    def vmeet(u, w):
-        return tuple(meet[x][y] for meet, x, y in zip(meets, u, w))
-
-    def vjoin(u, w):
-        return tuple(join[x][y] for join, x, y in zip(joins, u, w))
-
-    pool: dict[tuple, None] = {}
-    frontier = []
-    for vec in [bot, top, *gens]:
-        if vec not in pool:
-            pool[vec] = None
-            frontier.append(vec)
-    while frontier:
-        x = frontier.pop()
-        fresh = [vbox(x), vdia(x)]
-        for y in list(pool):
-            fresh.append(vmeet(x, y))
-            fresh.append(vjoin(x, y))
-        for vec in fresh:
-            if vec not in pool:
-                pool[vec] = None
-                frontier.append(vec)
-                if len(pool) > max_size:
-                    raise BudgetError(
-                        f"free algebra exceeds {max_size} elements",
-                        partial=len(pool))
-
-    elems = sorted(pool)
-    pos = {vec: i for i, vec in enumerate(elems)}
-    size = len(elems)
-    leq = tuple(tuple(all(A.leq[x][y] for (A, _), x, y in zip(coords, u, w))
-                      for w in elems) for u in elems)
-    box = tuple(pos[vbox(vec)] for vec in elems)
-    dia = tuple(pos[vdia(vec)] for vec in elems)
+    elems = sorted(pool, key=lambda e: [table[e >> s & f] for s, f, table in decodes])
+    pos = {e: i for i, e in enumerate(elems)}
+    outside = [~w for w in elems]
+    leq = tuple([tuple([not u & o for o in outside]) for u in elems])
+    box = tuple(pos[boxed[e]] for e in elems)
+    dia = tuple(pos[dia_of[e]] for e in elems)
     label = ",".join(a.name or "?" for a in basis)
-    algebra = FiniteAlgebra(size, leq, box, dia, f"F({label};{n})")
+    algebra = FiniteAlgebra(len(elems), leq, box, dia, f"F({label};{n})")
     return FreeAlgebraResult(algebra, tuple(pos[g] for g in gens), basis)
 
 

@@ -1,18 +1,38 @@
 """Shared fixtures and independent brute-force oracles used by the tests."""
 import itertools
+import os
+import resource
+import subprocess
+import sys
 from functools import reduce
 from operator import and_
+from typing import Sequence
 
 import pytest
 
+import poma
 from poma import FiniteAlgebra, Partition, ValidationReport, corpus, validate
 from poma.congruences import _con_ids, _generators, cmi_congruences, is_fsi, is_si
 from poma.duality import DualSpace
 from poma.enumeration import _enumerate_size, _mixed_axioms_hold, canonical_poset, enum_bdl
 from poma.errors import BudgetError, PomaError, PreconditionError
+from poma.free import FreeAlgebraResult
 from poma.morphisms import (Hom, canonical_algebra, canonical_form, quotient,
                             subalgebra_from_universe, subuniverses)
 from poma.terms import equation_variables, holds_eq
+
+
+def run_capped(code):
+    """Run ``code`` in a child interpreter that imports this checkout's
+    poma, under a 1 GiB address-space limit: a test of a bounded-memory path
+    then fails there instead of filling the machine's memory when the bound
+    is lost."""
+    limit = 1 << 30
+    src = os.path.dirname(os.path.dirname(os.path.abspath(poma.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
 
 def oracle_derive_order(leq):
@@ -807,3 +827,72 @@ def oracle_holds_pos_exist(A, s):
     return any(all(any(oracle_eq_holds_under(A, e, asg) for e in clause)
                    for clause in s.matrix)
                for asg in oracle_assignments(A, s.variables))
+
+
+# -- free algebras: the value-vector closure the join-irreducible masks replaced --
+
+def oracle_free_over(basis: Sequence[FiniteAlgebra], n: int,
+                     max_size: int = 20_000) -> FreeAlgebraResult:
+    """Free n-generated algebra over the quasi-variety generated by `basis`:
+    the subalgebra of the product of all `A^(A^n)` generated by the n
+    projection tuples.  Elements are represented as value vectors, one
+    coordinate per (algebra, assignment) pair."""
+    basis = tuple(basis)
+    if not basis:
+        raise PreconditionError("free_over needs at least one basis algebra")
+    if n < 0:
+        raise PreconditionError(f"rank {n}: the rank must be >= 0")
+    coords: list[tuple[FiniteAlgebra, tuple[int, ...]]] = []
+    for A in basis:
+        for v in itertools.product(range(A.size), repeat=n):
+            coords.append((A, v))
+
+    lats = [A.lattice.require() for A, _ in coords]
+    meets, joins = [lat.meet for lat in lats], [lat.join for lat in lats]
+    bot = tuple(lat.bottom for lat in lats)
+    top = tuple(lat.top for lat in lats)
+    gens = [tuple(v[i] for _, v in coords) for i in range(n)]
+
+    def vbox(vec):
+        return tuple(A.box[x] for (A, _), x in zip(coords, vec))
+
+    def vdia(vec):
+        return tuple(A.diamond[x] for (A, _), x in zip(coords, vec))
+
+    def vmeet(u, w):
+        return tuple(meet[x][y] for meet, x, y in zip(meets, u, w))
+
+    def vjoin(u, w):
+        return tuple(join[x][y] for join, x, y in zip(joins, u, w))
+
+    pool: dict[tuple, None] = {}
+    frontier = []
+    for vec in [bot, top, *gens]:
+        if vec not in pool:
+            pool[vec] = None
+            frontier.append(vec)
+    while frontier:
+        x = frontier.pop()
+        fresh = [vbox(x), vdia(x)]
+        for y in list(pool):
+            fresh.append(vmeet(x, y))
+            fresh.append(vjoin(x, y))
+        for vec in fresh:
+            if vec not in pool:
+                pool[vec] = None
+                frontier.append(vec)
+                if len(pool) > max_size:
+                    raise BudgetError(
+                        f"free algebra exceeds {max_size} elements",
+                        partial=len(pool))
+
+    elems = sorted(pool)
+    pos = {vec: i for i, vec in enumerate(elems)}
+    size = len(elems)
+    leq = tuple(tuple(all(A.leq[x][y] for (A, _), x, y in zip(coords, u, w))
+                      for w in elems) for u in elems)
+    box = tuple(pos[vbox(vec)] for vec in elems)
+    dia = tuple(pos[vdia(vec)] for vec in elems)
+    label = ",".join(a.name or "?" for a in basis)
+    algebra = FiniteAlgebra(size, leq, box, dia, f"F({label};{n})")
+    return FreeAlgebraResult(algebra, tuple(pos[g] for g in gens), basis)

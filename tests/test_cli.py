@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import run_capped
 from poma import corpus
 from poma.cli import main
 
@@ -179,6 +180,48 @@ def test_free_commands(capsys):
     assert code == 0 and obj["size"] == 5 and obj["generators"] == [2]
     code, out, _ = run(capsys, "freezero", "--gens", "D3")
     assert code == 0 and "C2" in out
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("free", "--gens", "D4", "--rank", "1"),
+     "6fb99a25060254710936867f7198e5266659247cb27260ebe258fad78d266a30"),
+    (("free", "--gens", "C2", "--rank", "3"),
+     "e24b17d83e671f49a59f2e6b68906f0154fe8a6e2cf5752d705751dfaeb4673e"),
+    (("free", "--gens", "C2", "--rank", "4"),
+     "69a752fbe6c20f5fcf967a8b794c02d1f85378c2a34e4b51d7138cad6ba8efc3"),
+    (("free", "--gens", "C3a,D3", "--rank", "1"),
+     "63dd326d5f2723c79fd0323eb080f9b5693b98585dcb3b6a0cf22fd8f7ee4b06"),
+    (("freezero", "--gens", "B2"),
+     "9cbc033d319d12b4eb2fb2cf234f5b92fb32a5768d75f9c258b825b63b6af306"),
+    (("freezero", "--gens", "D3,C3a"),
+     "ae9985e4ab7b6c20ff39a1b58ce22a7cbad5e901d788c6e0e1d6e5bcaa21fb6a"),
+], ids=["D4-1", "C2-3", "C2-4", "C3a-D3-1", "zero-B2", "zero-D3-C3a"])
+def test_free_commands_json_bytes(capsys, argv, digest):
+    """The --json stdout of free and freezero, pinned by its sha256 as
+    printed when the closure met and joined value vectors coordinate by
+    coordinate."""
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_free_rank_past_the_budget_exits_3_at_once():
+    """C2 at rank 24 has at least M(8) elements, far past the default
+    budget.  Its 2^24 coordinates were built first, and under this 1 GiB
+    address-space limit that died with MemoryError, exit 1."""
+    proc = run_capped("import sys\nfrom poma.cli import main\n"
+                      "sys.exit(main(['free', '--gens', 'C2', '--rank', '24']))")
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr == ("budget exhausted: free algebra exceeds 20000 elements: rank 24"
+                           " gives at least M(8) = 56130437228687557907788\n")
+
+
+def test_negative_free_rank_is_usage_error(capsys):
+    # exit 0 with "bound":-3 and "admissible_up_to_bound":true, no free algebra checked
+    code, out, err = run(capsys, "quasi", "classify", "--gens", "B2", "--quasi",
+                         "x ~ dia x => x ~ 0", "--free-rank", "-3", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: free rank -3: the bound must be >= 0\n"
 
 
 def test_enumerate_stream(capsys):

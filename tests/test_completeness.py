@@ -35,6 +35,12 @@ def test_classify_quasi_passive_premise():
     assert not cls2.active and cls2.activity_status == "PassiveUpTo(2)"
 
 
+def test_classify_quasi_refuses_a_negative_rank_bound():
+    # it reported "admissible up to -1" with no free algebra checked
+    with pytest.raises(PreconditionError):
+        classify_quasi(V("B2"), parse_quasi("x ~ dia x => x ~ 0"), max_free_rank=-1)
+
+
 def test_classify_quasi_valid_in_d4():
     cls = classify_quasi(V("D4"), parse_quasi("box x ~ 1 => x ~ 1"))
     assert cls.valid and cls.status == "Valid"

@@ -1,11 +1,15 @@
 import itertools
+import random
 
 import pytest
 
-from poma import (Box, Join, Var, corpus, eval_term, fact52_check,
+from conftest import oracle_free_over, run_capped
+from poma import (Box, FiniteAlgebra, Join, Var, corpus, eval_term, fact52_check,
                   figure1_algebra, free_over, free_zero, holds_eq, is_iso,
                   is_well_connected, lemma53_growth, same_one_var_theory,
                   sigma_terms, verify_figure1)
+from poma.corpus import CORPUS_NAMES
+from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import BudgetError, PreconditionError
 from poma.free import build_phi
 from poma.morphisms import homs
@@ -93,6 +97,105 @@ def test_free_size_monotone_in_rank():
 def test_free_budget():
     with pytest.raises(BudgetError):
         free_over([corpus("D4")], 1, max_size=3)
+
+
+# the Dedekind numbers M(0)..M(4): sizes of the free bounded distributive
+# lattices on 0..4 generators
+DEDEKIND = (2, 3, 6, 20, 168)
+
+
+def _outcome(build, basis, n, max_size=20_000):
+    """What a free-algebra builder gives, as bytes: the algebra's JSON, its
+    generators, name and basis, or the partial count of its BudgetError."""
+    try:
+        fr = build(basis, n, max_size)
+    except BudgetError as exc:
+        return "budget", exc.partial
+    return fr.algebra.to_json(), fr.generators, fr.algebra.name, fr.basis
+
+
+def _enumerated(*kinds):
+    return [A for kind, max_size in kinds
+            for A in enum_algebras(EnumerationTask(kind, max_size))]
+
+
+def test_free_over_equals_the_value_vector_oracle_at_ranks_0_and_1():
+    lowest = {"EX46": 3, "AN_SIMPLE": 2, "AN_MINUS": 1}
+    algebras = _enumerated(("PS4", 6), ("PMA", 4), ("PK4", 5)) + [
+        corpus(name, parameter) for name in CORPUS_NAMES
+        for parameter in (range(lowest[name], 7) if name in lowest else (None,))]
+    for A in algebras:
+        for n in (0, 1):
+            assert _outcome(free_over, [A], n) == _outcome(oracle_free_over, [A], n), \
+                (A.name, A.to_json(), n)
+
+
+def test_free_over_equals_the_oracle_at_rank_2_on_random_bases():
+    rng = random.Random(16)
+    pool = _enumerated(("PS4", 4), ("PMA", 3))
+    outcomes = set()
+    for _ in range(30):
+        basis = rng.sample(pool, rng.randint(1, 3))
+        got = _outcome(free_over, basis, 2, 300)
+        assert got == _outcome(oracle_free_over, basis, 2, 300), \
+            [A.to_json() for A in basis]
+        outcomes.add(got[0] == "budget")
+    assert outcomes == {False, True}       # some bases fit the budget, some do not
+
+
+@pytest.mark.parametrize("names,n", [(("D4",), 1), (("C2",), 2), (("C3a", "D3"), 1),
+                                     (("B2",), 2), (("C2", "D4"), 1)])
+def test_budget_error_partial_matches_oracle(names, n):
+    """Every budget from the Dedekind bound up to the size: the closure runs
+    out at the same count as the oracle's, or both build the same algebra."""
+    basis = [corpus(name) for name in names]
+    size = oracle_free_over(basis, n).algebra.size
+    for budget in range(DEDEKIND[n], size + 1):
+        assert _outcome(free_over, basis, n, budget) == \
+            _outcome(oracle_free_over, basis, n, budget), budget
+
+
+def test_free_bounded_distributive_lattices_have_dedekind_sizes():
+    assert tuple(free_over([corpus("C2")], n).algebra.size for n in range(5)) == DEDEKIND
+
+
+def test_a_rank_past_the_dedekind_bound_fails_before_the_closure():
+    for n, bound in enumerate(DEDEKIND):
+        for budget in (0, bound - 1):
+            with pytest.raises(BudgetError, match=rf"at least M\({n}\) = {bound}$") as exc:
+                free_over([corpus("C2")], n, budget)
+            assert exc.value.partial is None
+
+
+def test_a_rank_too_large_for_the_budget_fails_at_once():
+    """Also when a trivial algebra sits beside C2 in the basis.  The child
+    runs under a 1 GiB address-space limit: building the 2^40 coordinates
+    first fails there instead of filling the machine's memory."""
+    proc = run_capped("from poma import corpus, free_over\n"
+                      "from poma.errors import BudgetError\n"
+                      "for names in (['C2'], ['trivial', 'C2']):\n"
+                      "    try:\n"
+                      "        free_over([corpus(name) for name in names], 40)\n"
+                      "    except BudgetError as exc:\n"
+                      "        print(exc, exc.partial)\n")
+    line = ("free algebra exceeds 20000 elements: rank 40 gives at least"
+            " M(8) = 56130437228687557907788 None\n")
+    assert (proc.returncode, proc.stdout) == (0, line * 2), proc.stderr
+
+
+def test_a_trivial_basis_has_no_dedekind_bound():
+    fr = free_over([corpus("trivial")], 40)
+    assert fr.algebra.size == 1 and fr.generators == (0,) * 40
+
+
+def test_a_basis_lattice_that_is_not_distributive_is_refused():
+    """M3 with identity operators: OR of join-irreducible masks is not its
+    join, so the mask closure would not be the generated subalgebra."""
+    leq = [[i == 0 or j == 4 or i == j for j in range(5)] for i in range(5)]
+    m3 = FiniteAlgebra.make(leq, range(5), range(5), "M3")
+    for basis, n in (([m3], 1), ([corpus("C2"), m3], 0)):
+        with pytest.raises(PreconditionError, match="M3: free_over needs a distributive"):
+            free_over(basis, n)
 
 
 def test_sigma_terms_shape():

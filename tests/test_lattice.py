@@ -2,21 +2,15 @@
 interning: one lattice per distinct order, freed with its last algebra."""
 import gc
 import itertools
-import os
 import random
-import resource
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
-import poma
 from poma import FiniteAlgebra, corpus
 from poma.algebras import (Lattice, _reach, _unions, chain_order, closed_masks,
                            downset_masks, downsets)
 
 from conftest import (oracle_covers, oracle_derive_order, oracle_downsets,
-                      oracle_join_irreducibles, oracle_meet_irreducibles)
+                      oracle_join_irreducibles, oracle_meet_irreducibles, run_capped)
 
 DEFECT_CODES = {None, "order-reflexive", "order-antisymmetric", "order-transitive",
                 "lattice-bottom", "lattice-top", "lattice-meet", "lattice-join"}
@@ -179,12 +173,7 @@ def test_downsets_of_a_forty_chain_are_listed_without_a_table_over_all_subsets()
     """A chain of 40 has 41 downsets.  The child process runs under a 1 GiB
     address-space limit, so a table over all 2^40 subsets fails there
     instead of filling the machine's memory."""
-    limit = 1 << 30
-    src = str(Path(poma.__file__).resolve().parents[1])
-    code = ("from poma.algebras import chain_order, downset_masks\n"
-            "print(downset_masks(chain_order(40)) == [(1 << k) - 1 for k in range(41)])")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    proc = run_capped(
+        "from poma.algebras import chain_order, downset_masks\n"
+        "print(downset_masks(chain_order(40)) == [(1 << k) - 1 for k in range(41)])")
     assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
