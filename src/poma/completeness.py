@@ -155,7 +155,7 @@ def is_psc(V: VarietyHandle) -> Verdict:
 
 # -- (hereditary) structural completeness --------------------------------------------
 
-def _sc_classification(V: VarietyHandle) -> Verdict:
+def is_sc_pk4(V: VarietyHandle) -> Verdict:
     _require_kind(V, "PK4")
     _require_nontrivial(V)
     for name in ("B2", "C2", "D4"):
@@ -180,12 +180,9 @@ def _sc_evidence(V: VarietyHandle, name: str) -> str:
     return "every si member embeds into the one-generated free algebra"
 
 
-def is_sc_pk4(V: VarietyHandle) -> Verdict:
-    return _sc_classification(V)
-
-
-def is_hsc_pk4(V: VarietyHandle) -> Verdict:
-    return _sc_classification(V)
+# SC and HSC coincide on PK4: every nontrivial subvariety of V(B2), V(C2) or
+# V(D4) is one of those three.
+is_hsc_pk4 = is_sc_pk4
 
 
 def asc_necessary(V: VarietyHandle) -> Verdict:
@@ -269,7 +266,7 @@ def open_problem_scan(max_size: int = 5) -> tuple[OpenProblemRow, ...]:
     for A in enum_algebras(EnumerationTask("PK4", max_size, si_only=True)):
         V = variety_of([A], f"V(<{A.size}-element>)")
         inside_ps4 = all(validate(g).is_ps4 for g in V.generators)
-        sc = _sc_classification(V)
+        sc = is_sc_pk4(V)
         if inside_ps4:
             asc = asc_necessary(V)
             asc_status = asc.status

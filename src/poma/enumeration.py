@@ -2,11 +2,12 @@
 distributive lattices, and their PMA/PK4/PS4 operator expansions.
 
 Lattices are generated through their posets of join-irreducibles (a finite
-bounded distributive lattice is the downset lattice of that poset).  PS4
-operator pairs are generated from pairs of 0,1-sublattices of fixed points;
-PMA/PK4 operator tables are generated from value assignments on the meet-
-resp. join-irreducible elements, which determine every meet- (join-)
-preserving table over a distributive lattice.
+bounded distributive lattice is the downset lattice of that poset), built
+level by level, one new maximal element at a time; one walk over the levels
+serves every number of points.  PS4 operator pairs are generated from pairs
+of 0,1-sublattices of fixed points; PMA/PK4 operator tables are generated
+from value assignments on the meet- resp. join-irreducible elements, which
+determine every meet- (join-) preserving table over a distributive lattice.
 
 Each isomorphism class is found once.  The lattices are pairwise
 non-isomorphic, and two algebras on one lattice L are isomorphic exactly when
@@ -25,12 +26,25 @@ pairs that pass, and only the pairs that pass both become algebras, to be
 sorted by canonical form and validated.  The output is the full list
 filtered, in order.  An equation holds or fails alike on a pair and on its
 conjugates under Aut(L), so each table filter removes whole orbits; each
-filter keeps the relative order of the tables, and ``seen`` is updated
-before any test runs, so every surviving orbit keeps the same first pair as
-its representative.  Sorting a subset by an injective key keeps its order.
-The SI and FSI tests then run on each size as it is produced.  Slices live
-in a bounded in-memory cache, one entry per kind, size and equations; a
-JSON-lines cache on disk always holds the full, unfiltered slice.
+filter keeps the relative order of the tables, and the orbit
+representatives are all chosen before any mixed test runs, so every
+surviving orbit keeps the same first pair as its representative.  Sorting
+a subset by an injective key keeps its order.  The SI and FSI tests then
+run on each size as it is produced.  Slices live in a bounded in-memory
+cache, one entry per kind, size and equations; a JSON-lines cache on disk
+always holds the full, unfiltered slice.
+
+An equation that mentions both operators is hoisted once per size: each
+maximal subterm without the diamond, and each maximal one without the box,
+becomes a fresh variable of a skeleton.  Evaluation is compositional, so
+the skeleton, with each fresh variable bound to the values of its subterm,
+has the values of the equation; and a subterm without the diamond has the
+same values on every pair that shares a box table (dually for the box).  So
+per block of assignments the diamond-side values are computed once per
+diamond table, the box-side values once per box, and only the skeleton
+once per pair: the pairs kept are exactly those a full evaluation keeps.
+The skeleton's leaves are all fresh variables, evaluated in an environment
+of their own, so no name of the equation can clash with them.
 """
 from __future__ import annotations
 
@@ -41,14 +55,16 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .algebras import BoolMatrix, FiniteAlgebra, downset_masks, subset_order, validate
 from .congruences import is_fsi, is_si
 from .errors import PomaError
 from .morphisms import _least_leaves, automorphisms, canonical_form, subuniverses
-from .terms import (Equation, Vectors, assignment_blocks, equation_variables, evaluate,
-                    holds_eq, term_kinds)
+from .terms import (Equation, Term, Var, Vectors, assignment_blocks, equation_variables,
+                    evaluate, holds_eq, term_kinds)
 
 KINDS = ("PMA", "PK4", "PS4")
 
@@ -64,8 +80,11 @@ class EnumerationTask:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PomaError(f"kind must be one of {KINDS}")
-        if self.max_size < 1:
-            raise PomaError("max_size must be >= 1")
+        if type(self.max_size) is not int or self.max_size < 1:
+            raise PomaError(f"max_size must be an int >= 1, not {self.max_size!r}")
+        if not (isinstance(self.satisfying, tuple)
+                and all(isinstance(e, Equation) for e in self.satisfying)):
+            raise PomaError("satisfying must be a tuple of Equation objects")
 
 
 # -- posets up to isomorphism --------------------------------------------------
@@ -84,16 +103,16 @@ def _extend_with_max(leq: BoolMatrix, down: int) -> BoolMatrix:
     return tuple(tuple(row) for row in rows)
 
 
-def enum_posets(k: int, max_downsets: int | None = None) -> list[BoolMatrix]:
-    """All posets with exactly k elements, up to isomorphism, as order matrices.
-
+def _poset_levels(max_downsets: int | None):
+    """The posets with 0, 1, 2, ... elements, up to isomorphism: one dict
+    per size from canonical form to order matrix, in the order found.
     Every poset is reached by repeatedly adding a new maximal element; when
     `max_downsets` is set, branches whose downset count already exceeds it are
-    pruned (downset counts only grow)."""
-    if k < 0:
-        raise PomaError("k must be >= 0")
+    pruned (downset counts only grow), and the levels stop at the first empty
+    one."""
     level: dict[tuple, BoolMatrix] = {canonical_poset(()): ()}
-    for _ in range(k):
+    while level:
+        yield level
         nxt: dict[tuple, BoolMatrix] = {}
         for leq in level.values():
             for down in downset_masks(leq):
@@ -102,6 +121,15 @@ def enum_posets(k: int, max_downsets: int | None = None) -> list[BoolMatrix]:
                     continue
                 nxt.setdefault(canonical_poset(bigger), bigger)
         level = nxt
+
+
+def enum_posets(k: int, max_downsets: int | None = None) -> list[BoolMatrix]:
+    """All posets with exactly k elements, up to isomorphism, as order
+    matrices sorted by canonical form; with `max_downsets`, only those with
+    at most that many downsets."""
+    if k < 0:
+        raise PomaError("k must be >= 0")
+    level = next(itertools.islice(_poset_levels(max_downsets), k, None), {})
     return [level[key] for key in sorted(level)]
 
 
@@ -109,11 +137,12 @@ def enum_posets(k: int, max_downsets: int | None = None) -> list[BoolMatrix]:
 def enum_bdl(max_size: int) -> tuple[FiniteAlgebra, ...]:
     """All bounded distributive lattices with at most max_size elements, up to
     isomorphism, as algebras with identity operators; sorted by size then
-    canonical form."""
+    canonical form.  A poset with k elements has at least k + 1 downsets, so
+    the levels below max_size hold every poset needed."""
     out: dict[tuple, FiniteAlgebra] = {}
-    for k in range(max_size):
-        for leq in enum_posets(k, max_downsets=max_size):
-            ds = downset_masks(leq)
+    for level in itertools.islice(_poset_levels(max_size), max_size):
+        for key in sorted(level):
+            ds = downset_masks(level[key])
             if len(ds) > max_size:
                 continue
             ident = tuple(range(len(ds)))
@@ -287,12 +316,40 @@ def _algebras_of_size(kind: str, size: int, satisfying: tuple[Equation, ...],
     return tuple(A for A in algebras if _satisfies(A, satisfying))
 
 
+class _Hoisted(NamedTuple):
+    """An equation that mentions both operators, as a skeleton over fresh
+    variables and the one-operator subterms those variables stand for."""
+    skeleton: Equation
+    box_terms: tuple[tuple[str, Term], ...]     # subterms without the diamond
+    dia_terms: tuple[tuple[str, Term], ...]     # subterms without the box
+
+
+def _hoist(e: Equation) -> _Hoisted:
+    """Replace each maximal subterm of e that does not mention the diamond,
+    and each maximal one that mentions the diamond but not the box, by a
+    fresh variable; equal subterms share one.  Every leaf of the skeleton is
+    a fresh variable, so its names never meet the names of e."""
+    names: dict[Term, str] = {}
+
+    def walk(t: Term) -> Term:
+        kinds = term_kinds(t)
+        if "dia" in kinds and "box" in kinds:
+            return Term(t.kind, tuple(map(walk, t.args)))
+        if t not in names:
+            names[t] = f"{'d' if 'dia' in kinds else 'b'}{len(names)}"
+        return Var(names[t])
+
+    skeleton = Equation(walk(e.lhs), walk(e.rhs))
+    return _Hoisted(skeleton, *(tuple((name, t) for t, name in names.items() if name[0] == side)
+                                for side in "bd"))
+
+
 def _equation_checks(size: int, satisfying: tuple[Equation, ...]):
     """Each equation with its assignments to ``size`` elements, in blocks of
     :data:`terms.BLOCK` as (environment, length) pairs, sorted into the
     equations that do not mention the diamond, those that mention only the
-    diamond, and those that mention both operators."""
-    box_only, dia_only, both = [], [], []
+    diamond, and those that mention both operators, hoisted."""
+    box_only, dia_only, mixed = [], [], []
     for e in satisfying:
         blocks = [(env, len(block)) for block, env in
                   assignment_blocks(sorted(equation_variables(e)), size)]
@@ -302,8 +359,8 @@ def _equation_checks(size: int, satisfying: tuple[Equation, ...]):
         elif "box" not in kinds:
             dia_only.append((e, blocks))
         else:
-            both.append((e, blocks))
-    return box_only, dia_only, both
+            mixed.append((_hoist(e), blocks))
+    return box_only, dia_only, mixed
 
 
 def _tables_satisfy(lattice, box, dia, checks) -> bool:
@@ -317,6 +374,36 @@ def _tables_satisfy(lattice, box, dia, checks) -> bool:
     return True
 
 
+def _values(named_terms, env, carrier) -> dict:
+    return {name: evaluate(t, env, carrier) for name, t in named_terms}
+
+
+def _mixed_filter(lattice, boxes, dias, pairs, mixed) -> list[tuple[int, int]]:
+    """The (box, diamond) index pairs, in order, on whose tables every
+    hoisted equation holds.  In each block the diamond-side subterms are
+    evaluated once per diamond table, the box-side ones once per run of
+    pairs sharing a box, and only the skeleton once per pair."""
+    for (skeleton, box_terms, dia_terms), blocks in mixed:
+        for env, length in blocks:
+            dia_values: dict[int, dict] = {}
+            kept = []
+            for b, run in itertools.groupby(pairs, key=itemgetter(0)):
+                box = boxes[b]
+                box_values = _values(box_terms, env, Vectors(lattice, box, None, length))
+                for pair in run:
+                    d = pair[1]
+                    if d not in dia_values:
+                        dia_values[d] = _values(dia_terms, env,
+                                                Vectors(lattice, None, dias[d], length))
+                    values = {**box_values, **dia_values[d]}
+                    carrier = Vectors(lattice, box, dias[d], length)
+                    if evaluate(skeleton.lhs, values, carrier) \
+                            == evaluate(skeleton.rhs, values, carrier):
+                        kept.append(pair)
+            pairs = kept
+    return pairs
+
+
 @lru_cache(maxsize=64)
 def _enumerate_size(kind: str, size: int,
                     satisfying: tuple[Equation, ...]) -> tuple[FiniteAlgebra, ...]:
@@ -324,7 +411,7 @@ def _enumerate_size(kind: str, size: int,
     the equations, one per isomorphism class: the first operator pair of
     each Aut(L)-orbit (see the module docstring), sorted by canonical form."""
     found = []
-    box_only, dia_only, both = _equation_checks(size, satisfying)
+    box_only, dia_only, mixed = _equation_checks(size, satisfying)
     for L in enum_bdl(size):
         if L.size != size:
             continue
@@ -334,17 +421,18 @@ def _enumerate_size(kind: str, size: int,
         if not (boxes and dias):
             continue
         others = automorphisms(L)[1:]           # the identity sorts first
-        seen = set()
+        seen, representatives = set(), []
         dia_images = [[_conjugate(s, dia) for s in others] for dia in dias]
-        for box in boxes:
+        for b, box in enumerate(boxes):
             box_images = [_conjugate(s, box) for s in others]
-            for dia, images in zip(dias, dia_images):
+            for d, (dia, images) in enumerate(zip(dias, dia_images)):
                 if (box, dia) in seen:
                     continue
                 seen.update(zip(box_images, images))
-                if _tables_satisfy(L.lattice, box, dia, both) \
-                        and _mixed_axioms_hold(L, box, dia):
-                    found.append(FiniteAlgebra(size, L.leq, box, dia))
+                representatives.append((b, d))
+        for b, d in _mixed_filter(L.lattice, boxes, dias, representatives, mixed):
+            if _mixed_axioms_hold(L, boxes[b], dias[d]):
+                found.append(FiniteAlgebra(size, L.leq, boxes[b], dias[d]))
     result = tuple(sorted(found, key=canonical_form))
     for A in result:
         if not validate(A).flag(kind):

@@ -12,9 +12,11 @@ import pytest
 
 import poma
 from poma import FiniteAlgebra, Partition, ValidationReport, corpus, validate
+from poma.algebras import downset_masks, subset_order
 from poma.congruences import _con_ids, _generators, cmi_congruences, is_fsi, is_si
 from poma.duality import DualSpace
-from poma.enumeration import _enumerate_size, _mixed_axioms_hold, canonical_poset, enum_bdl
+from poma.enumeration import (_enumerate_size, _extend_with_max, _mixed_axioms_hold,
+                              canonical_poset, enum_bdl)
 from poma.errors import BudgetError, PomaError, PreconditionError
 from poma.free import FreeAlgebraResult
 from poma.morphisms import (Hom, canonical_algebra, canonical_form, quotient,
@@ -421,6 +423,37 @@ def oracle_bdl_count(n):
     for A in labeled_bounded_dls(n):
         seen.add(canonical_poset(A.leq))
     return len(seen)
+
+
+def oracle_enum_posets(k, max_downsets=None):
+    """The posets with exactly k elements, sorted by canonical form, each
+    level built again from the empty poset: the per-k route that enum_bdl
+    took before it walked the levels once."""
+    level = {canonical_poset(()): ()}
+    for _ in range(k):
+        nxt = {}
+        for leq in level.values():
+            for down in downset_masks(leq):
+                bigger = _extend_with_max(leq, down)
+                if max_downsets is not None and len(downset_masks(bigger)) > max_downsets:
+                    continue
+                nxt.setdefault(canonical_poset(bigger), bigger)
+        level = nxt
+    return [level[key] for key in sorted(level)]
+
+
+def oracle_enum_bdl(max_size):
+    """enum_bdl through one oracle_enum_posets call per number of points."""
+    out = {}
+    for k in range(max_size):
+        for leq in oracle_enum_posets(k, max_downsets=max_size):
+            ds = downset_masks(leq)
+            if len(ds) > max_size:
+                continue
+            ident = tuple(range(len(ds)))
+            L = FiniteAlgebra(len(ds), subset_order(ds), ident, ident)
+            out.setdefault(canonical_form(L), L)
+    return tuple(sorted(out.values(), key=lambda L: (L.size, canonical_form(L))))
 
 
 def _box_candidates(L):

@@ -85,7 +85,9 @@ def test_congruence_commands_json_bytes(capsys, argv, digest):
      "9a86c07e805f597c6793a189c2d053f6cb1e2d78259a126890bf3c460ce614ca"),
     (("enumerate", "--kind", "PS4", "--max-size", "6", "--si-only"),
      "0c70f520b3e1f3188d703a7420f1c30f03916bdc04b36767c28d52a98ab77c4e"),
-], ids=["thm610", "lemma92", "enumerate", "enumerate-si"])
+    (("enumerate", "--kind", "PS4", "--max-size", "7"),
+     "8eaf6c7a67a091108f8cbbab5d3fb0148d7c2d48d7d44eaff54e6fa716d5b20d"),
+], ids=["thm610", "lemma92", "enumerate", "enumerate-si", "enumerate-7"])
 def test_enumeration_commands_stdout_bytes(capsys, argv, digest):
     """The stdout of the batteries and of enumerate, pinned by its sha256 as
     printed when every algebra was built, sorted and validated before any

@@ -9,8 +9,9 @@ from poma.enumeration import (EnumerationTask, canonical_poset, enum_algebras,
                               enum_bdl, enum_posets)
 from poma.errors import PomaError
 from poma.morphisms import canonical_form
+from poma.terms import Box, Diamond, Equation, Meet, Var, parse_equation
 
-from conftest import oracle_algebras, oracle_enum_algebras
+from conftest import oracle_algebras, oracle_enum_algebras, oracle_enum_bdl, oracle_enum_posets
 
 
 def _labeled_posets(k):
@@ -152,12 +153,31 @@ def test_equations_filter_before_si_keeps_list_and_order():
     assert found and [A.to_json() for A in found] == [A.to_json() for A in old_order]
 
 
+# Equations that mention both operators, each hoisted another way: more
+# assignments than one block of ``terms.BLOCK`` (6^5 = 7,776 at size 6, where
+# 110 PS4 algebras first fail it past the first block); one-operator
+# subterms holding 0, 1, meet and join; a side with no operator; and
+# variables named as the hoisting names its subterms.
+MIXED = {
+    "-mixed-blocks": "box dia (a /\\ b /\\ c /\\ d /\\ e) ~ box (a /\\ b /\\ c /\\ d /\\ e)",
+    "-mixed-bounds": "dia (x /\\ box 1) \\/ box (0 \\/ y) <= box dia (x \\/ y)",
+    "-mixed-bare": "dia box x ~ x",
+    "-mixed-names": Equation(Meet(Box(Diamond(Var("b1"))), Var("d0")),
+                             Meet(Box(Var("b1")), Var("d0"))),
+}
+
+
+def _equation(e):
+    return parse_equation(e) if isinstance(e, str) else e
+
+
 def _battery_tasks():
     """The battery runs, then one run for each way the enumerator sorts an
     equation: box-only, diamond-only, both operators, neither operator, and
     more assignments than one block of ``terms.BLOCK``: 6^5 = 7,776 at size
-    6, where 75 algebras first fail it past the first block."""
-    from poma.terms import parse_equation
+    6, where 75 algebras first fail it past the first block.  The mixed run
+    past one block checks 555 algebras on 7,776 assignments in the oracle,
+    so it runs without the SI and FSI filters only."""
     from poma.varieties import EQ_BOX_IDEMPOTENT, EQ_BOX_ONE, EQ_DIA_IDEMPOTENT, EQ_DIA_ZERO
     runs = (("", "PMA", 5, (EQ_BOX_ONE, EQ_DIA_ZERO)), ("", "PK4", 5, (EQ_BOX_IDEMPOTENT,)),
             ("", "PS4", 7, (EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT)), ("", "PS4", 7, ()),
@@ -166,10 +186,14 @@ def _battery_tasks():
             ("-both", "PMA", 5, ("box x /\\ dia y <= dia (x /\\ y)",)),
             ("-bottom", "PS4", 6, ("x ~ 0",)),
             ("-commute", "PS4", 6, ("x /\\ y ~ y /\\ x",)),
-            ("-blocks", "PS4", 6, ("box a /\\ b /\\ c /\\ d /\\ e ~ a /\\ b /\\ c /\\ d /\\ e",)))
+            ("-blocks", "PS4", 6, ("box a /\\ b /\\ c /\\ d /\\ e ~ a /\\ b /\\ c /\\ d /\\ e",)),
+            *((tag, "PS4", 6, (e,)) for tag, e in MIXED.items()),
+            ("-mixed-bounds", "PMA", 5, (MIXED["-mixed-bounds"], "dia box x ~ x")))
     for tag, kind, max_size, eqs in runs:
-        eqs = tuple(parse_equation(e) if isinstance(e, str) else e for e in eqs)
-        for si_only, fsi_only in ((False, False), (True, False), (False, True)):
+        eqs = tuple(map(_equation, eqs))
+        filters = ((False, False),) if tag == "-mixed-blocks" else \
+            ((False, False), (True, False), (False, True))
+        for si_only, fsi_only in filters:
             yield pytest.param(EnumerationTask(kind, max_size, si_only, fsi_only, eqs),
                                id=f"{kind}{max_size}-eqs{len(eqs)}{tag}"
                                   f"-si{int(si_only)}-fsi{int(fsi_only)}")
@@ -179,6 +203,57 @@ def _battery_tasks():
 def test_filtered_enumeration_matches_filter_after_oracle(task):
     found = [A.to_json() for A in enum_algebras(task)]
     assert found == [A.to_json() for A in oracle_enum_algebras(task)]
+
+
+def test_hoisting_leaves_a_skeleton_over_fresh_variables():
+    from poma.enumeration import _hoist
+    from poma.terms import equation_to_str, term_to_str
+    from poma.varieties import EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT
+
+    def shown(e):
+        skeleton, box_terms, dia_terms = _hoist(e)
+        return (equation_to_str(skeleton), [(n, term_to_str(t)) for n, t in box_terms],
+                [(n, term_to_str(t)) for n, t in dia_terms])
+
+    assert shown(EQ_BOX_IDEMPOTENT) == ("box d0 ~ b1", [("b1", "box x")], [("d0", "dia x")])
+    assert shown(EQ_DIA_IDEMPOTENT) == ("dia b0 ~ d1", [("b0", "box x")], [("d1", "dia x")])
+    assert shown(_equation(MIXED["-mixed-bare"])) == ("dia b0 ~ b1", [("b0", "box x"), ("b1", "x")], [])
+    assert shown(MIXED["-mixed-names"]) == \
+        ("box d0 /\\ b1 ~ b2", [("b1", "d0"), ("b2", "box b1 /\\ d0")], [("d0", "dia b1")])
+
+
+@pytest.mark.parametrize("kind,max_size", [("PS4", 6), ("PMA", 4)])
+def test_hoisted_filter_keeps_the_pairs_the_per_pair_check_keeps(kind, max_size):
+    """Every operator pair of every lattice up to the size, through the
+    hoisted filter and through one full evaluation of the equation per pair."""
+    from poma.enumeration import _equation_checks, _mixed_filter, _operator_tables, _tables_satisfy
+    from poma.terms import assignment_blocks, equation_variables
+    from poma.varieties import EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT
+    for e in (EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT, *map(_equation, MIXED.values())):
+        kept = dropped = 0
+        for size in range(1, max_size + 1):
+            [(hoisted, blocks)] = _equation_checks(size, (e,))[2]
+            checks = [(e, [(env, len(block)) for block, env in
+                           assignment_blocks(sorted(equation_variables(e)), size)])]
+            for L in enum_bdl(size):
+                if L.size != size:
+                    continue
+                boxes, dias = _operator_tables(kind, L)
+                pairs = list(itertools.product(range(len(boxes)), range(len(dias))))
+                expected = [(b, d) for b, d in pairs
+                            if _tables_satisfy(L.lattice, boxes[b], dias[d], checks)]
+                assert _mixed_filter(L.lattice, boxes, dias, pairs, [(hoisted, blocks)]) \
+                    == expected, (e, L)
+                kept, dropped = kept + len(expected), dropped + len(pairs) - len(expected)
+        assert kept and dropped, e
+
+
+def test_enum_bdl_matches_the_per_size_poset_route():
+    for n in range(1, 9):
+        assert [L.to_json() for L in enum_bdl(n)] == [L.to_json() for L in oracle_enum_bdl(n)], n
+    for k in range(7):
+        for max_downsets in (None, 4, 8):
+            assert enum_posets(k, max_downsets) == oracle_enum_posets(k, max_downsets)
 
 
 def test_cache_with_equations_holds_the_full_slice(tmp_path):
@@ -263,6 +338,14 @@ def test_task_validation():
         EnumerationTask("NOPE", 3)
     with pytest.raises(PomaError):
         EnumerationTask("PS4", 0)
+
+
+@pytest.mark.parametrize("max_size,satisfying", [
+    (True, ()), (2.5, ()), ("3", ()), (3, ("box x ~ x",)),
+    (3, [parse_equation("box x ~ x")]), (3, "box x ~ x")])
+def test_task_rejects_bad_size_or_equations(max_size, satisfying):
+    with pytest.raises(PomaError):
+        EnumerationTask("PS4", max_size, satisfying=satisfying)
 
 
 def test_downsets_of_chain():
