@@ -55,7 +55,6 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -378,20 +377,20 @@ def _values(named_terms, env, carrier) -> dict:
     return {name: evaluate(t, env, carrier) for name, t in named_terms}
 
 
-def _mixed_filter(lattice, boxes, dias, pairs, mixed) -> list[tuple[int, int]]:
-    """The (box, diamond) index pairs, in order, on whose tables every
-    hoisted equation holds.  In each block the diamond-side subterms are
-    evaluated once per diamond table, the box-side ones once per run of
-    pairs sharing a box, and only the skeleton once per pair."""
+def _mixed_filter(lattice, boxes, dias, runs, mixed) -> list[tuple[int, list[int]]]:
+    """The runs of (box index, diamond indices), in order, cut down to the
+    pairs on whose tables every hoisted equation holds.  In each block the
+    diamond-side subterms are evaluated once per diamond table, the box-side
+    ones once per run, and only the skeleton once per pair."""
     for (skeleton, box_terms, dia_terms), blocks in mixed:
         for env, length in blocks:
             dia_values: dict[int, dict] = {}
-            kept = []
-            for b, run in itertools.groupby(pairs, key=itemgetter(0)):
+            kept_runs = []
+            for b, ds in runs:
                 box = boxes[b]
                 box_values = _values(box_terms, env, Vectors(lattice, box, None, length))
-                for pair in run:
-                    d = pair[1]
+                kept = []
+                for d in ds:
                     if d not in dia_values:
                         dia_values[d] = _values(dia_terms, env,
                                                 Vectors(lattice, None, dias[d], length))
@@ -399,9 +398,10 @@ def _mixed_filter(lattice, boxes, dias, pairs, mixed) -> list[tuple[int, int]]:
                     carrier = Vectors(lattice, box, dias[d], length)
                     if evaluate(skeleton.lhs, values, carrier) \
                             == evaluate(skeleton.rhs, values, carrier):
-                        kept.append(pair)
-            pairs = kept
-    return pairs
+                        kept.append(d)
+                kept_runs.append((b, kept))
+            runs = kept_runs
+    return runs
 
 
 @lru_cache(maxsize=64)
@@ -421,18 +421,21 @@ def _enumerate_size(kind: str, size: int,
         if not (boxes and dias):
             continue
         others = automorphisms(L)[1:]           # the identity sorts first
-        seen, representatives = set(), []
+        seen, runs = set(), []          # the representatives, one run per box
         dia_images = [[_conjugate(s, dia) for s in others] for dia in dias]
         for b, box in enumerate(boxes):
             box_images = [_conjugate(s, box) for s in others]
+            run = []
             for d, (dia, images) in enumerate(zip(dias, dia_images)):
                 if (box, dia) in seen:
                     continue
                 seen.update(zip(box_images, images))
-                representatives.append((b, d))
-        for b, d in _mixed_filter(L.lattice, boxes, dias, representatives, mixed):
-            if _mixed_axioms_hold(L, boxes[b], dias[d]):
-                found.append(FiniteAlgebra(size, L.leq, boxes[b], dias[d]))
+                run.append(d)
+            runs.append((b, run))
+        for b, ds in _mixed_filter(L.lattice, boxes, dias, runs, mixed):
+            for d in ds:
+                if _mixed_axioms_hold(L, boxes[b], dias[d]):
+                    found.append(FiniteAlgebra(size, L.leq, boxes[b], dias[d]))
     result = tuple(sorted(found, key=canonical_form))
     for A in result:
         if not validate(A).flag(kind):
