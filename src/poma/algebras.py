@@ -160,8 +160,12 @@ def downset_masks(leq: BoolMatrix) -> list[int]:
 def closed_masks(down: list[int]) -> list[int]:
     """The masks m holding ``down[x]`` for each x in m, in downset_masks order:
     the unions of what each point reaches."""
-    return sorted(_unions(_reach(down)),
-                  key=lambda mask: (mask.bit_count(), list(_bits(mask))))
+    return sorted(_unions(_reach(down)), key=_mask_key)
+
+
+def _mask_key(mask: int) -> tuple[int, list[int]]:
+    """The order of mask carriers: by cardinality, then by sorted contents."""
+    return mask.bit_count(), list(_bits(mask))
 
 
 def _reach(edges) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from . import completeness as comp
 from . import dot as dotmod
 from . import duality, free, varieties
 from .algebras import FiniteAlgebra, validate
-from .congruences import (cg, con_lattice, is_si, is_simple,
+from .congruences import (cg, con_lattice, is_fsi, is_si, is_simple,
                           is_well_connected, monolith)
 from .corpus import CORPUS_NAMES, corpus_by_spec
 from .enumeration import EnumerationTask, default_cache_dir, enum_algebras
@@ -293,14 +293,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_battery(args) -> int:
-    if args.which == "thm610":
-        rep = varieties.theorem610_battery(args.max_size)
-        obj = {"passed": rep.passed, "bound": rep.bound, "witnesses": list(rep.witnesses)}
-        _emit(args, obj, f"bound {rep.bound}: {'pass' if rep.passed else 'FAIL'}: "
-              "{" + ", ".join(rep.witnesses) + "}")
-        return PASS if rep.passed else FAIL
-    if args.which == "lemma92":
-        rep = varieties.lemma92_battery(args.max_size)
+    si_batteries = {"thm610": varieties.theorem610_battery, "lemma92": varieties.lemma92_battery}
+    if args.which in si_batteries:
+        rep = si_batteries[args.which](args.max_size)
         obj = {"passed": rep.passed, "bound": rep.bound, "witnesses": list(rep.witnesses)}
         _emit(args, obj, f"bound {rep.bound}: {'pass' if rep.passed else 'FAIL'}: "
               "{" + ", ".join(rep.witnesses) + "}")
@@ -310,9 +305,7 @@ def cmd_battery(args) -> int:
         count = 0
         for A in enum_algebras(EnumerationTask("PS4", args.max_size, fsi_only=True)):
             count += 1
-            env = duality.boolean_envelope(A)
-            from .congruences import is_fsi
-            if not is_fsi(env.algebra):
+            if not is_fsi(duality.boolean_envelope(A).algebra):
                 failures.append(A.to_json())
         ok = not failures
         _emit(args, {"passed": ok, "bound": args.max_size, "checked": count},

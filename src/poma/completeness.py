@@ -208,6 +208,8 @@ def theorem93_battery(V: VarietyHandle, bound: int = 4) -> Verdict:
     """Search the least n and m with box x /\\ ... /\\ box^n x <= x and
     x <= dia x \\/ ... \\/ dia^m x holding across the generators; the
     collapsed two-element variety forms its own branch."""
+    if bound < 0:
+        raise PreconditionError(f"bound {bound}: the bound must be >= 0")
     if equals(V, variety_of([corpus("B2")])):
         return Verdict("Yes", witness="B2", detail="collapsed-operator branch")
 

@@ -217,7 +217,9 @@ def _con_ids(A: FiniteAlgebra, max_congruences: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def con_lattice(A: FiniteAlgebra, max_congruences: int = 100_000) -> tuple[Partition, ...]:
-    """All congruences, canonically sorted."""
+    """All congruences, canonically sorted; PreconditionError for a negative budget."""
+    if max_congruences < 0:
+        raise PreconditionError(f"budget {max_congruences}: the budget must be >= 0")
     return tuple(sorted((_partition(A, mask) for mask in _con_ids(A, max_congruences)),
                         key=lambda p: p.blocks))
 

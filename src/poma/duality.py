@@ -8,16 +8,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from operator import and_, or_
 
-from .algebras import (BoolMatrix, FiniteAlgebra, ModalAlgebra, _bits,
-                       closed_masks, powerset, subset_order, validate)
+from .algebras import (BoolMatrix, FiniteAlgebra, ModalAlgebra, _bits, _mask_key,
+                       _reach, _unions, powerset, subset_order, validate)
 from .congruences import Partition, con_lattice
 from .errors import BudgetError, PreconditionError
 from .morphisms import Hom
 from .terms import Term, evaluate
 
 MAX_POINTS = 8          # powerset carriers beyond 2^8 elements are refused
+MAX_UPSETS = 1 << 16    # as many upsets as a 16-point frame can have
 
 
 def join_irreducibles(A: FiniteAlgebra) -> list[int]:
@@ -31,8 +33,7 @@ def _frame(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     :func:`prime_filters` order, ``up[i]`` the filters holding filter i, ``succ[i]``
     those that filter i sees (None unless A is a PMA), ``point[a]`` those holding a."""
     lat = A.lattice.require()
-    filters = tuple(sorted((lat.up[j] for j in lat.join_irreducibles),
-                           key=lambda f: (f.bit_count(), list(_bits(f)))))
+    filters = tuple(sorted((lat.up[j] for j in lat.join_irreducibles), key=_mask_key))
     up = tuple(sum(1 << j for j, g in enumerate(filters) if f & g == f) for f in filters)
     point = tuple(sum(1 << i for i, f in enumerate(filters) if f >> a & 1)
                   for a in range(A.size))
@@ -93,18 +94,21 @@ def dual_space(A: FiniteAlgebra) -> DualSpace:
     return DualSpace(prime_filters(A), *rows)
 
 
-def _modal_masks(succ: list[int], masks) -> tuple[list[int], list[int]]:
-    """Box and diamond of each mask on the frame where point x sees ``succ[x]``:
-    diamond m (the points seeing some point of m) is tabled over all masks, and
-    box m (the points seeing only m) is the complement of diamond of not-m."""
-    k = len(succ)
-    pred = [sum(1 << x for x, s in enumerate(succ) if s >> y & 1) for y in range(k)]
-    dia = [0] * (1 << k)
-    for m in range(1, 1 << k):
-        low = m & -m
-        dia[m] = dia[m ^ low] | pred[low.bit_length() - 1]
-    full = (1 << k) - 1
-    return [full ^ dia[full ^ m] for m in masks], [dia[m] for m in masks]
+def _modal_tables(succ: list[int], masks, index: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """Box and diamond as index tables over ``masks`` on the frame where x sees
+    ``succ[x]``, one pass per mask: box m holds the points whose successors all
+    lie in m, diamond m those with a successor in m (KeyError if not indexed)."""
+    box, dia = [], []
+    for m in masks:
+        b = d = 0
+        for x, s in enumerate(succ):
+            if s & m:
+                d |= 1 << x
+            if not s & ~m:
+                b |= 1 << x
+        box.append(index[b])
+        dia.append(index[d])
+    return tuple(box), tuple(dia)
 
 
 def _upsets(X: DualSpace):
@@ -115,9 +119,9 @@ def _upsets(X: DualSpace):
 def _upset_masks(up, succ) -> tuple[list[int], dict[int, int], tuple[int, ...], tuple[int, ...]]:
     """Check the frame where x is below ``up[x]`` and sees ``succ[x]`` as
     :func:`check_kplus` documents, then return its upsets as point masks in
-    :func:`downset_masks` order, their index, and box and diamond as index tables."""
-    n = len(up)
-    down = [sum(1 << x for x, u in enumerate(up) if u >> z & 1) for z in range(n)]
+    :func:`downset_masks` order, their index, and box and diamond as index tables.
+    The upsets are counted as they are listed: BudgetError past ``MAX_UPSETS``."""
+    down = [sum(1 << x for x, u in enumerate(up) if u >> z & 1) for z in range(len(up))]
     for s in succ:
         above = below = 0
         for z in _bits(s):
@@ -125,13 +129,13 @@ def _upset_masks(up, succ) -> tuple[list[int], dict[int, int], tuple[int, ...], 
             below |= down[z]
         if above & below != s:
             raise PreconditionError("relation is not order-compatible")
-    if n > 16:
-        raise BudgetError("too many points to enumerate upsets")
-    masks = closed_masks(up)
+    masks = tuple(islice(_unions(_reach(up)), MAX_UPSETS + 1))
+    if len(masks) > MAX_UPSETS:
+        raise BudgetError(f"frame exceeds the {MAX_UPSETS:,}-upset budget", partial=len(masks))
+    masks = sorted(masks, key=_mask_key)
     index = {m: i for i, m in enumerate(masks)}
-    box, dia = _modal_masks(succ, masks)
     try:
-        return masks, index, tuple(index[m] for m in box), tuple(index[m] for m in dia)
+        return masks, index, *_modal_tables(succ, masks, index)
     except KeyError:
         raise PreconditionError("upsets are not closed under the modal operators") from None
 
@@ -181,9 +185,7 @@ def boolean_envelope(A: FiniteAlgebra) -> Envelope:
 def _powerset_frame(succ: list[int], name: str = "") -> FiniteAlgebra:
     """The powerset algebra of the frame where point x sees ``succ[x]``."""
     masks, index, order, _ = powerset(len(succ))
-    box, dia = _modal_masks(succ, masks)
-    return FiniteAlgebra(len(masks), order, tuple(index[m] for m in box),
-                         tuple(index[m] for m in dia), name)
+    return FiniteAlgebra(len(masks), order, *_modal_tables(succ, masks, index), name)
 
 
 @lru_cache(maxsize=1024)

@@ -187,9 +187,11 @@ def _mixed_axioms_hold(L: FiniteAlgebra, box, dia) -> bool:
 
 def _preserving_tables(L: FiniteAlgebra, dual: bool) -> list[tuple[int, ...]]:
     """All unary tables preserving binary meets and the top element, or with
-    ``dual`` binary joins and the bottom.  Over a distributive lattice these
-    are exactly the tables determined by arbitrary values on the meet-
-    (join-) irreducible elements."""
+    ``dual`` binary joins and the bottom: over a distributive lattice, t(a) the
+    meet of arbitrary values on the meet-irreducibles above a (dually, joins).
+    Every such fold preserves both: no meet-irreducible is above the top, so
+    t(top) is the empty meet, and each meet-irreducible m is meet-prime (a meet
+    b <= m gives a <= m or b <= m), so t(a meet b) = t(a) meet t(b)."""
     n, leq, lat = L.size, L.leq, L.lattice.require()
     if dual:
         op, unit, irr = lat.join, lat.bottom, lat.join_irreducibles
@@ -200,9 +202,7 @@ def _preserving_tables(L: FiniteAlgebra, dual: bool) -> list[tuple[int, ...]]:
     seen = {}
     for values in itertools.product(range(n), repeat=len(irr)):
         seen.setdefault(tuple(_fold(op, unit, (values[k] for k in ks)) for ks in sources))
-    return [t for t in seen
-            if all(t[op[a][b]] == op[t[a]][t[b]] for a in range(n) for b in range(n))
-            and t[unit] == unit]
+    return list(seen)
 
 
 def _operator_tables(kind: str, L: FiniteAlgebra):

@@ -170,24 +170,21 @@ def _label_for(A: FiniteAlgebra) -> str:
 def theorem610_battery(max_size: int = 8) -> BatteryReport:
     """Every enumerated subdirectly irreducible PS4 algebra (up to the bound)
     satisfying both operator-idempotence equations must be C2 or D4."""
-    from .enumeration import EnumerationTask, enum_algebras
-    task = EnumerationTask("PS4", max_size, si_only=True,
-                           satisfying=(EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT))
-    found = enum_algebras(task)
-    allowed = {canonical_form(corpus("C2")), canonical_form(corpus("D4"))}
-    witnesses = tuple(sorted(_label_for(A) for A in found))
-    passed = {canonical_form(A) for A in found} <= allowed
-    return BatteryReport(passed, max_size, witnesses)
+    return _si_battery("PS4", max_size, (EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT), ("C2", "D4"))
 
 
 def lemma92_battery(max_size: int = 6) -> BatteryReport:
     """Every enumerated subdirectly irreducible PMA algebra satisfying
     box x ~ 1 and dia x ~ 0 must be the two-element collapsed algebra."""
+    return _si_battery("PMA", max_size, (EQ_BOX_ONE, EQ_DIA_ZERO), ("B2",))
+
+
+def _si_battery(kind: str, max_size: int, equations, allowed_names) -> BatteryReport:
+    """Every enumerated subdirectly irreducible algebra of the kind up to the
+    bound satisfying the equations must be one of the named corpus algebras."""
     from .enumeration import EnumerationTask, enum_algebras
-    task = EnumerationTask("PMA", max_size, si_only=True,
-                           satisfying=(EQ_BOX_ONE, EQ_DIA_ZERO))
-    found = enum_algebras(task)
-    allowed = {canonical_form(corpus("B2"))}
+    found = enum_algebras(EnumerationTask(kind, max_size, si_only=True, satisfying=equations))
+    allowed = {canonical_form(corpus(name)) for name in allowed_names}
     witnesses = tuple(sorted(_label_for(A) for A in found))
     passed = {canonical_form(A) for A in found} <= allowed
     return BatteryReport(passed, max_size, witnesses)

@@ -226,6 +226,33 @@ def test_negative_free_rank_is_usage_error(capsys):
     assert err == "error: free rank -3: the bound must be >= 0\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("complete", "thm93", "--gens", "D4", "--depth", "-1", "--json"),
+     "bound -1: the bound must be >= 0"),
+    (("conlat", "--name", "D4", "--budget", "-5"), "budget -5: the budget must be >= 0"),
+], ids=["thm93", "conlat"])
+def test_negative_bound_is_usage_error(capsys, argv, message):
+    # thm93 exited 1 printing "bound":-1 with an UnknownUpToBound verdict, and
+    # conlat exited 3 reporting a lattice that "exceeds -5 members"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("envelope", "--name", "AN_MINUS:6"),
+     "c97b63a74f9fa429b99d04c82f6957fd12c82ede413894772ceed4859725584d"),
+    (("complex", "--worlds", "8", "--preorder", "geq"),
+     "15f411ead764b50ca42e1b3b10713cf26368df92cba159f39ae2e7f47ae8e4cc"),
+], ids=["envelope-AN_MINUS-6", "complex-8-geq"])
+def test_powerset_carrier_commands_json_bytes(capsys, argv, digest):
+    """The --json stdout of the two largest powerset carriers, pinned by its
+    sha256 as printed when diamond was tabled over every point mask."""
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_stream(capsys):
     code, out, _ = run(capsys, "enumerate", "--kind", "PS4", "--max-size", "3")
     assert code == 0

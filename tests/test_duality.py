@@ -5,7 +5,7 @@ from poma import (FiniteAlgebra, ModalAlgebra, boolean_envelope, complex_algebra
                   dual_space, is_fsi, is_iso, is_simple, is_well_connected, kappa,
                   open_filter_congruence_iso_check, open_filters,
                   prime_filters, upset_algebra, validate)
-from poma.algebras import subset_order
+from poma.algebras import chain_order, subset_order
 from poma.congruences import con_lattice
 from poma.duality import (DualSpace, dual_of_hom, is_p_morphism, kripke_eval,
                           join_irreducibles)
@@ -69,6 +69,25 @@ def test_kappa_is_isomorphism_on_enumerated_pma():
     for A in enum_algebras(EnumerationTask("PMA", 4)):
         h = kappa(A)
         assert h.is_valid() and h.is_bijective
+
+
+@pytest.mark.parametrize("n", [17, 18, 41])
+def test_kappa_is_isomorphism_on_long_identity_chains(n):
+    # the duals have 16, 17 and 40 points and n upsets; a dual of more than
+    # 16 points raised BudgetError under the old point-count limit
+    A = FiniteAlgebra(n, chain_order(n), tuple(range(n)), tuple(range(n)))
+    h = kappa(A)
+    assert h.target.size == n
+    assert h.is_valid() and h.is_bijective
+
+
+def test_upset_algebra_of_a_seventeen_point_chain_frame():
+    n = 17
+    ident = tuple(tuple(x == y for y in range(n)) for x in range(n))
+    X = DualSpace(tuple(frozenset({i}) for i in range(n)), chain_order(n), ident)
+    U = upset_algebra(X)
+    assert U.size == 18
+    assert U.box == U.diamond == tuple(range(18))
 
 
 def test_correspondence_reflexive_transitive():

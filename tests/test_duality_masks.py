@@ -118,10 +118,21 @@ def test_random_spaces_reach_every_outcome(seed):
 
 
 def test_seventeen_points_exceed_the_budget():
+    # a 17-point antichain has 2^17 upsets, past the 2^16 budget; the oracle
+    # lists every subset and keeps its own 16-point limit, so it is not compared
     n = 17
     ident = tuple(tuple(x == y for y in range(n)) for x in range(n))
     X = DualSpace(tuple(frozenset({i}) for i in range(n)), ident, ident)
-    assert _check_space(X) == ("BudgetError", "too many points to enumerate upsets")
+    for route, _ in ROUTES:
+        assert _outcome(route, X) == ("BudgetError", "frame exceeds the 65,536-upset budget")
+
+
+def test_sixteen_points_fill_the_budget_exactly():
+    # 2^16 upsets, the most a 16-point frame has: the budget refuses no frame
+    # that the 16-point limit let through
+    n = 16
+    ident = tuple(tuple(x == y for y in range(n)) for x in range(n))
+    assert check_kplus(DualSpace(tuple(frozenset({i}) for i in range(n)), ident, ident)) is None
 
 
 def test_nine_points_exceed_the_envelope_cap():

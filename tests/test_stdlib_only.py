@@ -1,5 +1,5 @@
 """The runtime stays stdlib-only: every import in src/poma names a module of
-the standard library or of poma itself."""
+the standard library or of poma itself, and none runs inside a loop."""
 import ast
 import sys
 from pathlib import Path
@@ -28,3 +28,16 @@ def test_src_imports_only_the_standard_library():
             if top != "poma" and top not in sys.stdlib_module_names:
                 foreign.append(f"{path.name}:{lineno}: {name}")
     assert not foreign, foreign
+
+
+def test_no_import_runs_inside_a_loop():
+    """An import statement in a loop body runs again on every pass."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for loop in ast.walk(tree):
+            if isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+                found += [f"{path.name}:{node.lineno}" for stmt in loop.body
+                          for node in ast.walk(stmt)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, found
