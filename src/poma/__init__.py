@@ -8,8 +8,8 @@ from .congruences import (CepResult, Partition, cg, cg_dl, cg_k4, con_lattice,
                           principal_congruences)
 from .corpus import CORPUS_NAMES, FIG2_NAMES, FIG3_NAMES, corpus, corpus_by_spec
 from .duality import (DualSpace, Envelope, boolean_envelope, complex_algebra,
-                      dual_space, is_p_morphism, join_irreducibles, kappa,
-                      kripke_eval, open_filter_congruence_iso_check,
+                      dual_of_hom, dual_space, is_p_morphism, join_irreducibles,
+                      kappa, kripke_eval, open_filter_congruence_iso_check,
                       open_filters, prime_filters, upset_algebra)
 from .enumeration import (EnumerationTask, default_cache_dir, enum_algebras,
                           enum_bdl, enum_posets)
@@ -27,7 +27,8 @@ from .terms import (Box, Diamond, Equation, Join, Leq, Meet, ONE,
                     PosExistSentence, QuasiEquation, Sequent, Term, Var, ZERO,
                     eval_term, holds_eq, holds_pos_exist, holds_quasi,
                     parse_equation, parse_pos_exist, parse_quasi,
-                    parse_sequent, parse_term, rho, tau, term_to_str)
+                    parse_sequent, parse_term, pos_exist_to_str, quasi_to_str,
+                    rho, tau, term_to_str)
 from .varieties import (BatteryReport, SplittingVerdict, VarietyHandle,
                         covers_poset, equals, equation_separation,
                         figure4_handles, includes, lemma64_66_properties,

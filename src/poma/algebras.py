@@ -14,7 +14,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import StructuralError
 
@@ -127,12 +127,26 @@ class Lattice:
 
     def distributivity_witness(self) -> Optional[tuple[int, int, int]]:
         """The first (a, b, c) in index order with a ∧ (b ∨ c) ≠ (a ∧ b) ∨
-        (a ∧ c); None when the lattice is distributive.  Computed once."""
+        (a ∧ c); None when the lattice is distributive.  Computed once.
+
+        Birkhoff's criterion decides first, from n^2 joins: the lattice is
+        distributive iff J(a ∨ b) = J(a) ∪ J(b) for all a, b, where J(x),
+        held in ``join_masks[x]``, is the set of join-irreducibles below x.
+        J preserves meets and is injective, as x is the join of J(x); if it
+        maps joins to unions it embeds the lattice in a powerset.  Conversely,
+        if the lattice is distributive, j <= a ∨ b gives j = (j ∧ a) ∨ (j ∧ b),
+        so a join-irreducible j is below a or b.  Only a lattice that fails
+        the criterion runs the n^3 search for the first triple."""
         if self._distributivity is _UNKNOWN:
-            meet, join, rng = self.require().meet, self.join, range(self.size)
-            self._distributivity = next(
-                ((a, b, c) for a in rng for b in rng for c in rng
-                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]), None)
+            meet, join, masks = self.require().meet, self.join, self.join_masks
+            if all(masks[ab] == ma | mb for ma, row in zip(masks, join)
+                   for ab, mb in zip(row, masks)):
+                self._distributivity = None
+            else:
+                rng = range(self.size)
+                self._distributivity = next(
+                    (a, b, c) for a in rng for b in rng for c in rng
+                    if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]])
         return self._distributivity
 
     def principal_masks(self) -> tuple[frozenset[int], frozenset[int]]:
@@ -193,11 +207,6 @@ def _unions(family) -> Iterator[int]:
                     seen.add(mask)
                     found.append(mask)
                     yield mask
-
-
-def downsets(leq: BoolMatrix) -> list[frozenset[int]]:
-    """The downsets of :func:`downset_masks` as frozensets, in its order."""
-    return [frozenset(_bits(mask)) for mask in downset_masks(leq)]
 
 
 @dataclass(frozen=True)
@@ -297,35 +306,11 @@ class FiniteAlgebra:
     def top(self) -> int:
         return self.lattice.require().top
 
-    def meet_all(self, xs: Iterable[int]) -> int:
-        out = self.top()
-        for x in xs:
-            out = self.meet(out, x)
-        return out
-
-    def join_all(self, xs: Iterable[int]) -> int:
-        out = self.bottom()
-        for x in xs:
-            out = self.join(out, x)
-        return out
-
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (x, y) with y covering x, for Hasse-diagram output."""
         up, down = self.lattice.up, self.lattice.down
         return [(x, y) for x in range(self.size) for y in _bits(up[x])
                 if x != y and up[x] & down[y] & ~(1 << x | 1 << y) == 0]
-
-    def relabel(self, order: tuple[int, ...], name: str = "") -> "FiniteAlgebra":
-        """Algebra with element k standing for old element ``order[k]``."""
-        n = self.size
-        pos = [0] * n
-        for k, old in enumerate(order):
-            pos[old] = k
-        leq = tuple(tuple(self.leq[order[i]][order[j]] for j in range(n))
-                    for i in range(n))
-        box = tuple(pos[self.box[order[i]]] for i in range(n))
-        dia = tuple(pos[self.diamond[order[i]]] for i in range(n))
-        return FiniteAlgebra(n, leq, box, dia, name)
 
     def rename(self, name: str) -> "FiniteAlgebra":
         return FiniteAlgebra(self.size, self.leq, self.box, self.diamond, name)
@@ -467,18 +452,12 @@ def subset_order(masks: tuple[int, ...]) -> BoolMatrix:
     return tuple(tuple((a & b) == a for b in masks) for a in masks)
 
 
-def powerset_masks(n_atoms: int) -> tuple[int, ...]:
-    """All subsets of an n_atoms set, as bitmasks sorted by (cardinality, value)."""
-    masks = sorted(range(1 << n_atoms), key=lambda m: (bin(m).count("1"), m))
-    return tuple(masks)
-
-
 @lru_cache(maxsize=9)           # up to 8 atoms: the cap of duality.MAX_POINTS
 def powerset(n_atoms: int) -> tuple[tuple[int, ...], dict[int, int], BoolMatrix, tuple[int, ...]]:
-    """The subsets of an n_atoms set as :func:`powerset_masks`, their index,
-    their inclusion order and the complement table: one copy shared by every
-    powerset carrier on n_atoms atoms."""
-    masks = powerset_masks(n_atoms)
+    """The subsets of an n_atoms set as bitmasks sorted by (cardinality,
+    value), their index, their inclusion order and the complement table: one
+    copy shared by every powerset carrier on n_atoms atoms."""
+    masks = tuple(sorted(range(1 << n_atoms), key=lambda m: (m.bit_count(), m)))
     index = {m: i for i, m in enumerate(masks)}
     full = (1 << n_atoms) - 1
     return masks, index, subset_order(masks), tuple(index[full ^ m] for m in masks)

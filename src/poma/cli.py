@@ -12,8 +12,8 @@ from . import completeness as comp
 from . import dot as dotmod
 from . import duality, free, varieties
 from .algebras import FiniteAlgebra, validate
-from .congruences import (cg, con_lattice, is_fsi, is_si, is_simple,
-                          is_well_connected, monolith)
+from .congruences import (MAX_CONGRUENCES, cg, con_lattice, is_fsi, is_si,
+                          is_simple, is_well_connected, monolith)
 from .corpus import CORPUS_NAMES, corpus_by_spec
 from .enumeration import EnumerationTask, default_cache_dir, enum_algebras
 from .errors import BudgetError, PomaError
@@ -45,15 +45,21 @@ def _load_algebra(args) -> FiniteAlgebra:
     raise PomaError("need --name or --file")
 
 
-def _load_gens(args) -> varieties.VarietyHandle:
-    if not getattr(args, "gens", None):
-        raise PomaError("need --gens with a comma-separated generator list")
-    specs = [s for s in args.gens.split(",") if s.strip()]
+def _specs(text, option: str, sep: str = ",") -> list[str]:
+    """The pieces of the generator list given to ``option``, each stripped,
+    the empty ones dropped; PomaError when none is left."""
+    if not text:
+        raise PomaError(f"need {option} with a {sep!r}-separated generator list")
+    specs = [s.strip() for s in text.split(sep) if s.strip()]
     if not specs:
         raise PomaError("empty generator list")
-    return varieties.variety_of(
-        [corpus_by_spec(s) for s in specs],
-        "V(" + ",".join(s.strip() for s in specs) + ")")
+    return specs
+
+
+def _variety(text, option: str = "--gens") -> varieties.VarietyHandle:
+    specs = _specs(text, option)
+    return varieties.variety_of([corpus_by_spec(s) for s in specs],
+                                "V(" + ",".join(specs) + ")")
 
 
 def _elements(texts, size: int, usage: str, piece: str) -> tuple[int, ...]:
@@ -205,7 +211,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_free(args) -> int:
-    handle = _load_gens(args)
+    handle = _variety(args.gens)
     result = free.free_over(handle.generators, args.rank)
     obj = result.to_dict()
     _emit(args, obj,
@@ -215,7 +221,7 @@ def cmd_free(args) -> int:
 
 
 def cmd_freezero(args) -> int:
-    handle = _load_gens(args)
+    handle = _variety(args.gens)
     A = free.free_zero(handle.generators)
     _emit(args, A.to_dict(), f"zero-generated free algebra: size {A.size} "
           f"({varieties._label_for(A)})")
@@ -243,38 +249,24 @@ def cmd_enumerate(args) -> int:
 
 def cmd_variety(args) -> int:
     if args.mode == "include":
-        V = _load_gens(args)
-        if not args.other:
-            raise PomaError("variety include needs --other with a comma-separated generator list")
-        W = varieties.variety_of(
-            [corpus_by_spec(s) for s in args.other.split(",")],
-            "V(" + args.other + ")")
+        V, W = _variety(args.gens), _variety(args.other, "--other")
         verdict = varieties.includes(V, W)
         _emit(args, {"includes": verdict}, f"{V.label} includes {W.label}: {verdict}")
         return PASS if verdict else FAIL
     if args.mode == "covers":
-        if not args.gens:
-            raise PomaError("variety covers needs --gens with a ';'-separated generator list")
         handles = [varieties.variety_of([corpus_by_spec(s)], f"V({s})")
-                   for s in args.gens.split(";")]
-        edges = varieties.covers_poset(handles)
-        if args.dot:
-            sys.stdout.write(dotmod.variety_poset_dot(handles, edges))
-            return PASS
-        obj = {"nodes": [h.label for h in handles], "edges": [list(e) for e in edges]}
-        _emit(args, obj, "\n".join(f"{handles[i].label} < {handles[j].label}"
-                                   for i, j in sorted(edges)))
-        return PASS
-    handles = list(varieties.figure4_handles())
-    edges = varieties.covers_poset(handles)
+                   for s in _specs(args.gens, "--gens", ";")]
+    else:
+        handles = list(varieties.figure4_handles())
+    edges = varieties.covers_poset(handles)         # sorted: listed in (i, j) order
     if args.dot:
         sys.stdout.write(dotmod.variety_poset_dot(handles, edges))
         return PASS
-    obj = {"nodes": [h.label for h in handles],
-           "edges": sorted([list(e) for e in edges]),
-           "batteries": {}}
+    obj = {"nodes": [h.label for h in handles], "edges": [list(e) for e in edges]}
+    if args.mode == "figure4":
+        obj["batteries"] = {}
     _emit(args, obj, "\n".join(f"{handles[i].label} < {handles[j].label}"
-                               for i, j in sorted(edges)))
+                               for i, j in edges))
     return PASS
 
 
@@ -340,7 +332,7 @@ def cmd_complete(args) -> int:
         lines.append(f"{len(candidates)} bounded candidates at size bound {args.depth}")
         _emit(args, obj, "\n".join(lines))
         return PASS
-    handle = _load_gens(args)
+    handle = _variety(args.gens)
     if args.which == "sc":
         verdict = comp.is_sc_pk4(handle)
     elif args.which == "hsc":
@@ -362,7 +354,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_quasi(args) -> int:
-    handle = _load_gens(args)
+    handle = _variety(args.gens)
     q = parse_quasi(args.quasi)
     cls = comp.classify_quasi(handle, q, max_free_rank=args.free_rank)
     obj = {"status": cls.status, "valid": cls.valid, "active": cls.active,
@@ -441,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conlat")
     _add_algebra_args(p)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=int, default=MAX_CONGRUENCES)
     p.set_defaults(handler=cmd_conlat)
 
     p = sub.add_parser("dual")

@@ -10,6 +10,7 @@ from typing import Optional
 from .algebras import validate
 from .congruences import is_simple
 from .corpus import corpus
+from .enumeration import EnumerationTask, enum_algebras
 from .errors import ConsistencyError, PreconditionError
 from .free import free_over, free_zero
 from .morphisms import embeddings, is_iso, is_retract
@@ -77,16 +78,13 @@ class QuasiClassification:
 
     @property
     def status(self) -> str:
-        if self.valid:
-            return "Valid"
-        if self.refuted_at is not None:
-            return f"RefutedAdmissibilityAt({self.refuted_at})"
+        if self.valid or self.refuted_at is not None:
+            return self.admissibility_status
         return self.activity_status
 
 
 def classify_quasi(V: VarietyHandle, q: QuasiEquation,
-                   max_free_rank: int = 2,
-                   free_budget: int = 20_000) -> QuasiClassification:
+                   max_free_rank: int = 2) -> QuasiClassification:
     """Classify a quasi-equation over a finitely generated variety.
 
     Validity is checked on the generators (equivalently, on the generated
@@ -100,8 +98,7 @@ def classify_quasi(V: VarietyHandle, q: QuasiEquation,
         valid = all(holds_quasi(g, q) for g in V.generators)
     else:
         valid = True
-    free_algebras = [free_over(V.generators, m, free_budget)
-                     for m in range(max_free_rank + 1)]
+    free_algebras = [free_over(V.generators, m) for m in range(max_free_rank + 1)]
     active_rank = None
     active_witness = None
     variables = set().union(*map(equation_variables, q.premises))
@@ -262,8 +259,6 @@ def open_problem_scan(max_size: int = 5) -> tuple[OpenProblemRow, ...]:
     completeness fails.  Inside PS4 the classification is decisive; outside it
     (and away from the collapsed two-element variety) every verdict is
     bounded, so candidates are reported, never concluded."""
-    from .enumeration import EnumerationTask, enum_algebras
-
     rows = []
     for A in enum_algebras(EnumerationTask("PK4", max_size, si_only=True)):
         V = variety_of([A], f"V(<{A.size}-element>)")

@@ -58,6 +58,8 @@ from typing import Iterable, Optional
 from .algebras import FiniteAlgebra, ModalAlgebra, _bits, _reach, _unions, validate
 from .errors import BudgetError, PreconditionError
 
+MAX_CONGRUENCES = 100_000       # members of a congruence lattice
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -216,7 +218,8 @@ def _con_ids(A: FiniteAlgebra, max_congruences: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def con_lattice(A: FiniteAlgebra, max_congruences: int = 100_000) -> tuple[Partition, ...]:
+def con_lattice(A: FiniteAlgebra,
+                max_congruences: int = MAX_CONGRUENCES) -> tuple[Partition, ...]:
     """All congruences, canonically sorted; PreconditionError for a negative budget."""
     if max_congruences < 0:
         raise PreconditionError(f"budget {max_congruences}: the budget must be >= 0")
@@ -360,7 +363,7 @@ def has_cep(A: FiniteAlgebra) -> CepResult:
     congruence of a subalgebra must be the trace of a congruence of A."""
     from .morphisms import subalgebra_from_universe, subuniverses
 
-    join_masks, con_a = A.lattice.require().join_masks, _con_ids(A, 100_000)
+    join_masks, con_a = A.lattice.require().join_masks, _con_ids(A, MAX_CONGRUENCES)
     for universe in subuniverses(A):
         if len(universe) == A.size:
             continue
@@ -371,7 +374,7 @@ def has_cep(A: FiniteAlgebra) -> CepResult:
         gaps = [join_masks[e[j]] & ~join_masks[e[l]]
                 for l, j in zip(lat.lower_covers, lat.join_irreducibles)]
         traces = {sum(1 << k for k, gap in enumerate(gaps) if not gap & ~theta) for theta in con_a}
-        missing = [_partition(sub, m) for m in _con_ids(sub, 100_000) if m not in traces]
+        missing = [_partition(sub, m) for m in _con_ids(sub, MAX_CONGRUENCES) if m not in traces]
         if missing:
             return CepResult(False, (sub, min(missing, key=lambda p: p.blocks)))
     return CepResult(True)

@@ -122,13 +122,12 @@ def _poset_levels(max_downsets: int | None):
         level = nxt
 
 
-def enum_posets(k: int, max_downsets: int | None = None) -> list[BoolMatrix]:
+def enum_posets(k: int) -> list[BoolMatrix]:
     """All posets with exactly k elements, up to isomorphism, as order
-    matrices sorted by canonical form; with `max_downsets`, only those with
-    at most that many downsets."""
+    matrices sorted by canonical form."""
     if k < 0:
         raise PomaError("k must be >= 0")
-    level = next(itertools.islice(_poset_levels(max_downsets), k, None), {})
+    level = next(itertools.islice(_poset_levels(None), k, None))
     return [level[key] for key in sorted(level)]
 
 

@@ -10,6 +10,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from .algebras import FiniteAlgebra, _reach, downset_masks, subset_order, validate
+from .corpus import FIG2_NAMES, corpus
+from .duality import kripke_eval
+from .enumeration import EnumerationTask, enum_algebras
 from .errors import BudgetError, PreconditionError
 from .morphisms import (canonical_form, closure_universe, extend_hom,
                         si_quotients)
@@ -17,6 +20,8 @@ from .terms import Box, Diamond, Join, Term, Var, eval_term
 
 _X = Var("x")
 _Y = Var("y")
+
+MAX_FREE_SIZE = 20_000      # elements of a free algebra, read at each call
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,7 @@ _DEDEKIND = (2, 3, 6, 20, 168, 7_581, 7_828_354, 2_414_682_040_998,
              56_130_437_228_687_557_907_788)
 
 
-def free_over(basis: Sequence[FiniteAlgebra], n: int,
-              max_size: int = 20_000) -> FreeAlgebraResult:
+def free_over(basis: Sequence[FiniteAlgebra], n: int) -> FreeAlgebraResult:
     """Free n-generated algebra over the quasi-variety generated by `basis`:
     the subalgebra of the product of all `A^(A^n)` generated by the n
     projection tuples, one coordinate per (algebra, assignment) pair.
@@ -68,10 +72,10 @@ def free_over(basis: Sequence[FiniteAlgebra], n: int,
     functions {0, 1}^n -> {0, 1}, and {0, 1} is a sublattice of A; under meet
     and join alone they give every monotone Boolean function of n variables
     (its disjunctive normal form), M(n) of them.  So F maps onto a set of
-    M(n) values there, and a rank whose M(n) exceeds ``max_size`` (M(8) for
-    every n >= 8, as M grows) raises BudgetError before any coordinate is
-    built.  Otherwise BudgetError comes when the closure passes ``max_size``
-    elements."""
+    M(n) values there, and a rank whose M(n) exceeds ``MAX_FREE_SIZE`` (M(8)
+    for every n >= 8, as M grows) raises BudgetError before any coordinate is
+    built.  Otherwise BudgetError comes when the closure passes
+    ``MAX_FREE_SIZE`` elements."""
     basis = tuple(basis)
     if not basis:
         raise PreconditionError("free_over needs at least one basis algebra")
@@ -83,8 +87,8 @@ def free_over(basis: Sequence[FiniteAlgebra], n: int,
         if witness is not None:
             raise PreconditionError(f"{A.name or '?'}: free_over needs a distributive"
                                     f" lattice, distributivity fails at {witness}")
-    if max(A.size for A in basis) > 1 and _DEDEKIND[min(n, 8)] > max_size:
-        raise BudgetError(f"free algebra exceeds {max_size} elements: rank {n} gives"
+    if max(A.size for A in basis) > 1 and _DEDEKIND[min(n, 8)] > MAX_FREE_SIZE:
+        raise BudgetError(f"free algebra exceeds {MAX_FREE_SIZE} elements: rank {n} gives"
                           f" at least M({min(n, 8)}) = {_DEDEKIND[min(n, 8)]}")
 
     boxes, dias, decodes = [], [], []      # (shift, slot mask, table) per coordinate
@@ -125,10 +129,10 @@ def free_over(basis: Sequence[FiniteAlgebra], n: int,
             layer -= found
             found |= layer
             # past the Dedekind check the n + 2 seeds fit the budget, so it
-            # runs out at max_size + 1 in any order of the closure
-            if len(pool) + len(found) > max_size:
-                raise BudgetError(f"free algebra exceeds {max_size} elements",
-                                  partial=max_size + 1)
+            # runs out at MAX_FREE_SIZE + 1 in any order of the closure
+            if len(pool) + len(found) > MAX_FREE_SIZE:
+                raise BudgetError(f"free algebra exceeds {MAX_FREE_SIZE} elements",
+                                  partial=MAX_FREE_SIZE + 1)
             layer = {e | m for e in layer for m in new}
         pool |= found
         for e in found:
@@ -232,9 +236,6 @@ def verify_figure1(enum_bound: int = 6) -> Figure1Report:
     the catalog of subdirectly irreducible quotients, the universal property
     against every enumerated positive S4-algebra up to the bound, and the
     landmark subposet at the generator."""
-    from .corpus import FIG2_NAMES, corpus
-    from .enumeration import EnumerationTask, enum_algebras
-
     result = figure1_algebra()
     F = result.algebra
     gen = result.generators[0]
@@ -304,7 +305,6 @@ def lemma53_growth(N: int) -> GrowthReport:
     index k is the initial segment {0..k} up to the truncation boundary N-1."""
     if N < 2:
         raise PreconditionError("the growth experiment needs at least 2 worlds")
-    from .duality import kripke_eval
     rel = {(i, j) for i in range(N) for j in range(N) if i >= j}
     evens = frozenset(w for w in range(N) if w % 2 == 0)
     odds = frozenset(w for w in range(N) if w % 2 == 1)
@@ -316,12 +316,11 @@ def lemma53_growth(N: int) -> GrowthReport:
 
 # -- one-variable theories ---------------------------------------------------------
 
-def same_one_var_theory(A: FiniteAlgebra, B: FiniteAlgebra,
-                        max_size: int = 20_000) -> bool:
+def same_one_var_theory(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
     """Equality of one-variable equational theories, decided as a
     generator-to-generator isomorphism of the one-generated free algebras."""
-    fa = free_over([A], 1, max_size)
-    fb = free_over([B], 1, max_size)
+    fa = free_over([A], 1)
+    fb = free_over([B], 1)
     if fa.algebra.size != fb.algebra.size:
         return False
     mapping = extend_hom(fa.algebra, fb.algebra,

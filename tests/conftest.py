@@ -24,17 +24,36 @@ from poma.morphisms import (Hom, canonical_algebra, canonical_form, quotient,
 from poma.terms import equation_variables, holds_eq
 
 
-def run_capped(code):
+def run_capped(code, cpu_seconds=None):
     """Run ``code`` in a child interpreter that imports this checkout's
     poma, under a 1 GiB address-space limit: a test of a bounded-memory path
     then fails there instead of filling the machine's memory when the bound
-    is lost."""
+    is lost.  With ``cpu_seconds`` the child is also killed once it has used
+    that much CPU time, so a slow path fails the test instead of stalling it."""
     limit = 1 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        if cpu_seconds is not None:
+            resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+
     src = os.path.dirname(os.path.dirname(os.path.abspath(poma.__file__)))
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap)
+
+
+def relabel(A, order):
+    """The isomorphic copy of A in which element k stands for A's element
+    ``order[k]``."""
+    n = A.size
+    pos = [0] * n
+    for k, old in enumerate(order):
+        pos[old] = k
+    leq = tuple(tuple(A.leq[order[i]][order[j]] for j in range(n)) for i in range(n))
+    box = tuple(pos[A.box[order[i]]] for i in range(n))
+    dia = tuple(pos[A.diamond[order[i]]] for i in range(n))
+    return FiniteAlgebra(n, leq, box, dia)
 
 
 def oracle_derive_order(leq):
@@ -653,17 +672,19 @@ def oracle_operator_tables(kind, L):
     n = L.size
     if kind == "PS4":
         subs = oracle_sublattices01(L)
-        return ([tuple(L.join_all(c for c in s if L.leq[c][a]) for a in range(n))
-                 for s in subs],
-                [tuple(L.meet_all(c for c in s if L.leq[a][c]) for a in range(n))
-                 for s in subs])
+        return ([tuple(reduce(L.join, (c for c in s if L.leq[c][a]), L.bottom())
+                       for a in range(n)) for s in subs],
+                [tuple(reduce(L.meet, (c for c in s if L.leq[a][c]), L.top())
+                       for a in range(n)) for s in subs])
     boxes, dias = {}, {}
     mi, ji = L.lattice.meet_irreducibles, L.lattice.join_irreducibles
     for values in itertools.product(range(n), repeat=len(mi)):
-        boxes.setdefault(tuple(L.meet_all(values[k] for k, m in enumerate(mi) if L.leq[a][m])
+        boxes.setdefault(tuple(reduce(L.meet, (values[k] for k, m in enumerate(mi)
+                                               if L.leq[a][m]), L.top())
                                for a in range(n)))
     for values in itertools.product(range(n), repeat=len(ji)):
-        dias.setdefault(tuple(L.join_all(values[k] for k, j in enumerate(ji) if L.leq[j][a])
+        dias.setdefault(tuple(reduce(L.join, (values[k] for k, j in enumerate(ji)
+                                              if L.leq[j][a]), L.bottom())
                               for a in range(n)))
     boxes = [t for t in boxes if t[L.top()] == L.top() and all(
         t[L.meet(a, b)] == L.meet(t[a], t[b]) for a in range(n) for b in range(n))]

@@ -13,7 +13,7 @@ from poma.morphisms import automorphisms, canonical_form
 
 from conftest import (oracle_automorphisms, oracle_canonical_encoding,
                       oracle_canonical_form, oracle_enumerate_size,
-                      oracle_operator_tables, oracle_validate)
+                      oracle_operator_tables, oracle_validate, relabel)
 
 ENUMERATED = (("PS4", 7), ("PK4", 5), ("PMA", 5))
 
@@ -51,7 +51,7 @@ def _random_closure_lattice(rng):
 def _relabel_at_random(rng, A):
     order = list(range(A.size))
     rng.shuffle(order)
-    return A.relabel(tuple(order))
+    return relabel(A, tuple(order))
 
 
 # -- canonical forms ------------------------------------------------------------

@@ -280,6 +280,24 @@ def test_variety_commands(capsys):
     assert "V(D3,D4)" in out and out.count("->") == 21
 
 
+@pytest.mark.parametrize("argv,want", [
+    (("variety", "include", "--gens", "D4", "--other", "C2,"),
+     (0, "V(D4) includes V(C2): True\n")),
+    (("variety", "include", "--gens", "D4", "--other", " C2"),
+     (0, "V(D4) includes V(C2): True\n")),
+    (("variety", "covers", "--gens", "C2; D4", "--json"),
+     (0, '{"edges":[[0,1]],"nodes":["V(C2)","V(D4)"]}\n')),
+    (("variety", "include", "--gens", "D4", "--other", " , "), (2, "")),
+    (("variety", "covers", "--gens", " ; ", "--json"), (2, "")),
+], ids=["other-empty-piece", "other-space", "covers-space", "other-empty", "covers-empty"])
+def test_generator_lists_are_parsed_alike(capsys, argv, want):
+    """--gens and --other strip each piece of a generator list and drop the
+    empty ones; a list with no piece left is a usage error."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == want
+    assert err == ("" if code == 0 else "error: empty generator list\n")
+
+
 def test_split_command(capsys):
     assert run(capsys, "split", "c3a", "--name", "C4a")[0] == 0
     assert run(capsys, "split", "d3", "--name", "D4")[0] == 0

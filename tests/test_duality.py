@@ -213,8 +213,8 @@ def test_complex_algebra_world_cap():
 def test_kripke_eval_matches_powerset_algebra():
     geq = {(i, j) for i in range(3) for j in range(3) if i >= j}
     A = complex_algebra(3, geq)
-    from poma.algebras import powerset_masks
-    masks = powerset_masks(3)
+    from poma.algebras import powerset
+    masks = powerset(3)[0]
     term = parse_term("box(x \\/ dia y) /\\ dia box x")
     for xm in range(8):
         for ym in range(8):

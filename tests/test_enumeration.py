@@ -4,9 +4,9 @@ import json
 import pytest
 
 from poma import corpus, is_iso, validate
-from poma.algebras import downsets
-from poma.enumeration import (EnumerationTask, canonical_poset, enum_algebras,
-                              enum_bdl, enum_posets)
+from poma.algebras import downset_masks
+from poma.enumeration import (EnumerationTask, _poset_levels, canonical_poset,
+                              enum_algebras, enum_bdl, enum_posets)
 from poma.errors import PomaError
 from poma.morphisms import canonical_form
 from poma.terms import Box, Diamond, Equation, Meet, Var, parse_equation
@@ -53,7 +53,7 @@ def test_enum_bdl_counts_against_downset_oracle():
         seen = set()
         for k in range(n):
             for leq in _labeled_posets(k):
-                if len(downsets(leq)) == n:
+                if len(downset_masks(leq)) == n:
                     seen.add(canonical_poset(leq))
         return len(seen)
 
@@ -254,8 +254,12 @@ def test_enum_bdl_matches_the_per_size_poset_route():
     for n in range(1, 9):
         assert [L.to_json() for L in enum_bdl(n)] == [L.to_json() for L in oracle_enum_bdl(n)], n
     for k in range(7):
-        for max_downsets in (None, 4, 8):
-            assert enum_posets(k, max_downsets) == oracle_enum_posets(k, max_downsets)
+        assert enum_posets(k) == oracle_enum_posets(k)
+    for m in (4, 8):
+        levels = list(itertools.islice(_poset_levels(m), 7))
+        for k in range(7):
+            level = levels[k] if k < len(levels) else {}
+            assert [level[key] for key in sorted(level)] == oracle_enum_posets(k, m), (k, m)
 
 
 def test_cache_with_equations_holds_the_full_slice(tmp_path):
@@ -352,4 +356,4 @@ def test_task_rejects_bad_size_or_equations(max_size, satisfying):
 
 def test_downsets_of_chain():
     leq = ((True, True), (False, True))
-    assert len(downsets(leq)) == 3
+    assert len(downset_masks(leq)) == 3

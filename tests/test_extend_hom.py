@@ -8,7 +8,7 @@ import random
 import pytest
 
 from poma import FiniteAlgebra, corpus, validate
-from poma.algebras import powerset_masks
+from poma.algebras import powerset
 from poma.corpus import FIG2_NAMES
 from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import StructuralError
@@ -160,7 +160,7 @@ def test_cones_on_closure_system_lattices():
 
 def _cube(k):
     """The Boolean lattice of subsets of k points, identity operators."""
-    return _lattice_algebra(powerset_masks(k))
+    return _lattice_algebra(powerset(k)[0])
 
 
 def test_cones_on_maps_keeping_one_operation():
@@ -176,7 +176,7 @@ def test_cones_on_maps_keeping_one_operation():
     for A in sources:
         up, down = A.lattice.up, A.lattice.down
         for k in (1, 2, 3):
-            B, index = _cube(k), {m: i for i, m in enumerate(powerset_masks(k))}
+            B, index = _cube(k), {m: i for i, m in enumerate(powerset(k)[0])}
             for _ in range(4 if k > 1 else A.size):
                 a = [rng.choice([x for x in range(A.size) if x != A.bottom()]) for _ in range(k)]
                 m = [rng.choice([x for x in range(A.size) if x != A.top()]) for _ in range(k)]

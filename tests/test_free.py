@@ -4,10 +4,11 @@ import random
 import pytest
 
 from conftest import oracle_free_over, run_capped
-from poma import (Box, FiniteAlgebra, Join, Var, corpus, eval_term, fact52_check,
-                  figure1_algebra, free_over, free_zero, holds_eq, is_iso,
-                  is_well_connected, lemma53_growth, same_one_var_theory,
-                  sigma_terms, verify_figure1)
+from poma import (Box, FiniteAlgebra, Join, Var, classify_quasi, corpus, eval_term,
+                  fact52_check, figure1_algebra, free_over, free_zero, holds_eq,
+                  is_iso, is_well_connected, lemma53_growth, parse_quasi,
+                  same_one_var_theory, sigma_terms, variety_of, verify_figure1)
+from poma import free
 from poma.corpus import CORPUS_NAMES
 from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import BudgetError, PreconditionError
@@ -94,9 +95,35 @@ def test_free_size_monotone_in_rank():
         assert sizes == sorted(sizes)
 
 
+def _free_over_within(basis, n, max_size):
+    """free_over with ``free.MAX_FREE_SIZE`` set to max_size for this call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "MAX_FREE_SIZE", max_size)
+        return free_over(basis, n)
+
+
 def test_free_budget():
     with pytest.raises(BudgetError):
-        free_over([corpus("D4")], 1, max_size=3)
+        _free_over_within([corpus("D4")], 1, 3)
+
+
+def test_max_free_size_bounds_every_free_algebra_builder():
+    """One constant, read at each call, bounds free_over and, through it,
+    classify_quasi and same_one_var_theory: F(D4; 1) has 5 elements, so
+    all three run out at a budget of 4 and all three finish at 5."""
+    quasi = parse_quasi("box x ~ 1 => x ~ 1")
+    calls = (lambda: free_over([corpus("D4")], 1),
+             lambda: classify_quasi(variety_of([corpus("D4")]), quasi, max_free_rank=1),
+             lambda: same_one_var_theory(corpus("D4"), corpus("D4")))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "MAX_FREE_SIZE", 4)
+        for call in calls:
+            with pytest.raises(BudgetError, match="^free algebra exceeds 4 elements$") as exc:
+                call()
+            assert exc.value.partial == 5
+        mp.setattr(free, "MAX_FREE_SIZE", 5)
+        for call in calls:
+            assert call()
 
 
 # the Dedekind numbers M(0)..M(4): sizes of the free bounded distributive
@@ -126,7 +153,7 @@ def test_free_over_equals_the_value_vector_oracle_at_ranks_0_and_1():
         for parameter in (range(lowest[name], 7) if name in lowest else (None,))]
     for A in algebras:
         for n in (0, 1):
-            assert _outcome(free_over, [A], n) == _outcome(oracle_free_over, [A], n), \
+            assert _outcome(_free_over_within, [A], n) == _outcome(oracle_free_over, [A], n), \
                 (A.name, A.to_json(), n)
 
 
@@ -136,7 +163,7 @@ def test_free_over_equals_the_oracle_at_rank_2_on_random_bases():
     outcomes = set()
     for _ in range(30):
         basis = rng.sample(pool, rng.randint(1, 3))
-        got = _outcome(free_over, basis, 2, 300)
+        got = _outcome(_free_over_within, basis, 2, 300)
         assert got == _outcome(oracle_free_over, basis, 2, 300), \
             [A.to_json() for A in basis]
         outcomes.add(got[0] == "budget")
@@ -151,7 +178,7 @@ def test_budget_error_partial_matches_oracle(names, n):
     basis = [corpus(name) for name in names]
     size = oracle_free_over(basis, n).algebra.size
     for budget in range(DEDEKIND[n], size + 1):
-        assert _outcome(free_over, basis, n, budget) == \
+        assert _outcome(_free_over_within, basis, n, budget) == \
             _outcome(oracle_free_over, basis, n, budget), budget
 
 
@@ -163,7 +190,7 @@ def test_a_rank_past_the_dedekind_bound_fails_before_the_closure():
     for n, bound in enumerate(DEDEKIND):
         for budget in (0, bound - 1):
             with pytest.raises(BudgetError, match=rf"at least M\({n}\) = {bound}$") as exc:
-                free_over([corpus("C2")], n, budget)
+                _free_over_within([corpus("C2")], n, budget)
             assert exc.value.partial is None
 
 
@@ -264,11 +291,11 @@ def test_growth_tower_values():
 
 def test_growth_matches_powerset_algebra_route():
     from poma import complex_algebra
-    from poma.algebras import powerset_masks
+    from poma.algebras import powerset
     N = 4
     rel = {(i, j) for i in range(N) for j in range(N) if i >= j}
     A = complex_algebra(N, rel)
-    masks = powerset_masks(N)
+    masks = powerset(N)[0]
     evens = sum(1 << w for w in range(N) if w % 2 == 0)
     odds = sum(1 << w for w in range(N) if w % 2 == 1)
     asg = {"x": masks.index(evens), "y": masks.index(odds)}

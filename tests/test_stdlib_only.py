@@ -41,3 +41,27 @@ def test_no_import_runs_inside_a_loop():
                           for node in ast.walk(stmt)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, found
+
+
+def _function_imports(node, function=None):
+    """(function, module) for each import inside a function body, named by
+    the innermost function that holds it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _function_imports(child, child.name)
+            continue
+        if function and isinstance(child, ast.ImportFrom):
+            yield function, "." * child.level + (child.module or "")
+        elif function and isinstance(child, ast.Import):
+            yield from ((function, alias.name) for alias in child.names)
+        yield from _function_imports(child, function)
+
+
+def test_imports_inside_functions_only_close_cycles():
+    """An import sits inside a function only where the module it names
+    imports this one at its top: morphisms imports congruences, and free
+    imports corpus."""
+    found = sorted((path.stem, function, name)
+                   for path in SRC.glob("*.py")
+                   for function, name in _function_imports(ast.parse(path.read_text())))
+    assert found == [("congruences", "has_cep", ".morphisms"), ("corpus", "corpus", ".free")]
