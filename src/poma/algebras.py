@@ -48,12 +48,13 @@ class Lattice:
     bottom, top, then meet before join for each index pair i <= j; the
     tables, bounds and irreducibles are then None.  The distributivity
     witness and the sets of principal masks are found on first use
-    (:meth:`distributivity_witness`, :meth:`principal_masks`).
+    (:meth:`distributivity_witness`, :meth:`principal_masks`), and so is the
+    ``dual`` slot, the operator-free half of the prime-filter frame (None until then).
     """
 
     __slots__ = ("size", "leq", "up", "down", "defect", "meet", "join", "bottom",
                  "top", "join_irreducibles", "lower_covers", "join_masks",
-                 "meet_irreducibles", "_distributivity", "_principal", "__weakref__")
+                 "meet_irreducibles", "_distributivity", "_principal", "dual", "__weakref__")
 
     _interned = weakref.WeakValueDictionary()      # order matrix -> Lattice
 
@@ -71,7 +72,7 @@ class Lattice:
         self.down = tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
         self.meet = self.join = self.bottom = self.top = self.join_masks = None
         self.join_irreducibles = self.lower_covers = self.meet_irreducibles = None
-        self._distributivity, self._principal = _UNKNOWN, None
+        self._distributivity, self._principal, self.dual = _UNKNOWN, None, None
         self.defect = self._derive()
 
     def _derive(self) -> Optional[tuple[str, tuple[int, ...]]]:

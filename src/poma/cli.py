@@ -56,10 +56,10 @@ def _specs(text, option: str, sep: str = ",") -> list[str]:
     return specs
 
 
-def _variety(text, option: str = "--gens") -> varieties.VarietyHandle:
+def _generators(text, option: str = "--gens") -> tuple[list[FiniteAlgebra], str]:
+    """The algebras of a generator list, and the label of their variety."""
     specs = _specs(text, option)
-    return varieties.variety_of([corpus_by_spec(s) for s in specs],
-                                "V(" + ",".join(specs) + ")")
+    return [corpus_by_spec(s) for s in specs], "V(" + ",".join(specs) + ")"
 
 
 def _elements(texts, size: int, usage: str, piece: str) -> tuple[int, ...]:
@@ -211,7 +211,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_free(args) -> int:
-    handle = _variety(args.gens)
+    handle = varieties.variety_of(*_generators(args.gens))
     result = free.free_over(handle.generators, args.rank)
     obj = result.to_dict()
     _emit(args, obj,
@@ -221,7 +221,7 @@ def cmd_free(args) -> int:
 
 
 def cmd_freezero(args) -> int:
-    handle = _variety(args.gens)
+    handle = varieties.variety_of(*_generators(args.gens))
     A = free.free_zero(handle.generators)
     _emit(args, A.to_dict(), f"zero-generated free algebra: size {A.size} "
           f"({varieties._label_for(A)})")
@@ -249,7 +249,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_variety(args) -> int:
     if args.mode == "include":
-        V, W = _variety(args.gens), _variety(args.other, "--other")
+        gens, other = _generators(args.gens), _generators(args.other, "--other")
+        V, W = varieties.variety_of(*gens), varieties.variety_of(*other)
         verdict = varieties.includes(V, W)
         _emit(args, {"includes": verdict}, f"{V.label} includes {W.label}: {verdict}")
         return PASS if verdict else FAIL
@@ -332,7 +333,7 @@ def cmd_complete(args) -> int:
         lines.append(f"{len(candidates)} bounded candidates at size bound {args.depth}")
         _emit(args, obj, "\n".join(lines))
         return PASS
-    handle = _variety(args.gens)
+    handle = varieties.variety_of(*_generators(args.gens))
     if args.which == "sc":
         verdict = comp.is_sc_pk4(handle)
     elif args.which == "hsc":
@@ -354,7 +355,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_quasi(args) -> int:
-    handle = _variety(args.gens)
+    handle = varieties.variety_of(*_generators(args.gens))
     q = parse_quasi(args.quasi)
     cls = comp.classify_quasi(handle, q, max_free_rank=args.free_rank)
     obj = {"status": cls.status, "valid": cls.valid, "active": cls.active,

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import islice
 from operator import and_, or_
 
-from .algebras import (BoolMatrix, FiniteAlgebra, ModalAlgebra, _bits, _mask_key,
+from .algebras import (BoolMatrix, FiniteAlgebra, Lattice, ModalAlgebra, _bits, _mask_key,
                        _reach, _unions, powerset, subset_order, validate)
 from .congruences import Partition, con_lattice
 from .errors import BudgetError, PreconditionError
@@ -27,18 +27,33 @@ def join_irreducibles(A: FiniteAlgebra) -> list[int]:
     return list(A.lattice.require().join_irreducibles)
 
 
+def _order_frame(lat: Lattice) -> tuple:
+    """The half of the prime-filter frame that box and diamond do not touch,
+    kept in the lattice's ``dual`` slot: the filters as element masks in
+    :func:`prime_filters` order, ``up[i]``/``down[i]`` the filters holding/held
+    by filter i, ``point[a]`` those holding a, and the upsets' :func:`_upset_list`,
+    order and a -> index[point[a]] (None unless the lattice is distributive)."""
+    if lat.dual is None:
+        filters = tuple(sorted((lat.up[j] for j in lat.join_irreducibles), key=_mask_key))
+        up = tuple(sum(1 << j for j, g in enumerate(filters) if f & g == f) for f in filters)
+        down = tuple(sum(1 << j for j, g in enumerate(filters) if f & g == g) for f in filters)
+        point = tuple(sum(1 << i for i, f in enumerate(filters) if f >> a & 1)
+                      for a in range(lat.size))
+        upsets = None
+        if lat.distributivity_witness() is None:
+            masks, index = _upset_list(up)
+            upsets = masks, index, subset_order(masks), tuple(index[m] for m in point)
+        lat.dual = filters, up, down, point, upsets
+    return lat.dual
+
+
 @lru_cache(maxsize=1024)
-def _frame(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    """The prime-filter frame on bitmasks: the filters as element masks in
-    :func:`prime_filters` order, ``up[i]`` the filters holding filter i, ``succ[i]``
-    those that filter i sees (None unless A is a PMA), ``point[a]`` those holding a."""
-    lat = A.lattice.require()
-    filters = tuple(sorted((lat.up[j] for j in lat.join_irreducibles), key=_mask_key))
-    up = tuple(sum(1 << j for j, g in enumerate(filters) if f & g == f) for f in filters)
-    point = tuple(sum(1 << i for i, f in enumerate(filters) if f >> a & 1)
-                  for a in range(A.size))
+def _frame(A: FiniteAlgebra) -> tuple[tuple, tuple[int, ...] | None]:
+    """The prime-filter frame on bitmasks: :func:`_order_frame` of A's lattice,
+    and ``succ[i]`` the filters that filter i sees (None unless A is a PMA)."""
+    filters, _, _, point, _ = half = _order_frame(A.lattice.require())
     if not validate(A).is_pma:
-        return filters, up, None, point
+        return half, None
     # i sees j when box^-1 f_i <= f_j <= diamond^-1 f_i: f_j holds every a whose
     # box is in f_i and no a whose diamond is not
     succ = []
@@ -50,12 +65,12 @@ def _frame(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
             if not point[A.diamond[a]] >> i & 1:
                 s &= ~p
         succ.append(s)
-    return filters, up, tuple(succ), point
+    return half, tuple(succ)
 
 
-def _pma_frame(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+def _pma_frame(A: FiniteAlgebra) -> tuple[tuple, tuple[int, ...]]:
     """The frame of a positive modal algebra; PreconditionError for any other."""
-    if A.lattice.defect is None and (frame := _frame(A))[2] is not None:
+    if A.lattice.defect is None and (frame := _frame(A))[1] is not None:
         return frame
     raise PreconditionError("dual spaces are defined for positive modal algebras")
 
@@ -63,7 +78,7 @@ def _pma_frame(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
 def prime_filters(A: FiniteAlgebra) -> tuple[frozenset[int], ...]:
     """All prime filters: the principal upsets of join-irreducible elements,
     sorted by (cardinality, contents)."""
-    return tuple(frozenset(_bits(f)) for f in _frame(A)[0])
+    return tuple(frozenset(_bits(f)) for f in _frame(A)[0][0])
 
 
 @dataclass(frozen=True)
@@ -89,7 +104,7 @@ def _mask(row) -> int:
 
 
 def dual_space(A: FiniteAlgebra) -> DualSpace:
-    _, up, succ, _ = _pma_frame(A)
+    (_, up, *_), succ = _pma_frame(A)
     rows = [tuple(tuple(bool(r >> j & 1) for j in range(len(up))) for r in m) for m in (up, succ)]
     return DualSpace(prime_filters(A), *rows)
 
@@ -112,16 +127,32 @@ def _modal_tables(succ: list[int], masks, index: dict[int, int]) -> tuple[tuple[
 
 
 def _upsets(X: DualSpace):
-    """:func:`_upset_masks` of a space given by its matrices."""
-    return _upset_masks([_mask(row) for row in X.leq], [_mask(row) for row in X.R])
+    """:func:`_upset_masks` of a space given by its matrices, once they are
+    square over its points and ``leq`` is reflexive and transitive."""
+    n = len(X.points)
+    if any(len(m) != n or any(len(row) != n for row in m) for m in (X.leq, X.R)):
+        raise PreconditionError(f"leq and R must be {n} x {n} matrices over the points")
+    up = tuple(_mask(row) for row in X.leq)
+    if _reach(up) != up:
+        raise PreconditionError("leq is not reflexive and transitive")
+    return _upset_masks(up, [_mask(col) for col in zip(*X.leq)], [_mask(row) for row in X.R])
 
 
-def _upset_masks(up, succ) -> tuple[list[int], dict[int, int], tuple[int, ...], tuple[int, ...]]:
-    """Check the frame where x is below ``up[x]`` and sees ``succ[x]`` as
-    :func:`check_kplus` documents, then return its upsets as point masks in
-    :func:`downset_masks` order, their index, and box and diamond as index tables.
-    The upsets are counted as they are listed: BudgetError past ``MAX_UPSETS``."""
-    down = [sum(1 << x for x, u in enumerate(up) if u >> z & 1) for z in range(len(up))]
+def _upset_list(up) -> tuple[list[int], dict[int, int]]:
+    """The upsets of the order where x is below ``up[x]`` as point masks in
+    :func:`downset_masks` order, and their index.  They are counted as they
+    are listed: BudgetError past ``MAX_UPSETS``."""
+    masks = tuple(islice(_unions(_reach(up)), MAX_UPSETS + 1))
+    if len(masks) > MAX_UPSETS:
+        raise BudgetError(f"frame exceeds the {MAX_UPSETS:,}-upset budget", partial=len(masks))
+    masks = sorted(masks, key=_mask_key)
+    return masks, {m: i for i, m in enumerate(masks)}
+
+
+def _upset_masks(up, down, succ, upsets=None) -> tuple[list[int], dict[int, int], tuple, tuple]:
+    """Check the frame where x is below ``up[x]``, above ``down[x]`` and sees
+    ``succ[x]`` as :func:`check_kplus` documents, then return its upsets and their
+    index (``upsets``, else :func:`_upset_list`), and box and diamond as index tables."""
     for s in succ:
         above = below = 0
         for z in _bits(s):
@@ -129,11 +160,7 @@ def _upset_masks(up, succ) -> tuple[list[int], dict[int, int], tuple[int, ...], 
             below |= down[z]
         if above & below != s:
             raise PreconditionError("relation is not order-compatible")
-    masks = tuple(islice(_unions(_reach(up)), MAX_UPSETS + 1))
-    if len(masks) > MAX_UPSETS:
-        raise BudgetError(f"frame exceeds the {MAX_UPSETS:,}-upset budget", partial=len(masks))
-    masks = sorted(masks, key=_mask_key)
-    index = {m: i for i, m in enumerate(masks)}
+    masks, index = upsets or _upset_list(up)
     try:
         return masks, index, *_modal_tables(succ, masks, index)
     except KeyError:
@@ -157,10 +184,9 @@ def upset_algebra(X: DualSpace, name: str = "") -> FiniteAlgebra:
 def kappa(A: FiniteAlgebra) -> Hom:
     """Representation map sending a to the set of prime filters containing it;
     the target is the upset algebra of the dual space."""
-    _, up, succ, point = _pma_frame(A)
-    masks, index, box, dia = _upset_masks(up, succ)
-    U = FiniteAlgebra(len(masks), subset_order(masks), box, dia)
-    return Hom(A, U, tuple(index[m] for m in point))
+    (_, up, down, _, (masks, index, order, image)), succ = _pma_frame(A)
+    _, _, box, dia = _upset_masks(up, down, succ, (masks, index))
+    return Hom(A, FiniteAlgebra(len(masks), order, box, dia), image)
 
 
 @dataclass(frozen=True)
@@ -192,7 +218,7 @@ def _powerset_frame(succ: list[int], name: str = "") -> FiniteAlgebra:
 def _nameless_envelope(A: FiniteAlgebra) -> tuple[ModalAlgebra, tuple[int, ...]]:
     """The envelope without names: the cache is keyed on A's value, which
     ignores its name, so a cached name would be the first caller's."""
-    _, _, succ, point = _pma_frame(A)
+    (*_, point, _), succ = _pma_frame(A)
     k = len(succ)
     if k > MAX_POINTS:
         raise BudgetError(f"envelope over {k} points exceeds the {MAX_POINTS}-point cap")
@@ -329,7 +355,7 @@ def is_p_morphism(X: DualSpace, Y: DualSpace, f: tuple[int, ...]) -> bool:
 def dual_of_hom(h: Hom) -> tuple[int, ...]:
     """Inverse-image map between dual spaces, from the target's space to the
     source's; PreconditionError unless h is a homomorphism of PMAs."""
-    target, source = _pma_frame(h.target)[0], _pma_frame(h.source)[0]
+    target, source = _pma_frame(h.target)[0][0], _pma_frame(h.source)[0][0]
     if not h.is_valid():
         raise PreconditionError("the map is not a homomorphism")
     return tuple(source.index(sum(1 << a for a, b in enumerate(h.mapping) if g >> b & 1))

@@ -827,6 +827,16 @@ def oracle_boolean_envelope(A):
     return M, complement, mapping
 
 
+def oracle_dual_of_hom(h):
+    """Each prime filter of the target, as a frozenset, sent to the index of
+    its inverse image among the source's."""
+    if not h.is_valid():
+        raise PreconditionError("the map is not a homomorphism")
+    source = oracle_dual_space(h.source).points
+    return tuple(source.index(frozenset(a for a, b in enumerate(h.mapping) if b in g))
+                 for g in oracle_dual_space(h.target).points)
+
+
 # -- terms: one walk per assignment, the evaluator the value vectors replaced ------
 
 def oracle_eval_term(A, t, asg):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import run_capped
-from poma import corpus
+from poma import corpus, varieties
 from poma.cli import main
 
 
@@ -253,6 +253,20 @@ def test_powerset_carrier_commands_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("dual", "--name", "F1_PS4"),
+     "51c8551f753b2dce7e41fcfa492e9b3ad87478829b318563a1520b4adc32095b"),
+    (("dual", "--name", "AN_MINUS:6"),
+     "abe49fd8426aa40010a1181789a094093a65103414bafa600aa2d9d4244ff782"),
+], ids=["dual-F1_PS4", "dual-AN_MINUS-6"])
+def test_dual_command_json_bytes(capsys, argv, digest):
+    """The --json stdout of dual, pinned by its sha256 as printed when each
+    algebra derived its prime filters and their order on its own."""
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_stream(capsys):
     code, out, _ = run(capsys, "enumerate", "--kind", "PS4", "--max-size", "3")
     assert code == 0
@@ -278,6 +292,20 @@ def test_variety_commands(capsys):
     assert code == 0 and len(obj["nodes"]) == 16 and len(obj["edges"]) == 21
     code, out, _ = run(capsys, "variety", "figure4", "--dot")
     assert "V(D3,D4)" in out and out.count("->") == 21
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("variety", "include", "--gens", "F1_PS4"),
+     "error: need --other with a ','-separated generator list\n"),
+    (("variety", "include", "--gens", "F1_PS4", "--other", "NOPE"),
+     "error: unknown corpus name: 'NOPE'\n"),
+], ids=["no-other", "unknown-other"])
+def test_variety_include_checks_both_lists_before_computing(capsys, monkeypatch, argv, err):
+    """A bad --other exits 2 before the --gens variety, HS(F1_PS4) here, is built."""
+    def refuse(*args):
+        raise AssertionError("variety_of was called")
+    monkeypatch.setattr(varieties, "variety_of", refuse)
+    assert run(capsys, *argv) == (2, "", err)
 
 
 @pytest.mark.parametrize("argv,want", [

@@ -3,18 +3,21 @@ dual spaces, the compatibility check, upset algebras, the representation
 map and the Boolean envelope give the same result, or the same exception
 type and message."""
 import random
+from collections import Counter
 
 import pytest
 
-from poma import FiniteAlgebra, boolean_envelope, corpus, dual_space, kappa, upset_algebra
+from poma import (FiniteAlgebra, boolean_envelope, corpus, dual_space, duality, kappa,
+                  upset_algebra, validate)
 from poma.algebras import chain_order
 from poma.corpus import CORPUS_NAMES, PARAMETRIC_NAMES
-from poma.duality import DualSpace, check_kplus
+from poma.duality import DualSpace, check_kplus, dual_of_hom
 from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import PomaError
+from poma.morphisms import Hom
 
-from conftest import (oracle_boolean_envelope, oracle_check_kplus, oracle_dual_space,
-                      oracle_kappa, oracle_upset_algebra)
+from conftest import (oracle_boolean_envelope, oracle_check_kplus, oracle_dual_of_hom,
+                      oracle_dual_space, oracle_kappa, oracle_upset_algebra, run_capped)
 
 ROUTES = ((check_kplus, oracle_check_kplus), (upset_algebra, oracle_upset_algebra))
 
@@ -141,3 +144,73 @@ def test_nine_points_exceed_the_envelope_cap():
     assert len(dual_space(A).points) == 9
     assert _envelope_outcome(_envelope_parts, A) == (
         "BudgetError", "envelope over 9 points exceeds the 8-point cap")
+
+
+_ID2 = ((True, False), (False, True))
+
+
+@pytest.mark.parametrize("leq,R,message", [
+    (_ID2, ((True, False, False), (False, True, False)),
+     "leq and R must be 2 x 2 matrices over the points"),
+    (_ID2, ((True,),), "leq and R must be 2 x 2 matrices over the points"),
+    (((False, True), (False, True)), _ID2, "leq is not reflexive and transitive"),
+    (((True, True, False), (False, True, True), (False, False, True)),
+     tuple(tuple(x == y for y in range(3)) for x in range(3)),
+     "leq is not reflexive and transitive"),
+], ids=["R-wider-than-leq", "R-one-by-one", "leq-not-reflexive", "leq-not-transitive"])
+def test_malformed_frames_are_refused(leq, R, message):
+    # a wider R once raised IndexError, a 1 x 1 R gave a 4-element algebra on
+    # 2 points, and a leq that is no preorder was closed without a word
+    X = DualSpace(tuple(frozenset({i}) for i in range(len(leq))), leq, R)
+    for route, _ in ROUTES:
+        assert _outcome(route, X) == ("PreconditionError", message)
+
+
+def test_two_algebras_on_one_lattice_list_its_upsets_once(monkeypatch):
+    n = 16                      # a chain no other test builds: its lattice is new here
+    ident = tuple(range(n))
+    A = FiniteAlgebra(n, chain_order(n), ident, ident)
+    B = FiniteAlgebra(n, chain_order(n), ident, (0,) + (n - 1,) * (n - 1))
+    assert A.lattice is B.lattice and A.lattice.dual is None and validate(B).is_pma
+    listed, lister = [], duality._upset_list
+    monkeypatch.setattr(duality, "_upset_list", lambda up: listed.append(up) or lister(up))
+    for C in (A, B):
+        assert _outcome(kappa, C) == _outcome(oracle_kappa, C)
+    assert len(listed) == 1
+
+
+def test_the_frame_half_is_dropped_with_its_lattice():
+    # the half is kept on the lattice, which is interned only while an
+    # algebra holds it: once the value-keyed caches let go of the algebra,
+    # neither its order nor that of kappa's target stays interned
+    result = run_capped(
+        "import gc\n"
+        "from poma import FiniteAlgebra, boolean_envelope, kappa\n"
+        "from poma.algebras import Lattice, validate\n"
+        "from poma.duality import _frame, _nameless_envelope\n"
+        "leq = ((1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1))\n"
+        "A = FiniteAlgebra.make(leq, (0, 1, 2, 3), (0, 1, 2, 3))\n"
+        "order, target = A.leq, kappa(A).target.leq\n"
+        "boolean_envelope(A)\n"
+        "assert A.lattice.dual is not None\n"
+        "del A\n"
+        "for cache in (validate, _frame, _nameless_envelope):\n"
+        "    cache.cache_clear()\n"
+        "gc.collect()\n"
+        "print(order in Lattice._interned, target in Lattice._interned)\n")
+    assert (result.returncode, result.stdout) == (0, "False False\n"), result.stderr
+
+
+def test_algebras_sharing_a_lattice_match_the_oracles():
+    # the half of the frame kept per lattice holds no operator: one that kept
+    # the first algebra's box or diamond would give the next a wrong dual
+    algebras = [*enum_algebras(EnumerationTask("PMA", 5)),
+                *enum_algebras(EnumerationTask("PS4", 6))]
+    shared = Counter(A.leq for A in algebras)
+    for A in (A for A in algebras if shared[A.leq] > 1):
+        assert _outcome(dual_space, A) == _outcome(oracle_dual_space, A), A
+        assert _outcome(kappa, A) == _outcome(oracle_kappa, A), A
+        envelope = _envelope_outcome(_envelope_parts, A)
+        assert envelope == _envelope_outcome(oracle_boolean_envelope, A), A
+        for h in (Hom(A, A, tuple(range(A.size))), kappa(A), boolean_envelope(A).kappa):
+            assert dual_of_hom(h) == oracle_dual_of_hom(h), A
