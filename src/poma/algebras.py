@@ -13,12 +13,14 @@ import json
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, Optional
 
-from .errors import StructuralError
+from .errors import BudgetError, StructuralError
 
 BoolMatrix = tuple[tuple[bool, ...], ...]
+
+MAX_UPSETS = 1 << 16    # as many upsets as a 16-point frame can have
 
 
 def _freeze_matrix(rows) -> BoolMatrix:
@@ -31,6 +33,20 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask(row) -> int:
+    """The set bits of a boolean row."""
+    return sum(1 << j for j, v in enumerate(row) if v)
+
+
+def _budgeted(items, limit: int, message: str) -> tuple:
+    """The items as a tuple, counted as they come: once they pass ``limit``,
+    BudgetError with ``message`` and ``partial`` limit + 1."""
+    found = tuple(islice(items, limit + 1))
+    if len(found) > limit:
+        raise BudgetError(message, partial=len(found))
+    return found
 
 
 _UNKNOWN = object()
@@ -68,8 +84,8 @@ class Lattice:
     def __init__(self, leq: BoolMatrix):
         n = len(leq)
         self.size, self.leq = n, leq
-        self.up = tuple(sum(1 << j for j in range(n) if row[j]) for row in leq)
-        self.down = tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
+        self.up = tuple(map(_mask, leq))
+        self.down = tuple(map(_mask, zip(*leq)))
         self.meet = self.join = self.bottom = self.top = self.join_masks = None
         self.join_irreducibles = self.lower_covers = self.meet_irreducibles = None
         self._distributivity, self._principal, self.dual = _UNKNOWN, None, None
@@ -120,8 +136,7 @@ class Lattice:
             j for j in range(n) if (down[j] & ~(1 << j)) in by_down)
         self.lower_covers = tuple(
             by_down[down[j] & ~(1 << j)] for j in self.join_irreducibles)
-        self.join_masks = tuple(sum(1 << k for k, j in enumerate(self.join_irreducibles)
-                                    if d >> j & 1) for d in down)
+        self.join_masks = tuple(_mask(d >> j & 1 for j in self.join_irreducibles) for d in down)
         self.meet_irreducibles = tuple(
             m for m in range(n) if (up[m] & ~(1 << m)) in by_up)
         return None
@@ -169,13 +184,16 @@ class Lattice:
 def downset_masks(leq: BoolMatrix) -> list[int]:
     """All downsets of the relation as bitmasks, sorted by (cardinality,
     sorted contents).  The upsets of ``leq`` are the downsets of its transpose."""
-    return closed_masks([sum(1 << i for i, v in enumerate(col) if v) for col in zip(*leq)])
+    return closed_masks(map(_mask, zip(*leq)))
 
 
-def closed_masks(down: list[int]) -> list[int]:
+def closed_masks(down) -> list[int]:
     """The masks m holding ``down[x]`` for each x in m, in downset_masks order:
-    the unions of what each point reaches."""
-    return sorted(_unions(_reach(down)), key=_mask_key)
+    the unions of what each point reaches.  They are counted as they are
+    listed: BudgetError past ``MAX_UPSETS``."""
+    masks = _budgeted(_unions(_reach(down)), MAX_UPSETS,
+                      f"frame exceeds the {MAX_UPSETS:,}-upset budget")
+    return sorted(masks, key=_mask_key)
 
 
 def _mask_key(mask: int) -> tuple[int, list[int]]:

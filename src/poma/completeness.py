@@ -5,6 +5,7 @@ S4-algebras, plus bounded admissibility classification of quasi-equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from .algebras import validate
@@ -210,22 +211,13 @@ def theorem93_battery(V: VarietyHandle, bound: int = 4) -> Verdict:
     if equals(V, variety_of([corpus("B2")])):
         return Verdict("Yes", witness="B2", detail="collapsed-operator branch")
 
-    def n_holds(n):
-        lhs = box_power(_X, 1)
-        for k in range(2, n + 1):
-            lhs = Meet(lhs, box_power(_X, k))
-        eq = Leq(lhs, _X)
-        return all(holds_eq(g, eq) for g in V.generators)
+    def least(law):
+        """The least k <= bound whose equation law(k) holds in every generator."""
+        return next((k for k in range(1, bound + 1)
+                     if all(holds_eq(g, law(k)) for g in V.generators)), None)
 
-    def m_holds(m):
-        rhs = diamond_power(_X, 1)
-        for k in range(2, m + 1):
-            rhs = Join(rhs, diamond_power(_X, k))
-        eq = Leq(_X, rhs)
-        return all(holds_eq(g, eq) for g in V.generators)
-
-    n = next((k for k in range(1, bound + 1) if n_holds(k)), None)
-    m = next((k for k in range(1, bound + 1) if m_holds(k)), None)
+    n = least(lambda k: Leq(reduce(Meet, (box_power(_X, i) for i in range(1, k + 1))), _X))
+    m = least(lambda k: Leq(_X, reduce(Join, (diamond_power(_X, i) for i in range(1, k + 1)))))
     if n is not None and m is not None:
         return Verdict("Yes", bound=bound, witness=(n, m),
                        detail=f"least exponents n={n}, m={m}")

@@ -51,12 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import islice
 from operator import and_
 from typing import Iterable, Optional
 
-from .algebras import FiniteAlgebra, ModalAlgebra, _bits, _reach, _unions, validate
-from .errors import BudgetError, PreconditionError
+from .algebras import (FiniteAlgebra, ModalAlgebra, _bits, _budgeted, _mask, _reach, _unions,
+                       validate)
+from .errors import PreconditionError
 
 MAX_CONGRUENCES = 100_000       # members of a congruence lattice
 
@@ -209,12 +209,8 @@ def principal_congruences(A: FiniteAlgebra) -> tuple[Partition, ...]:
 def _con_ids(A: FiniteAlgebra, max_congruences: int) -> tuple[int, ...]:
     """All congruences as masks: the unions of the generators.  The identity
     is always admitted; BudgetError past ``max_congruences`` members."""
-    limit = max(max_congruences, 1)
-    found = tuple(islice(_unions(_generators(A)), limit + 1))
-    if len(found) > limit:
-        raise BudgetError(f"congruence lattice exceeds {max_congruences} members",
-                          partial=len(found))
-    return found
+    return _budgeted(_unions(_generators(A)), max(max_congruences, 1),
+                     f"congruence lattice exceeds {max_congruences} members")
 
 
 @lru_cache(maxsize=None)
@@ -231,8 +227,7 @@ def _cmi_masks(A: FiniteAlgebra) -> set[int]:
     """The masks of the completely meet-irreducible congruences: the distinct
     theta_k = {i : k not in G_i} (module docstring)."""
     gens = _generators(A)
-    return {sum(1 << i for i, g in enumerate(gens) if not g >> k & 1)
-            for k in range(len(gens))}
+    return {_mask(not g >> k & 1 for g in gens) for k in range(len(gens))}
 
 
 @lru_cache(maxsize=None)
@@ -373,7 +368,7 @@ def has_cep(A: FiniteAlgebra) -> CepResult:
         # holds every join-irreducible of A below e(j) and not below e(l)
         gaps = [join_masks[e[j]] & ~join_masks[e[l]]
                 for l, j in zip(lat.lower_covers, lat.join_irreducibles)]
-        traces = {sum(1 << k for k, gap in enumerate(gaps) if not gap & ~theta) for theta in con_a}
+        traces = {_mask(not gap & ~theta for gap in gaps) for theta in con_a}
         missing = [_partition(sub, m) for m in _con_ids(sub, MAX_CONGRUENCES) if m not in traces]
         if missing:
             return CepResult(False, (sub, min(missing, key=lambda p: p.blocks)))

@@ -8,18 +8,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from operator import and_, or_
 
-from .algebras import (BoolMatrix, FiniteAlgebra, Lattice, ModalAlgebra, _bits, _mask_key,
-                       _reach, _unions, powerset, subset_order, validate)
+from .algebras import (MAX_UPSETS, BoolMatrix, FiniteAlgebra, Lattice, ModalAlgebra, _bits,
+                       _mask, _mask_key, _reach, closed_masks, powerset, subset_order,
+                       validate)
 from .congruences import Partition, con_lattice
 from .errors import BudgetError, PreconditionError
 from .morphisms import Hom
 from .terms import Term, evaluate
 
 MAX_POINTS = 8          # powerset carriers beyond 2^8 elements are refused
-MAX_UPSETS = 1 << 16    # as many upsets as a 16-point frame can have
 
 
 def join_irreducibles(A: FiniteAlgebra) -> list[int]:
@@ -32,17 +31,17 @@ def _order_frame(lat: Lattice) -> tuple:
     kept in the lattice's ``dual`` slot: the filters as element masks in
     :func:`prime_filters` order, ``up[i]``/``down[i]`` the filters holding/held
     by filter i, ``point[a]`` those holding a, and the upsets' :func:`_upset_list`,
-    order and a -> index[point[a]] (None unless the lattice is distributive)."""
+    lattice (kappa's target order: it may be this one, a cycle the collector
+    frees) and a -> index[point[a]] (None unless the lattice is distributive)."""
     if lat.dual is None:
         filters = tuple(sorted((lat.up[j] for j in lat.join_irreducibles), key=_mask_key))
-        up = tuple(sum(1 << j for j, g in enumerate(filters) if f & g == f) for f in filters)
-        down = tuple(sum(1 << j for j, g in enumerate(filters) if f & g == g) for f in filters)
-        point = tuple(sum(1 << i for i, f in enumerate(filters) if f >> a & 1)
-                      for a in range(lat.size))
+        up = tuple(_mask(f & g == f for g in filters) for f in filters)
+        down = tuple(_mask(f & g == g for g in filters) for f in filters)
+        point = tuple(_mask(f >> a & 1 for f in filters) for a in range(lat.size))
         upsets = None
         if lat.distributivity_witness() is None:
             masks, index = _upset_list(up)
-            upsets = masks, index, subset_order(masks), tuple(index[m] for m in point)
+            upsets = masks, index, Lattice.of(subset_order(masks)), tuple(index[m] for m in point)
         lat.dual = filters, up, down, point, upsets
     return lat.dual
 
@@ -98,11 +97,6 @@ class DualSpace:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-def _mask(row) -> int:
-    """The set bits of a boolean row."""
-    return sum(1 << j for j, v in enumerate(row) if v)
-
-
 def dual_space(A: FiniteAlgebra) -> DualSpace:
     (_, up, *_), succ = _pma_frame(A)
     rows = [tuple(tuple(bool(r >> j & 1) for j in range(len(up))) for r in m) for m in (up, succ)]
@@ -126,26 +120,29 @@ def _modal_tables(succ: list[int], masks, index: dict[int, int]) -> tuple[tuple[
     return tuple(box), tuple(dia)
 
 
-def _upsets(X: DualSpace):
-    """:func:`_upset_masks` of a space given by its matrices, once they are
-    square over its points and ``leq`` is reflexive and transitive."""
+def _require_square(X: DualSpace) -> int:
+    """The number n of X's points; PreconditionError unless ``leq`` and ``R``
+    are n x n matrices."""
     n = len(X.points)
     if any(len(m) != n or any(len(row) != n for row in m) for m in (X.leq, X.R)):
         raise PreconditionError(f"leq and R must be {n} x {n} matrices over the points")
-    up = tuple(_mask(row) for row in X.leq)
+    return n
+
+
+def _upsets(X: DualSpace):
+    """:func:`_upset_masks` of a space given by its matrices, once they are
+    square over its points and ``leq`` is reflexive and transitive."""
+    _require_square(X)
+    up = tuple(map(_mask, X.leq))
     if _reach(up) != up:
         raise PreconditionError("leq is not reflexive and transitive")
-    return _upset_masks(up, [_mask(col) for col in zip(*X.leq)], [_mask(row) for row in X.R])
+    return _upset_masks(up, list(map(_mask, zip(*X.leq))), list(map(_mask, X.R)))
 
 
 def _upset_list(up) -> tuple[list[int], dict[int, int]]:
     """The upsets of the order where x is below ``up[x]`` as point masks in
-    :func:`downset_masks` order, and their index.  They are counted as they
-    are listed: BudgetError past ``MAX_UPSETS``."""
-    masks = tuple(islice(_unions(_reach(up)), MAX_UPSETS + 1))
-    if len(masks) > MAX_UPSETS:
-        raise BudgetError(f"frame exceeds the {MAX_UPSETS:,}-upset budget", partial=len(masks))
-    masks = sorted(masks, key=_mask_key)
+    :func:`downset_masks` order, and their index: BudgetError past ``MAX_UPSETS``."""
+    masks = closed_masks(up)
     return masks, {m: i for i, m in enumerate(masks)}
 
 
@@ -174,19 +171,19 @@ def check_kplus(X: DualSpace) -> None:
     _upsets(X)
 
 
-def upset_algebra(X: DualSpace, name: str = "") -> FiniteAlgebra:
+def upset_algebra(X: DualSpace) -> FiniteAlgebra:
     """Algebra of all upsets of the space under intersection/union with the
     relational operators.  The space is checked for compatibility first."""
     masks, _, box, dia = _upsets(X)
-    return FiniteAlgebra(len(masks), subset_order(masks), box, dia, name)
+    return FiniteAlgebra(len(masks), subset_order(masks), box, dia)
 
 
 def kappa(A: FiniteAlgebra) -> Hom:
     """Representation map sending a to the set of prime filters containing it;
     the target is the upset algebra of the dual space."""
-    (_, up, down, _, (masks, index, order, image)), succ = _pma_frame(A)
+    (_, up, down, _, (masks, index, target, image)), succ = _pma_frame(A)
     _, _, box, dia = _upset_masks(up, down, succ, (masks, index))
-    return Hom(A, FiniteAlgebra(len(masks), order, box, dia), image)
+    return Hom(A, FiniteAlgebra(len(masks), target.leq, box, dia), image)
 
 
 @dataclass(frozen=True)
@@ -208,10 +205,10 @@ def boolean_envelope(A: FiniteAlgebra) -> Envelope:
     return Envelope(modal, Hom(A, modal.algebra, mapping))
 
 
-def _powerset_frame(succ: list[int], name: str = "") -> FiniteAlgebra:
+def _powerset_frame(succ: list[int]) -> FiniteAlgebra:
     """The powerset algebra of the frame where point x sees ``succ[x]``."""
     masks, index, order, _ = powerset(len(succ))
-    return FiniteAlgebra(len(masks), order, *_modal_tables(succ, masks, index), name)
+    return FiniteAlgebra(len(masks), order, *_modal_tables(succ, masks, index))
 
 
 @lru_cache(maxsize=1024)
@@ -231,12 +228,12 @@ boolean_envelope.cache_info = _nameless_envelope.cache_info
 prime_filters.cache_info = _frame.cache_info
 
 
-def complex_algebra(n_worlds: int, relation, name: str = "") -> FiniteAlgebra:
+def complex_algebra(n_worlds: int, relation) -> FiniteAlgebra:
     """Full powerset algebra of the frame ({0..n_worlds-1}, relation), where
     `relation` is an iterable of (x, y) pairs of worlds: x sees y."""
     if n_worlds > MAX_POINTS:
         raise BudgetError(f"{n_worlds} worlds exceeds the {MAX_POINTS}-world cap")
-    return _powerset_frame(_successors(n_worlds, relation), name)
+    return _powerset_frame(_successors(n_worlds, relation))
 
 
 def _successors(n: int, relation) -> list[int]:
@@ -271,10 +268,10 @@ class _Frame:
         return (1 << len(self.succ)) - 1
 
     def box(self, v: int) -> int:
-        return sum(1 << x for x, s in enumerate(self.succ) if s & ~v == 0)
+        return _mask(s & ~v == 0 for s in self.succ)
 
     def dia(self, v: int) -> int:
-        return sum(1 << x for x, s in enumerate(self.succ) if s & v)
+        return _mask(s & v for s in self.succ)
 
 
 def kripke_eval(n_worlds: int, relation, t: Term,
@@ -333,7 +330,7 @@ def open_filter_congruence_iso_check(M: ModalAlgebra) -> bool:
 # -- p-morphisms -----------------------------------------------------------------
 
 def is_p_morphism(X: DualSpace, Y: DualSpace, f: tuple[int, ...]) -> bool:
-    nx, ny = len(X.points), len(Y.points)
+    nx, ny = _require_square(X), _require_square(Y)
     if len(f) != nx or not all(isinstance(y, int) and 0 <= y < ny for y in f):
         raise PreconditionError(f"{f!r} does not send each of the {nx} points to one of {ny}")
     for x in range(nx):
@@ -358,5 +355,4 @@ def dual_of_hom(h: Hom) -> tuple[int, ...]:
     target, source = _pma_frame(h.target)[0][0], _pma_frame(h.source)[0][0]
     if not h.is_valid():
         raise PreconditionError("the map is not a homomorphism")
-    return tuple(source.index(sum(1 << a for a, b in enumerate(h.mapping) if g >> b & 1))
-                 for g in target)
+    return tuple(source.index(_mask(g >> b & 1 for b in h.mapping)) for g in target)

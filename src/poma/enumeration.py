@@ -61,7 +61,7 @@ from typing import NamedTuple
 from .algebras import BoolMatrix, FiniteAlgebra, downset_masks, subset_order, validate
 from .congruences import is_fsi, is_si
 from .errors import PomaError
-from .morphisms import _least_leaves, automorphisms, canonical_form, subuniverses
+from .morphisms import SEARCH_CAP, _least_leaves, automorphisms, canonical_form, subuniverses
 from .terms import (Equation, Term, Var, Vectors, assignment_blocks, equation_variables,
                     evaluate, holds_eq, term_kinds)
 
@@ -91,7 +91,7 @@ class EnumerationTask:
 def canonical_poset(leq: BoolMatrix) -> tuple:
     n = len(leq)
     ident = tuple(range(n))
-    return _least_leaves(n, leq, ident, ident, 100_000)[0]
+    return _least_leaves(n, leq, ident, ident, SEARCH_CAP)[0]
 
 
 def _extend_with_max(leq: BoolMatrix, down: int) -> BoolMatrix:
@@ -158,17 +158,20 @@ def _fold(table, start: int, xs) -> int:
     return start
 
 
-def _interior_table(L: FiniteAlgebra, fixed: tuple[int, ...]) -> tuple[int, ...]:
-    """box from its fixed-point sublattice: greatest fixed point below."""
-    lat, leq = L.lattice.require(), L.leq
-    return tuple(_fold(lat.join, lat.bottom, (c for c in fixed if leq[c][a]))
-                 for a in range(L.size))
+def _interior_table(leq: BoolMatrix, fixed) -> tuple[int, ...]:
+    """The interior operator whose fixed points are ``fixed``, a 0,1-sublattice
+    of the order ``leq``: the greatest fixed point below each element.  The
+    fixed points below a hold the bottom and are closed under joins, so they
+    have a greatest member; and the elements are indexed in a linear extension
+    of the order (as ``enum_bdl`` and ``figure1_algebra`` list them), so that
+    member is the one of largest index."""
+    return tuple(max(c for c in fixed if leq[c][a]) for a in range(len(leq)))
 
 
-def _closure_table(L: FiniteAlgebra, fixed: tuple[int, ...]) -> tuple[int, ...]:
-    lat, leq = L.lattice.require(), L.leq
-    return tuple(_fold(lat.meet, lat.top, (c for c in fixed if leq[a][c]))
-                 for a in range(L.size))
+def _closure_table(leq: BoolMatrix, fixed) -> tuple[int, ...]:
+    """The closure operator whose fixed points are ``fixed``: the least fixed
+    point above each element, the one of least index (dually)."""
+    return tuple(min(c for c in fixed if leq[a][c]) for a in range(len(leq)))
 
 
 def _mixed_axioms_hold(L: FiniteAlgebra, box, dia) -> bool:
@@ -211,8 +214,8 @@ def _operator_tables(kind: str, L: FiniteAlgebra):
     meet- and join-preserving tables (K4: transitive ones)."""
     if kind == "PS4":
         subs = subuniverses(L)      # the 0,1-sublattices: L has identity operators
-        return ([_interior_table(L, s) for s in subs],
-                [_closure_table(L, s) for s in subs])
+        return ([_interior_table(L.leq, s) for s in subs],
+                [_closure_table(L.leq, s) for s in subs])
     boxes, dias = _preserving_tables(L, dual=False), _preserving_tables(L, dual=True)
     if kind == "PK4":
         leq = L.leq

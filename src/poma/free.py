@@ -9,10 +9,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .algebras import FiniteAlgebra, _reach, downset_masks, subset_order, validate
+from .algebras import FiniteAlgebra, _mask, _reach, downset_masks, subset_order, validate
 from .corpus import FIG2_NAMES, corpus
 from .duality import kripke_eval
-from .enumeration import EnumerationTask, enum_algebras
+from .enumeration import EnumerationTask, _closure_table, _interior_table, enum_algebras
 from .errors import BudgetError, PreconditionError
 from .morphisms import (canonical_form, closure_universe, extend_hom,
                         si_quotients)
@@ -197,20 +197,15 @@ def figure1_algebra() -> FreeAlgebraResult:
     points = downset_masks(tuple(zip(*_FACT52_LEQ)))      # prime-filter skeleton (upsets)
     carrier = downset_masks(tuple(zip(*subset_order(points))))
     index = {u: i for i, u in enumerate(carrier)}
-    n = len(carrier)
     leq = subset_order(carrier)
 
     def ghat(p: int) -> int:
-        return index[sum(1 << i for i, u in enumerate(points) if u >> p & 1)]
+        return index[_mask(u >> p & 1 for u in points)]
 
     bot, top = index[0], index[(1 << len(points)) - 1]
-    box_fixed = [bot, ghat(1), ghat(3), ghat(5), top]
-    dia_fixed = [bot, ghat(2), ghat(6), ghat(4), top]
-    box = tuple(max((f for f in box_fixed if leq[f][a]),
-                    key=lambda f: carrier[f].bit_count()) for a in range(n))
-    dia = tuple(min((f for f in dia_fixed if leq[a][f]),
-                    key=lambda f: carrier[f].bit_count()) for a in range(n))
-    algebra = FiniteAlgebra(n, leq, box, dia, "F1_PS4")
+    box = _interior_table(leq, (bot, ghat(1), ghat(3), ghat(5), top))
+    dia = _closure_table(leq, (bot, ghat(2), ghat(6), ghat(4), top))
+    algebra = FiniteAlgebra(len(carrier), leq, box, dia, "F1_PS4")
     return FreeAlgebraResult(algebra, (ghat(0),), ())
 
 

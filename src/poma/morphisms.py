@@ -152,16 +152,15 @@ def _subalgebra_tables(A: FiniteAlgebra, elems: tuple[int, ...]) -> tuple:
     return len(elems), leq, box, dia
 
 
-def subalgebra_from_universe(A: FiniteAlgebra, universe: Iterable[int],
-                             name: str = "") -> tuple[FiniteAlgebra, Hom]:
+def subalgebra_from_universe(A: FiniteAlgebra,
+                             universe: Iterable[int]) -> tuple[FiniteAlgebra, Hom]:
     elems = tuple(sorted(universe))
-    sub = FiniteAlgebra(*_subalgebra_tables(A, elems), name)
+    sub = FiniteAlgebra(*_subalgebra_tables(A, elems))
     return sub, Hom(sub, A, elems)
 
 
-def subalgebra_generated(A: FiniteAlgebra, gens: Iterable[int],
-                         name: str = "") -> tuple[FiniteAlgebra, Hom]:
-    return subalgebra_from_universe(A, closure_universe(A, gens), name)
+def subalgebra_generated(A: FiniteAlgebra, gens: Iterable[int]) -> tuple[FiniteAlgebra, Hom]:
+    return subalgebra_from_universe(A, closure_universe(A, gens))
 
 
 def generating_set(A: FiniteAlgebra) -> tuple[int, ...]:
@@ -178,20 +177,20 @@ def generating_set(A: FiniteAlgebra) -> tuple[int, ...]:
 
 # -- products and quotients -------------------------------------------------------
 
-def product(A: FiniteAlgebra, B: FiniteAlgebra, name: str = "") -> FiniteAlgebra:
+def product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
     nb = B.size                             # the pair (i, j) is element i * nb + j
     pairs = list(itertools.product(range(A.size), range(nb)))
     leq = [[A.leq[i][k] and B.leq[j][l] for k, l in pairs] for i, j in pairs]
     box = [A.box[i] * nb + B.box[j] for i, j in pairs]
     dia = [A.diamond[i] * nb + B.diamond[j] for i, j in pairs]
-    return FiniteAlgebra.make(leq, box, dia, name)
+    return FiniteAlgebra.make(leq, box, dia)
 
 
-def quotient(A: FiniteAlgebra, p: Partition, name: str = "") -> tuple[FiniteAlgebra, Hom]:
+def quotient(A: FiniteAlgebra, p: Partition) -> tuple[FiniteAlgebra, Hom]:
     if not is_congruence(A, p):
         raise PreconditionError("partition is not a congruence")
     ids = p.block_ids()
-    Q = FiniteAlgebra(*_quotient_tables(A, ids), name)
+    Q = FiniteAlgebra(*_quotient_tables(A, ids))
     return Q, Hom(A, Q, ids)
 
 
@@ -410,8 +409,8 @@ def _keyed_algebra(key: tuple, name: str = "") -> FiniteAlgebra:
     return FiniteAlgebra(n, leq, box, dia, name)
 
 
-def canonical_algebra(A: FiniteAlgebra, name: str = "") -> FiniteAlgebra:
-    return _keyed_algebra(canonical_form(A), name or A.name)
+def canonical_algebra(A: FiniteAlgebra) -> FiniteAlgebra:
+    return _keyed_algebra(canonical_form(A), A.name)
 
 
 def is_iso(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:

@@ -15,7 +15,7 @@ from poma import FiniteAlgebra, Partition, ValidationReport, corpus, validate
 from poma.algebras import downset_masks, subset_order
 from poma.congruences import _con_ids, _generators, cmi_congruences, is_fsi, is_si
 from poma.duality import DualSpace
-from poma.enumeration import (_enumerate_size, _extend_with_max, _mixed_axioms_hold,
+from poma.enumeration import (_enumerate_size, _extend_with_max, _fold, _mixed_axioms_hold,
                               canonical_poset, enum_bdl)
 from poma.errors import BudgetError, PomaError, PreconditionError
 from poma.free import FreeAlgebraResult
@@ -663,6 +663,20 @@ def oracle_sublattices01(L):
                for x in members for y in members):
             out.append(tuple(sorted(members)))
     return out
+
+
+def oracle_interior_table(L, fixed):
+    """Box from its fixed-point sublattice: the join of the fixed points below."""
+    lat, leq = L.lattice.require(), L.leq
+    return tuple(_fold(lat.join, lat.bottom, (c for c in fixed if leq[c][a]))
+                 for a in range(L.size))
+
+
+def oracle_closure_table(L, fixed):
+    """Diamond from its fixed-point sublattice: the meet of the fixed points above."""
+    lat, leq = L.lattice.require(), L.leq
+    return tuple(_fold(lat.meet, lat.top, (c for c in fixed if leq[a][c]))
+                 for a in range(L.size))
 
 
 def oracle_operator_tables(kind, L):

@@ -7,13 +7,15 @@ import pytest
 
 from poma import FiniteAlgebra, corpus, validate
 from poma.algebras import Lattice, chain_order, subset_order
-from poma.enumeration import (EnumerationTask, _enumerate_size, _operator_tables,
-                              canonical_poset, enum_algebras, enum_bdl, enum_posets)
+from poma.enumeration import (EnumerationTask, _closure_table, _enumerate_size,
+                              _interior_table, _operator_tables, canonical_poset,
+                              enum_algebras, enum_bdl, enum_posets)
 from poma.morphisms import automorphisms, canonical_form
 
 from conftest import (oracle_automorphisms, oracle_canonical_encoding,
-                      oracle_canonical_form, oracle_enumerate_size,
-                      oracle_operator_tables, oracle_validate, relabel)
+                      oracle_canonical_form, oracle_closure_table, oracle_enumerate_size,
+                      oracle_interior_table, oracle_operator_tables, oracle_sublattices01,
+                      oracle_validate, relabel)
 
 ENUMERATED = (("PS4", 7), ("PK4", 5), ("PMA", 5))
 
@@ -224,6 +226,15 @@ def test_operator_tables_match_method_call_oracle():
             if kind != "PS4" and L.size > 6:
                 continue
             assert _operator_tables(kind, L) == oracle_operator_tables(kind, L), kind
+
+
+def test_fixed_point_tables_match_the_fold_oracles():
+    # the greatest (least) fixed point by index is the join (meet) of the
+    # fixed points below (above): enum_bdl indexes in a linear extension
+    for L in enum_bdl(7):
+        for fixed in oracle_sublattices01(L):
+            assert _interior_table(L.leq, fixed) == oracle_interior_table(L, fixed), fixed
+            assert _closure_table(L.leq, fixed) == oracle_closure_table(L, fixed), fixed
 
 
 @pytest.mark.parametrize("kind,max_size", ENUMERATED)

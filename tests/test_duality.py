@@ -286,6 +286,13 @@ def test_is_p_morphism_rejects_malformed_maps():
     for f in ((0,), (0, 1, 2, 5), (0, 1, 3), (0, -1, 2), (0, 1.0, 2)):
         with pytest.raises(PreconditionError):
             is_p_morphism(X, X, f)
+    # a leq with one row raised IndexError as the source, and as the target
+    # the map was called a p-morphism
+    short = DualSpace(X.points, X.leq[:1], X.R)
+    for source, target in ((short, X), (X, short)):
+        with pytest.raises(PreconditionError,
+                           match="leq and R must be 3 x 3 matrices over the points"):
+            is_p_morphism(source, target, (0, 1, 2))
 
 
 def test_join_irreducibles_of_boolean_cube_are_atoms():

@@ -201,6 +201,24 @@ def test_the_frame_half_is_dropped_with_its_lattice():
     assert (result.returncode, result.stdout) == (0, "False False\n"), result.stderr
 
 
+def test_kappa_derives_its_target_lattice_once():
+    # the frame half holds the target's lattice, so a target dropped and
+    # collected is not derived again by the next kappa
+    result = run_capped(
+        "import gc\n"
+        "from poma import FiniteAlgebra, kappa\n"
+        "from poma.algebras import Lattice\n"
+        "derive, calls = Lattice._derive, []\n"
+        "Lattice._derive = lambda self: calls.append(self.size) or derive(self)\n"
+        "A = FiniteAlgebra.make(((1, 0, 0), (1, 1, 0), (1, 1, 1)), (0, 1, 2), (0, 1, 2))\n"
+        "calls.clear()\n"
+        "for _ in range(3):\n"
+        "    assert kappa(A).target.leq != A.leq\n"
+        "    gc.collect()\n"
+        "print(calls)\n")
+    assert (result.returncode, result.stdout) == (0, "[3]\n"), result.stderr
+
+
 def test_algebras_sharing_a_lattice_match_the_oracles():
     # the half of the frame kept per lattice holds no operator: one that kept
     # the first algebra's box or diamond would give the next a wrong dual

@@ -5,9 +5,12 @@ import itertools
 import random
 import weakref
 
+import pytest
+
 from poma import FiniteAlgebra, corpus
 from poma.algebras import (Lattice, _reach, _unions, chain_order, closed_masks,
                            downset_masks)
+from poma.errors import BudgetError
 
 from conftest import (oracle_covers, oracle_derive_order, oracle_downsets,
                       oracle_join_irreducibles, oracle_meet_irreducibles, run_capped)
@@ -188,3 +191,11 @@ def test_downsets_of_a_forty_chain_are_listed_without_a_table_over_all_subsets()
         "from poma.algebras import chain_order, downset_masks\n"
         "print(downset_masks(chain_order(40)) == [(1 << k) - 1 for k in range(41)])")
     assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+
+
+def test_downsets_of_a_seventeen_point_antichain_exceed_the_upset_budget():
+    """2^17 downsets: the lister counts them against MAX_UPSETS as it goes
+    and stops one past the budget, instead of listing all 131,072."""
+    with pytest.raises(BudgetError, match="frame exceeds the 65,536-upset budget") as info:
+        downset_masks(tuple(tuple(x == y for y in range(17)) for x in range(17)))
+    assert info.value.partial == 65_537
