@@ -15,7 +15,12 @@ an automorphism of L conjugates one operator pair into the other; so the
 classes on L are the Aut(L)-orbits of operator pairs, and the first pair of
 each orbit is the only one checked.  Automorphisms preserve the axioms and
 every equation, so the conjugates of a checked pair are skipped whether it
-passed or failed.
+passed or failed.  Each automorphism s permutes the box tables and the
+diamond tables (both lists are closed under conjugation), and pairs are
+ordered by box index, then diamond index; so (b, d) is the first of its
+orbit exactly when every s has s b > b, or s b = b and s d >= d.  Box b
+thus opens a run only when no s sends it to a smaller index, and its run
+keeps each d that every s fixing b sends to an index >= d.
 
 A task's equations are the first test, run on the operator tables with
 ``terms.evaluate`` before any algebra is built.  An equation that does not
@@ -41,8 +46,10 @@ the skeleton, with each fresh variable bound to the values of its subterm,
 has the values of the equation; and a subterm without the diamond has the
 same values on every pair that shares a box table (dually for the box).  So
 per block of assignments the diamond-side values are computed once per
-diamond table, the box-side values once per box, and only the skeleton
-once per pair: the pairs kept are exactly those a full evaluation keeps.
+diamond table, the box-side values once per box, and the skeleton once per
+slice of a run, its pairs laid side by side in one vector (box-side values
+repeated, diamond-side ones concatenated, each coordinate reading its own
+pair's diamond): the pairs kept are exactly those a full evaluation keeps.
 The skeleton's leaves are all fresh variables, evaluated in an environment
 of their own, so no name of the equation can clash with them.
 """
@@ -55,6 +62,8 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress, count, repeat
+from operator import and_, eq, ge, getitem
 from pathlib import Path
 from typing import NamedTuple
 
@@ -62,8 +71,8 @@ from .algebras import BoolMatrix, FiniteAlgebra, downset_masks, subset_order, va
 from .congruences import is_fsi, is_si
 from .errors import PomaError
 from .morphisms import SEARCH_CAP, _least_leaves, automorphisms, canonical_form, subuniverses
-from .terms import (Equation, Term, Var, Vectors, assignment_blocks, equation_variables,
-                    evaluate, holds_eq, term_kinds)
+from .terms import (BLOCK, Equation, Term, Var, Vectors, assignment_blocks,
+                    equation_variables, evaluate, holds_eq, term_kinds)
 
 KINDS = ("PMA", "PK4", "PS4")
 
@@ -79,11 +88,15 @@ class EnumerationTask:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PomaError(f"kind must be one of {KINDS}")
-        if type(self.max_size) is not int or self.max_size < 1:
-            raise PomaError(f"max_size must be an int >= 1, not {self.max_size!r}")
+        _require_count("max_size", self.max_size, 1)
         if not (isinstance(self.satisfying, tuple)
                 and all(isinstance(e, Equation) for e in self.satisfying)):
             raise PomaError("satisfying must be a tuple of Equation objects")
+
+
+def _require_count(name: str, value, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise PomaError(f"{name} must be an int >= {least}, not {value!r}")
 
 
 # -- posets up to isomorphism --------------------------------------------------
@@ -125,18 +138,18 @@ def _poset_levels(max_downsets: int | None):
 def enum_posets(k: int) -> list[BoolMatrix]:
     """All posets with exactly k elements, up to isomorphism, as order
     matrices sorted by canonical form."""
-    if k < 0:
-        raise PomaError("k must be >= 0")
+    _require_count("k", k, 0)
     level = next(itertools.islice(_poset_levels(None), k, None))
     return [level[key] for key in sorted(level)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enum_bdl(max_size: int) -> tuple[FiniteAlgebra, ...]:
     """All bounded distributive lattices with at most max_size elements, up to
     isomorphism, as algebras with identity operators; sorted by size then
     canonical form.  A poset with k elements has at least k + 1 downsets, so
     the levels below max_size hold every poset needed."""
+    _require_count("max_size", max_size, 0)
     out: dict[tuple, FiniteAlgebra] = {}
     for level in itertools.islice(_poset_levels(max_size), max_size):
         for key in sorted(level):
@@ -158,20 +171,22 @@ def _fold(table, start: int, xs) -> int:
     return start
 
 
-def _interior_table(leq: BoolMatrix, fixed) -> tuple[int, ...]:
+def _interior_table(down, fixed) -> tuple[int, ...]:
     """The interior operator whose fixed points are ``fixed``, a 0,1-sublattice
-    of the order ``leq``: the greatest fixed point below each element.  The
-    fixed points below a hold the bottom and are closed under joins, so they
-    have a greatest member; and the elements are indexed in a linear extension
-    of the order (as ``enum_bdl`` and ``figure1_algebra`` list them), so that
-    member is the one of largest index."""
-    return tuple(max(c for c in fixed if leq[c][a]) for a in range(len(leq)))
+    of the order whose down masks are ``down``: the greatest fixed point below
+    each element.  The fixed points below a hold the bottom and are closed
+    under joins, so they have a greatest member; and the elements are indexed
+    in a linear extension of the order (as ``enum_bdl`` and ``figure1_algebra``
+    list them), so that member is the highest bit of ``down[a]`` among them."""
+    mask = sum(1 << c for c in fixed)
+    return tuple((m & mask).bit_length() - 1 for m in down)
 
 
-def _closure_table(leq: BoolMatrix, fixed) -> tuple[int, ...]:
+def _closure_table(up, fixed) -> tuple[int, ...]:
     """The closure operator whose fixed points are ``fixed``: the least fixed
-    point above each element, the one of least index (dually)."""
-    return tuple(min(c for c in fixed if leq[a][c]) for a in range(len(leq)))
+    point above each element, the lowest bit of ``up[a]`` among them (dually)."""
+    mask = sum(1 << c for c in fixed)
+    return tuple((m & mask & -(m & mask)).bit_length() - 1 for m in up)
 
 
 def _mixed_axioms_hold(L: FiniteAlgebra, box, dia) -> bool:
@@ -214,8 +229,8 @@ def _operator_tables(kind: str, L: FiniteAlgebra):
     meet- and join-preserving tables (K4: transitive ones)."""
     if kind == "PS4":
         subs = subuniverses(L)      # the 0,1-sublattices: L has identity operators
-        return ([_interior_table(L.leq, s) for s in subs],
-                [_closure_table(L.leq, s) for s in subs])
+        return ([_interior_table(L.lattice.down, s) for s in subs],
+                [_closure_table(L.lattice.up, s) for s in subs])
     boxes, dias = _preserving_tables(L, dual=False), _preserving_tables(L, dual=True)
     if kind == "PK4":
         leq = L.leq
@@ -375,34 +390,68 @@ def _tables_satisfy(lattice, box, dia, checks) -> bool:
     return True
 
 
-def _values(named_terms, env, carrier) -> dict:
-    return {name: evaluate(t, env, carrier) for name, t in named_terms}
+class _SideBySide(Vectors):
+    """Vectors over pairs laid side by side, as many coordinates each:
+    ``dia_table`` holds one diamond table per pair, and each coordinate
+    reads the table of its own pair."""
+    __slots__ = ()
+
+    def dia(self, u):
+        each = repeat(self.length // len(self.dia_table))
+        return tuple(map(getitem, chain.from_iterable(map(repeat, self.dia_table, each)), u))
 
 
 def _mixed_filter(lattice, boxes, dias, runs, mixed) -> list[tuple[int, list[int]]]:
     """The runs of (box index, diamond indices), in order, cut down to the
     pairs on whose tables every hoisted equation holds.  In each block the
     diamond-side subterms are evaluated once per diamond table, the box-side
-    ones once per run, and only the skeleton once per pair."""
+    ones once per run, and the skeleton once per slice of at most
+    ``max(1, BLOCK // length)`` pairs of a run, laid side by side."""
     for (skeleton, box_terms, dia_terms), blocks in mixed:
         for env, length in blocks:
-            dia_values: dict[int, dict] = {}
+            dia_values: dict[int, list] = {}
+            width = max(1, BLOCK // length)
             kept_runs = []
             for b, ds in runs:
-                box = boxes[b]
-                box_values = _values(box_terms, env, Vectors(lattice, box, None, length))
+                carrier = Vectors(lattice, boxes[b], None, length)
+                box_values = [evaluate(t, env, carrier) for _, t in box_terms]
                 kept = []
-                for d in ds:
-                    if d not in dia_values:
-                        dia_values[d] = _values(dia_terms, env,
-                                                Vectors(lattice, None, dias[d], length))
-                    values = {**box_values, **dia_values[d]}
-                    carrier = Vectors(lattice, box, dias[d], length)
-                    if evaluate(skeleton.lhs, values, carrier) \
-                            == evaluate(skeleton.rhs, values, carrier):
-                        kept.append(d)
+                for start in range(0, len(ds), width):
+                    chunk = ds[start:start + width]
+                    for d in chunk:
+                        if d not in dia_values:
+                            carrier = Vectors(lattice, None, dias[d], length)
+                            dia_values[d] = [evaluate(t, env, carrier) for _, t in dia_terms]
+                    values = {name: v * len(chunk) for (name, _), v in zip(box_terms, box_values)}
+                    values.update((name, tuple(chain.from_iterable(parts))) for (name, _), parts
+                                  in zip(dia_terms, zip(*map(dia_values.__getitem__, chunk))))
+                    carrier = _SideBySide(lattice, boxes[b], [dias[d] for d in chunk],
+                                          length * len(chunk))
+                    lhs, rhs = (evaluate(t, values, carrier) for t in (skeleton.lhs, skeleton.rhs))
+                    kept += compress(chunk, map(eq, zip(*[iter(lhs)] * length),
+                                                zip(*[iter(rhs)] * length)))
                 kept_runs.append((b, kept))
             runs = kept_runs
+    return runs
+
+
+def _orbit_runs(boxes, dias, others) -> list[tuple[int, list[int]]]:
+    """The first operator pair of each orbit under the automorphisms, as runs
+    of (box index, diamond indices) in order; ``others`` are the automorphisms
+    other than the identity (the stabiliser rule of the module docstring)."""
+    box_index = {t: i for i, t in enumerate(boxes)}
+    dia_index = {t: i for i, t in enumerate(dias)}
+    moves = [([box_index[_conjugate(s, t)] for t in boxes],
+              [dia_index[_conjugate(s, t)] for t in dias]) for s in others]
+    runs = []
+    for b in range(len(boxes)):
+        if any(sb[b] < b for sb, _ in moves):
+            continue
+        keep = [True] * len(dias)
+        for sb, sd in moves:
+            if sb[b] == b:
+                keep = list(map(and_, keep, map(ge, sd, count())))
+        runs.append((b, list(compress(count(), keep))))
     return runs
 
 
@@ -422,18 +471,7 @@ def _enumerate_size(kind: str, size: int,
         dias = [t for t in dias if _tables_satisfy(L.lattice, None, t, dia_only)]
         if not (boxes and dias):
             continue
-        others = automorphisms(L)[1:]           # the identity sorts first
-        seen, runs = set(), []          # the representatives, one run per box
-        dia_images = [[_conjugate(s, dia) for s in others] for dia in dias]
-        for b, box in enumerate(boxes):
-            box_images = [_conjugate(s, box) for s in others]
-            run = []
-            for d, (dia, images) in enumerate(zip(dias, dia_images)):
-                if (box, dia) in seen:
-                    continue
-                seen.update(zip(box_images, images))
-                run.append(d)
-            runs.append((b, run))
+        runs = _orbit_runs(boxes, dias, automorphisms(L)[1:])   # the identity sorts first
         for b, ds in _mixed_filter(L.lattice, boxes, dias, runs, mixed):
             for d in ds:
                 if _mixed_axioms_hold(L, boxes[b], dias[d]):

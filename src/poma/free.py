@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .algebras import FiniteAlgebra, _mask, _reach, downset_masks, subset_order, validate
+from .algebras import FiniteAlgebra, Lattice, _mask, _reach, downset_masks, subset_order, validate
 from .corpus import FIG2_NAMES, corpus
 from .duality import kripke_eval
 from .enumeration import EnumerationTask, _closure_table, _interior_table, enum_algebras
@@ -198,13 +198,14 @@ def figure1_algebra() -> FreeAlgebraResult:
     carrier = downset_masks(tuple(zip(*subset_order(points))))
     index = {u: i for i, u in enumerate(carrier)}
     leq = subset_order(carrier)
+    lattice = Lattice.of(leq)
 
     def ghat(p: int) -> int:
         return index[_mask(u >> p & 1 for u in points)]
 
     bot, top = index[0], index[(1 << len(points)) - 1]
-    box = _interior_table(leq, (bot, ghat(1), ghat(3), ghat(5), top))
-    dia = _closure_table(leq, (bot, ghat(2), ghat(6), ghat(4), top))
+    box = _interior_table(lattice.down, (bot, ghat(1), ghat(3), ghat(5), top))
+    dia = _closure_table(lattice.up, (bot, ghat(2), ghat(6), ghat(4), top))
     algebra = FiniteAlgebra(len(carrier), leq, box, dia, "F1_PS4")
     return FreeAlgebraResult(algebra, (ghat(0),), ())
 

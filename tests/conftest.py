@@ -15,8 +15,8 @@ from poma import FiniteAlgebra, Partition, ValidationReport, corpus, validate
 from poma.algebras import downset_masks, subset_order
 from poma.congruences import _con_ids, _generators, cmi_congruences, is_fsi, is_si
 from poma.duality import DualSpace
-from poma.enumeration import (_enumerate_size, _extend_with_max, _fold, _mixed_axioms_hold,
-                              canonical_poset, enum_bdl)
+from poma.enumeration import (_conjugate, _enumerate_size, _extend_with_max, _fold,
+                              _mixed_axioms_hold, canonical_poset, enum_bdl)
 from poma.errors import BudgetError, PomaError, PreconditionError
 from poma.free import FreeAlgebraResult
 from poma.morphisms import (Hom, canonical_algebra, canonical_form, quotient,
@@ -708,6 +708,25 @@ def oracle_operator_tables(kind, L):
         boxes = [t for t in boxes if all(L.leq[t[a]][t[t[a]]] for a in range(n))]
         dias = [t for t in dias if all(L.leq[t[t[a]]][t[a]] for a in range(n))]
     return boxes, dias
+
+
+def oracle_orbit_runs(boxes, dias, others):
+    """The first pair of each orbit by a walk over every pair in order: a
+    pair not yet seen opens its orbit, and every conjugate of it under the
+    automorphisms ``others`` is marked seen.  One run per box, empty runs
+    included."""
+    seen, runs = set(), []
+    dia_images = [[_conjugate(s, dia) for s in others] for dia in dias]
+    for b, box in enumerate(boxes):
+        box_images = [_conjugate(s, box) for s in others]
+        run = []
+        for d, (dia, images) in enumerate(zip(dias, dia_images)):
+            if (box, dia) in seen:
+                continue
+            seen.update(zip(box_images, images))
+            run.append(d)
+        runs.append((b, run))
+    return runs
 
 
 def oracle_enumerate_size(kind, size):

@@ -233,8 +233,8 @@ def test_fixed_point_tables_match_the_fold_oracles():
     # fixed points below (above): enum_bdl indexes in a linear extension
     for L in enum_bdl(7):
         for fixed in oracle_sublattices01(L):
-            assert _interior_table(L.leq, fixed) == oracle_interior_table(L, fixed), fixed
-            assert _closure_table(L.leq, fixed) == oracle_closure_table(L, fixed), fixed
+            assert _interior_table(L.lattice.down, fixed) == oracle_interior_table(L, fixed), fixed
+            assert _closure_table(L.lattice.up, fixed) == oracle_closure_table(L, fixed), fixed
 
 
 @pytest.mark.parametrize("kind,max_size", ENUMERATED)

@@ -11,7 +11,8 @@ from poma.errors import PomaError
 from poma.morphisms import canonical_form
 from poma.terms import Box, Diamond, Equation, Meet, Var, parse_equation
 
-from conftest import oracle_algebras, oracle_enum_algebras, oracle_enum_bdl, oracle_enum_posets
+from conftest import (oracle_algebras, oracle_enum_algebras, oracle_enum_bdl, oracle_enum_posets,
+                      oracle_orbit_runs)
 
 
 def _labeled_posets(k):
@@ -36,6 +37,7 @@ def test_enum_posets_matches_matrix_oracle():
 
 
 def test_enum_bdl_smallest_sizes():
+    assert enum_bdl(0) == ()
     sizes = [L.size for L in enum_bdl(2)]
     assert sizes == [1, 2]
     four = [L for L in enum_bdl(4) if L.size == 4]
@@ -222,32 +224,85 @@ def test_hoisting_leaves_a_skeleton_over_fresh_variables():
         ("box d0 /\\ b1 ~ b2", [("b1", "d0"), ("b2", "box b1 /\\ d0")], [("d0", "dia b1")])
 
 
+def _every_pair_checked(kind, size, e):
+    """Each lattice of the size with its operator tables, every pair as one
+    run per box, and those runs cut down by one full evaluation of e per
+    pair; with e hoisted, as the mixed filter takes it."""
+    from poma.enumeration import _equation_checks, _operator_tables, _tables_satisfy
+    from poma.terms import assignment_blocks, equation_variables
+    [mixed] = _equation_checks(size, (e,))[2]
+    checks = [(e, [(env, len(block)) for block, env in
+                   assignment_blocks(sorted(equation_variables(e)), size)])]
+    for L in enum_bdl(size):
+        if L.size != size:
+            continue
+        boxes, dias = _operator_tables(kind, L)
+        runs = [(b, list(range(len(dias)))) for b in range(len(boxes))]
+        expected = [(b, [d for d in ds if _tables_satisfy(L.lattice, boxes[b], dias[d], checks)])
+                    for b, ds in runs]
+        yield L, boxes, dias, runs, mixed, expected
+
+
 @pytest.mark.parametrize("kind,max_size", [("PS4", 6), ("PMA", 4)])
 def test_hoisted_filter_keeps_the_pairs_the_per_pair_check_keeps(kind, max_size):
     """Every operator pair of every lattice up to the size, through the
     hoisted filter and through one full evaluation of the equation per pair."""
-    from poma.enumeration import _equation_checks, _mixed_filter, _operator_tables, _tables_satisfy
-    from poma.terms import assignment_blocks, equation_variables
+    from poma.enumeration import _mixed_filter
     from poma.varieties import EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT
     for e in (EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT, *map(_equation, MIXED.values())):
         kept = dropped = 0
         for size in range(1, max_size + 1):
-            [(hoisted, blocks)] = _equation_checks(size, (e,))[2]
-            checks = [(e, [(env, len(block)) for block, env in
-                           assignment_blocks(sorted(equation_variables(e)), size)])]
-            for L in enum_bdl(size):
-                if L.size != size:
-                    continue
-                boxes, dias = _operator_tables(kind, L)
-                runs = [(b, list(range(len(dias)))) for b in range(len(boxes))]
-                expected = [(b, [d for d in ds
-                                 if _tables_satisfy(L.lattice, boxes[b], dias[d], checks)])
-                            for b, ds in runs]
-                assert _mixed_filter(L.lattice, boxes, dias, runs, [(hoisted, blocks)]) \
-                    == expected, (e, L)
+            for L, boxes, dias, runs, mixed, expected in _every_pair_checked(kind, size, e):
+                assert _mixed_filter(L.lattice, boxes, dias, runs, [mixed]) == expected, (e, L)
                 found = sum(len(ds) for _, ds in expected)
                 kept, dropped = kept + found, dropped + len(boxes) * len(dias) - found
         assert kept and dropped, e
+
+
+@pytest.mark.parametrize("e", ["EQ_DIA_IDEMPOTENT", "-mixed-bounds"])
+def test_mixed_filter_slices_keep_the_pairs_the_per_pair_check_keeps(monkeypatch, e):
+    """Runs cut into slices of 2 and of 3 pairs, some ending in a partial
+    slice, and into exactly one full slice: at the real block size a run of
+    a one-variable equation fits in one slice below size 9."""
+    import poma.enumeration
+    from poma.enumeration import _mixed_filter
+    from poma.varieties import EQ_DIA_IDEMPOTENT
+    e = EQ_DIA_IDEMPOTENT if e == "EQ_DIA_IDEMPOTENT" else _equation(MIXED[e])
+    partial = 0
+    for size in range(1, 6):
+        for L, boxes, dias, runs, mixed, expected in _every_pair_checked("PS4", size, e):
+            [(_, length)] = mixed[1]
+            for width in (2, 3, len(dias)):
+                monkeypatch.setattr(poma.enumeration, "BLOCK", width * length)
+                assert _mixed_filter(L.lattice, boxes, dias, runs, [mixed]) == expected, \
+                    (L, width)
+                partial += len(dias) % width != 0
+    assert partial
+
+
+def test_orbit_runs_keep_the_pairs_the_seen_loop_keeps():
+    """The stabiliser rule against the walk that marks every conjugate as
+    seen, on the full tables and on those cut by each battery's
+    one-operator equations (theorem 6.10's equations both mention both
+    operators, so its cut keeps every table)."""
+    from poma.enumeration import _equation_checks, _operator_tables, _orbit_runs, _tables_satisfy
+    from poma.morphisms import automorphisms
+    from poma.varieties import EQ_BOX_IDEMPOTENT, EQ_BOX_ONE, EQ_DIA_IDEMPOTENT, EQ_DIA_ZERO
+    merged = 0      # table lists on which some orbit holds more than one pair
+    for kind, bound in (("PS4", 8), ("PMA", 6), ("PK4", 6)):
+        for L in enum_bdl(bound):
+            others = automorphisms(L)[1:]
+            tables = _operator_tables(kind, L)
+            for equations in ((EQ_BOX_IDEMPOTENT, EQ_DIA_IDEMPOTENT), (EQ_BOX_ONE, EQ_DIA_ZERO)):
+                box_only, dia_only, _ = _equation_checks(L.size, equations)
+                boxes = [t for t in tables[0] if _tables_satisfy(L.lattice, t, None, box_only)]
+                dias = [t for t in tables[1] if _tables_satisfy(L.lattice, None, t, dia_only)]
+                if not (boxes and dias):
+                    continue
+                expected = [(b, ds) for b, ds in oracle_orbit_runs(boxes, dias, others) if ds]
+                assert _orbit_runs(boxes, dias, others) == expected, (kind, L, equations)
+                merged += sum(len(ds) for _, ds in expected) < len(boxes) * len(dias)
+    assert merged
 
 
 def test_enum_bdl_matches_the_per_size_poset_route():
@@ -352,6 +407,15 @@ def test_task_validation():
 def test_task_rejects_bad_size_or_equations(max_size, satisfying):
     with pytest.raises(PomaError):
         EnumerationTask("PS4", max_size, satisfying=satisfying)
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, 2.0, True, "3", None])
+def test_enum_bdl_and_enum_posets_reject_a_count_that_is_not_an_int(count):
+    enum_bdl(1), enum_bdl(2)        # a cached int must not answer an equal float or bool
+    with pytest.raises(PomaError, match="must be an int >= 0"):
+        enum_bdl(count)
+    with pytest.raises(PomaError, match="must be an int >= 0"):
+        enum_posets(count)
 
 
 def test_downsets_of_chain():
