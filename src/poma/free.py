@@ -14,9 +14,9 @@ from .corpus import FIG2_NAMES, corpus
 from .duality import kripke_eval
 from .enumeration import EnumerationTask, _closure_table, _interior_table, enum_algebras
 from .errors import BudgetError, PreconditionError
-from .morphisms import (canonical_form, closure_universe, extend_hom,
-                        si_quotients)
-from .terms import Box, Diamond, Join, Term, Var, eval_term
+from .morphisms import (_extensions, _Targets, canonical_form, closure_universe,
+                        extend_hom, si_quotients)
+from .terms import BLOCK, Box, Diamond, Join, Term, Var, eval_term
 
 _X = Var("x")
 _Y = Var("y")
@@ -255,13 +255,14 @@ def verify_figure1(enum_bound: int = 6) -> Figure1Report:
     stages.append(("c: si quotient catalog", ok_c,
                    f"{len(catalog)} quotients: {', '.join(names)}"))
 
-    failures = []
-    count = 0
-    for B in enum_algebras(EnumerationTask("PS4", enum_bound)):
-        for b in range(B.size):
-            count += 1
-            if extend_hom(F, B, {gen: b}) is None:
-                failures.append((B.size, b))
+    failures, count = [], 0     # one coordinate per pair (B, b), BLOCK pairs a call
+    pairs = ((B, b) for B in enum_algebras(EnumerationTask("PS4", enum_bound))
+             for b in range(B.size))
+    while block := list(itertools.islice(pairs, BLOCK)):
+        targets, values = zip(*block)
+        _, ok = _extensions(F, _Targets(targets), {gen: bytes(values)})
+        failures += [(B.size, b) for (B, b), good in zip(block, ok) if not good]
+        count += len(block)
     stages.append(("d: universal property", not failures,
                    f"{count} (algebra, target) pairs checked"
                    + (f"; failures {failures[:3]}" if failures else "")))

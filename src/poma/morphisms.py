@@ -34,6 +34,25 @@ ed., 2002, ch. 7 and 11).  In every finite lattice, distributive or not:
 The test costs O(|A| + |f(A)|·(|J(B)| + |M(B)|)), where the meet and join
 tables on every index pair cost O(|A|²).
 
+Extension replays a generation program of A once on value vectors with one
+coordinate per (target, seed), so one pass serves many maps.  Each
+coordinate g must keep the bounds, and box and diamond on every element.
+For a distributive A the lattice operations are checked by covers: for each
+x ≠ 0 not made by a join step, g(x) = g(y) ∨ g(z), with y and z two lower
+covers of x, or y its only lower cover and z = x.  Then g(x) = ⋁ g(J(x)),
+J(x) the join-irreducibles below x, by induction up A:
+
+- J(0) is empty and g(0) = 0;
+- a join step makes x = y ∨ z from y, z < x, and J(y ∨ z) = J(y) ∪ J(z) in
+  a distributive lattice (see ``Lattice.distributivity_witness``);
+- two lower covers y, z of x join to x, so again J(x) = J(y) ∪ J(z);
+- a single lower cover y holds everything strictly below x, so
+  J(x) = J(y) ∪ {x}, and g(x) = g(y) ∨ g(x).
+
+So g(a ∨ b) = ⋁ g(J(a) ∪ J(b)) = g(a) ∨ g(b), in any target lattice.  Meets
+are checked dually, with upper covers and the meet-irreducibles above x.
+When A is not distributive, :func:`_is_hom` checks each coordinate.
+
 Quotient tables have one builder, :func:`_quotient_tables`; :func:`quotient`
 checks its partition first, :func:`si_quotients` and :func:`hs_si` do not.
 These two skip a subalgebra or quotient whose tables they have met, so they
@@ -45,11 +64,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from operator import and_, eq, getitem
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebras import FiniteAlgebra
+from .algebras import FiniteAlgebra, _bits
 from .congruences import Partition, _cmi_masks, is_congruence
 from .errors import BudgetError, PreconditionError
+from .terms import Vectors, assignment_blocks
 
 # search budgets: past them the search raises BudgetError
 MAX_SUBUNIVERSES = 10_000           # subuniverses found
@@ -79,8 +101,8 @@ class Hom:
         return self.is_injective and self.is_surjective
 
     def is_valid(self) -> bool:
-        """Whether the mapping is a homomorphism, by :func:`_is_hom`, the check
-        extend_hom runs; StructuralError for a non-lattice side, and
+        """Whether the mapping is a homomorphism, by :func:`_is_hom`;
+        StructuralError for a non-lattice side, and
         PreconditionError unless it sends each source element to a target one."""
         f, n, m = self.mapping, self.source.size, self.target.size
         if len(f) != n or min(f) < 0 or max(f) >= m:
@@ -208,14 +230,120 @@ def _quotient_tables(A: FiniteAlgebra, ids) -> tuple:
 
 # -- homomorphism search ------------------------------------------------------------
 
+class _Program(tuple):
+    """The steps of a generation program.  ``covers`` holds the lattice
+    checks of :func:`_extensions` in the same layout, (x, op, y, z) for
+    g(x) = op(g(y), g(z)), or None when A is not distributive."""
+
+
 @lru_cache(maxsize=256)
-def _generation(A: FiniteAlgebra, seeds: tuple[int, ...]) -> Optional[tuple]:
+def _generation(A: FiniteAlgebra, seeds: tuple[int, ...]) -> Optional[_Program]:
     """The steps of :func:`_close` deriving all of A from the bounds and the
-    seeds, in order; None when the seeds do not generate A."""
+    seeds, in order, with their cover checks; None when the seeds do not
+    generate A."""
     members = {A.bottom(), A.top(), *seeds}
     steps: list = []
     _close(A, members, list(members), steps)
-    return tuple(steps) if len(members) == A.size else None
+    if len(members) < A.size:
+        return None
+    program = _Program(steps)
+    program.covers = _cover_checks(A.lattice, steps)
+    return program
+
+
+def _cover_checks(lat, steps) -> Optional[tuple]:
+    """The cover checks of the module docstring for the elements the steps
+    do not make by the same operation; None unless the lattice is
+    distributive."""
+    if lat.distributivity_witness() is not None:
+        return None
+    checks = []
+    for op, below, above, least in (("join", lat.down, lat.up, lat.bottom),
+                                    ("meet", lat.up, lat.down, lat.top)):
+        made = {k for k, o, _, _ in steps if o == op}
+        for x in range(lat.size):
+            if x != least and x not in made:
+                strict = below[x] & ~(1 << x)
+                covers = [y for y in _bits(strict) if above[y] & strict == 1 << y]
+                checks.append((x, op, covers[0], covers[1] if len(covers) > 1 else x))
+    return tuple(checks)
+
+
+class _Targets(Vectors):
+    """Vectors with one coordinate per entry of ``targets``, a sequence of
+    algebras of at most 256 elements, with repeats: each coordinate reads its
+    own algebra's tables, through lists of references to them.  Vectors are
+    bytes, an eighth the size of tuples."""
+    __slots__ = ("targets", "bottoms", "tops", "meets", "joins")
+
+    def __init__(self, targets: Sequence[FiniteAlgebra]):
+        lats = [B.lattice.require() for B in targets]
+        super().__init__(None, [B.box for B in targets], [B.diamond for B in targets],
+                         len(targets))
+        self.targets = targets
+        self.bottoms = bytes(lat.bottom for lat in lats)
+        self.tops = bytes(lat.top for lat in lats)
+        self.meets, self.joins = [lat.meet for lat in lats], [lat.join for lat in lats]
+
+    def zero(self):
+        return self.bottoms
+
+    def one(self):
+        return self.tops
+
+    def meet(self, u, v):
+        return bytes(map(getitem, map(getitem, self.meets, u), v))
+
+    def join(self, u, v):
+        return bytes(map(getitem, map(getitem, self.joins, u), v))
+
+    def box(self, u):
+        return bytes(map(getitem, self.box_table, u))
+
+    def dia(self, u):
+        return bytes(map(getitem, self.dia_table, u))
+
+
+def _extensions(A: FiniteAlgebra, carrier: Vectors,
+                seed: dict[int, tuple]) -> tuple[list[tuple], list[bool]]:
+    """Extend the bounds and ``seed``, a value vector of the carrier for
+    each of some elements of A, to all of A by one replay of A's generation
+    program, and check each coordinate as the module docstring says.
+    Returns the value vector of each element of A and, per coordinate,
+    whether its map is a homomorphism: no vectors and none when the seed's
+    keys do not generate A.  StructuralError for a non-lattice side."""
+    la = A.lattice.require()
+    zero, one = carrier.zero(), carrier.one()
+    program = _generation(A, tuple(sorted(seed)))
+    if program is None:
+        return [], [False] * carrier.length
+    g: list = [None] * A.size
+    g[la.bottom], g[la.top] = zero, one
+    for k, v in seed.items():
+        g[k] = v
+    ops = {"box": carrier.box, "diamond": carrier.dia,
+           "meet": carrier.meet, "join": carrier.join}
+    for k, op, i, j in program:
+        g[k] = ops[op](g[i]) if j is None else ops[op](g[i], g[j])
+    ok = [True] * carrier.length
+
+    def agree(u, v):
+        if u != v:
+            ok[:] = map(and_, ok, map(eq, u, v))
+
+    agree(g[la.bottom], zero)
+    agree(g[la.top], one)
+    for u, b, d in zip(g, A.box, A.diamond):
+        agree(carrier.box(u), g[b])
+        agree(carrier.dia(u), g[d])
+    if program.covers is not None:
+        for x, op, y, z in program.covers:
+            agree(g[x], ops[op](g[y], g[z]))
+        return g, ok
+    targets = carrier.targets if isinstance(carrier, _Targets) else itertools.repeat(SimpleNamespace(
+        lattice=carrier.lattice, box=carrier.box_table, diamond=carrier.dia_table))
+    return g, [good and _is_hom(A, B, [u[c] for u in g])
+               for c, (good, B) in enumerate(zip(ok, targets))]
 
 
 def _is_hom(A: FiniteAlgebra, B: FiniteAlgebra, f) -> bool:
@@ -249,47 +377,39 @@ def _is_hom(A: FiniteAlgebra, B: FiniteAlgebra, f) -> bool:
     return True
 
 
+def _check_seed(A: FiniteAlgebra, B: FiniteAlgebra, seed: dict) -> None:
+    for k, v in seed.items():
+        if not (type(k) is int and 0 <= k < A.size and type(v) is int and 0 <= v < B.size):
+            raise PreconditionError(f"seed {k!r}: {v!r} does not send one of {A.size}"
+                                    f" elements to one of {B.size}")
+
+
 def extend_hom(A: FiniteAlgebra, B: FiniteAlgebra,
                seed: dict[int, int]) -> Optional[tuple[int, ...]]:
-    """The homomorphism A -> B extending the seed (and the bounds), or None.
-
-    The seed's keys fix a generation program of A (cached per algebra and key
-    set).  Replaying it on B's tables gives the only candidate map, which
-    :func:`_is_hom` accepts or rejects.  None also on a conflict in the seed
-    and when the seed does not generate A."""
-    f: dict[int, int] = {A.bottom(): B.bottom(), A.top(): B.top()}
-    for k, v in seed.items():
-        if f.get(k, v) != v:
-            return None
-        f[k] = v
-    program = _generation(A, tuple(sorted(seed)))
-    if program is None:
-        return None
-    g = [f.get(x) for x in range(A.size)]
-    tables = {"box": B.box, "diamond": B.diamond,
-              "meet": B.lattice.meet, "join": B.lattice.join}
-    for k, op, i, j in program:
-        value = tables[op][g[i]]
-        g[k] = value if j is None else value[g[j]]
-    return tuple(g) if _is_hom(A, B, g) else None
+    """The homomorphism A -> B extending the seed (and the bounds), or None:
+    :func:`_extensions` on one coordinate.  None also on a conflict in the
+    seed and when the seed does not generate A; PreconditionError unless the
+    seed sends elements of A to elements of B."""
+    _check_seed(A, B, seed)
+    g, ok = _extensions(A, Vectors.of(B, 1), {k: (v,) for k, v in seed.items()})
+    return tuple(u[0] for u in g) if ok[0] else None
 
 
 def homs(A: FiniteAlgebra, B: FiniteAlgebra, seed: dict[int, int] | None = None) -> list[Hom]:
     """All homomorphisms from A to B (extending the optional partial map),
-    enumerated deterministically via a generating set of A."""
-    gens = [g for g in generating_set(A) if not seed or g not in seed]
+    enumerated deterministically via a generating set of A: its k values run
+    through B^k in lexicographic order, one :func:`_extensions` per block of
+    them.  BudgetError before any is tried when |B|^k passes ``HOM_BUDGET``."""
     base = dict(seed or {})
+    _check_seed(A, B, base)
+    gens = [g for g in generating_set(A) if g not in base]
+    if B.size ** len(gens) > HOM_BUDGET:
+        raise BudgetError(f"hom search exceeded {HOM_BUDGET} candidates")
     out = []
-    tried = 0
-    for combo in itertools.product(range(B.size), repeat=len(gens)):
-        tried += 1
-        if tried > HOM_BUDGET:
-            raise BudgetError(f"hom search exceeded {HOM_BUDGET} candidates")
-        attempt = dict(base)
-        attempt.update(zip(gens, combo))
-        mapping = extend_hom(A, B, attempt)
-        if mapping is not None:
-            out.append(Hom(A, B, mapping))
+    for block, env in assignment_blocks(gens, B.size):
+        env.update((k, (v,) * len(block)) for k, v in base.items())
+        g, ok = _extensions(A, Vectors.of(B, len(block)), env)
+        out += [Hom(A, B, mapping) for mapping in itertools.compress(zip(*g), ok)]
     return out
 
 

@@ -1,20 +1,24 @@
-"""Homomorphism extension by a replayed generation program, the cone test
-of the homomorphism check and the incremental subuniverse closure, against
-the fixed-point extension, the method-call check and brute-force subuniverses
-in conftest."""
+"""Homomorphism extension by a replayed generation program, on one value
+vector per element for many maps at once, the cone test of the homomorphism
+check and the incremental subuniverse closure, against the fixed-point
+extension, the method-call check and brute-force subuniverses in conftest."""
 import itertools
 import random
+from operator import and_, or_
 
 import pytest
 
 from poma import FiniteAlgebra, corpus, validate
+from poma import morphisms
 from poma.algebras import powerset
 from poma.corpus import FIG2_NAMES
 from poma.enumeration import EnumerationTask, enum_algebras
-from poma.errors import StructuralError
+from poma.errors import BudgetError, PreconditionError, StructuralError
 from poma.free import figure1_algebra, free_over, same_one_var_theory
-from poma.morphisms import (Hom, _generation, _is_hom, closure_universe, extend_hom,
-                            generating_set, product, subuniverses)
+from poma.morphisms import (Hom, _extensions, _generation, _is_hom, _Targets,
+                            closure_universe, extend_hom, generating_set, homs, product,
+                            subuniverses)
+from poma.terms import Vectors
 
 from conftest import oracle_extend_hom, oracle_is_hom, oracle_subuniverses
 from test_congruence_masks import M3, N5, _closure_system, _lattice_algebra
@@ -266,3 +270,200 @@ def test_one_variable_theories_of_the_varieties_pairs():
                 oracle_extend_hom(fb.algebra, fa.algebra, seed)
             agree += same_one_var_theory(A, B)
     assert agree
+
+
+# -- many maps at once ------------------------------------------------------------
+
+def _against_oracle(A, targets, keys, rows, carrier=None):
+    """One :func:`_extensions` call, coordinate c sending ``keys`` to
+    ``rows[c]`` in ``targets[c]``, each coordinate against the oracle; the
+    carrier is ``_Targets(targets)`` unless given.  Returns the verdicts."""
+    carrier = carrier or _Targets(targets)
+    vector = bytes if isinstance(carrier, _Targets) else tuple
+    seed = {k: vector(column) for k, column in zip(keys, zip(*rows))}
+    g, ok = _extensions(A, carrier, seed)
+    assert len(ok) == len(rows)
+    for c, (B, row) in enumerate(zip(targets, rows)):
+        got = tuple(u[c] for u in g) if ok[c] else None
+        assert got == oracle_extend_hom(A, B, dict(zip(keys, row))), (A, B, row)
+    return ok
+
+
+def _moved(B, rng):
+    """B with one box or diamond entry moved to another element."""
+    tables = [list(B.box), list(B.diamond)]
+    table, x = rng.choice(tables), rng.randrange(B.size)
+    table[x] = rng.choice([y for y in range(B.size) if y != table[x]])
+    return FiniteAlgebra(B.size, B.leq, *map(tuple, tables))
+
+
+def test_free_algebra_into_every_small_ps4_pair():
+    """F1 into every (B, b) with B a PS4 algebra of size <= 5, as the
+    universal-property stage checks them, then into each B with one operator
+    entry moved: every coordinate of one carrier against the oracle."""
+    rng = random.Random(24)
+    F = figure1_algebra()
+    A, gen = F.algebra, F.generators[0]
+    algebras = list(enum_algebras(EnumerationTask("PS4", 5)))
+    for pool in (algebras, [_moved(B, rng) for B in algebras if B.size > 1]):
+        targets = [B for B in pool for _ in range(B.size)]
+        rows = [(b,) for B in pool for b in range(B.size)]
+        ok = _against_oracle(A, targets, (gen,), rows)
+        if pool is algebras:
+            assert all(ok) and len(ok) == 541
+        else:
+            assert 50 < ok.count(False) < len(ok) - 50, ok.count(False)
+
+
+def _m3_n5_targets(rng):
+    return [_lattice_algebra(M3), _lattice_algebra(N5)] + [
+        _lattice_algebra(rng.choice((M3, N5)), rng) for _ in range(6)]
+
+
+def _rows(A, targets, keys, rng):
+    """Per target, mostly the keys' values under a homomorphism that the
+    oracle finds from random values on a generating set (in ten tries),
+    else random values."""
+    rows = []
+    for B in targets:
+        for _ in range(10):
+            h = oracle_extend_hom(A, B, {k: rng.randrange(B.size) for k in generating_set(A)})
+            if h:
+                break
+        rows.append(tuple(h[k] if h and rng.random() < 0.7 else rng.randrange(B.size)
+                          for k in keys))
+    return rows
+
+
+def test_mixed_targets_with_lattices_m3_and_n5():
+    """Distributive sources into carriers that mix M3 and N5 with random
+    tables, algebras of the pool and the source itself, seeded on a
+    generating set, through one carrier and through one target at a time."""
+    rng = random.Random(2410)
+    extra = _m3_n5_targets(rng)
+    verdicts = {True: 0, False: 0}
+    for A in rng.sample(POOL, 60) + [figure1_algebra().algebra]:
+        keys = generating_set(A)
+        targets = [A] * 4 + extra + rng.sample(POOL, 12)
+        rng.shuffle(targets)
+        rows = _rows(A, targets, keys, rng)
+        for verdict in _against_oracle(A, targets, keys, rows):
+            verdicts[verdict] += 1
+        B = rng.choice(targets)
+        rows = _rows(A, [B] * 6, keys, rng)
+        _against_oracle(A, [B] * 6, keys, rows, Vectors.of(B, 6))
+    assert min(verdicts.values()) >= 300, verdicts
+
+
+def test_non_distributive_sources():
+    """Sources on random closure-system lattices, many not distributive, so
+    each coordinate goes through the cone test, into the source itself (the
+    identity with one value moved among them) and into M3 and N5 targets."""
+    rng = random.Random(2411)
+    extra = _m3_n5_targets(rng)
+    checked = {True: 0, False: 0}
+    for _ in range(120):
+        A = _lattice_algebra(_closure_system(rng, rng.randrange(3, 6)), rng)
+        if validate(A).is_distributive:
+            continue
+        assert _generation(A, ()) is None or _generation(A, ()).covers is None
+        keys = tuple(range(A.size))
+        moved = [tuple(w if x == z else x for x in keys)
+                 for z, w in itertools.product(keys, repeat=2)]
+        _against_oracle(A, [A] * len(moved), keys, moved, Vectors.of(A, len(moved)))
+        keys = generating_set(A)
+        targets = [A] * 3 + extra
+        for verdict in _against_oracle(A, targets, keys, _rows(A, targets, keys, rng)):
+            checked[verdict] += 1
+    assert min(checked.values()) >= 40, checked
+
+
+def _ring_of_sets(rng, points):
+    """A random family of subsets of the points closed under union and
+    intersection, with the empty and the full set (a distributive lattice),
+    in random order, so that which covers come first varies."""
+    family = {0, (1 << points) - 1} | {rng.randrange(1 << points) for _ in range(3)}
+    while True:
+        more = {op(a, b) for a in family for b in family for op in (and_, or_)} - family
+        if not more:
+            return rng.sample(sorted(family), len(family))
+        family |= more
+
+
+def test_maps_keeping_one_operation_from_irreducibles():
+    """Distributive sources with identity operators, seeded with the values
+    of a map into a cube that keeps the bounds and meets (or joins), as in
+    test_cones_on_maps_keeping_one_operation, on the join-irreducibles (so
+    the replay makes every other element by join steps) or on the
+    meet-irreducibles (by meet steps)."""
+    rng = random.Random(2414)
+    verdicts = {True: 0, False: 0}
+    for _ in range(100):
+        A = _lattice_algebra(_ring_of_sets(rng, rng.randrange(3, 6)))
+        if A.size < 3:
+            continue
+        up, down = A.lattice.up, A.lattice.down
+        k = rng.randrange(1, 4)
+        B, index = _cube(k), {m: i for i, m in enumerate(powerset(k)[0])}
+        a = [rng.choice([x for x in range(A.size) if x != A.bottom()]) for _ in range(k)]
+        m = [rng.choice([x for x in range(A.size) if x != A.top()]) for _ in range(k)]
+        for keys in (A.lattice.join_irreducibles, A.lattice.meet_irreducibles):
+            rows = [tuple(index[sum(1 << i for i in range(k) if up[a[i]] >> x & 1)]
+                          for x in keys),
+                    tuple(index[sum(1 << i for i in range(k) if not down[m[i]] >> x & 1)]
+                          for x in keys)]
+            for verdict in _against_oracle(A, [B, B], keys, rows):
+                verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 60, verdicts
+
+
+def test_conflicting_and_non_generating_seeds():
+    """Seeds holding a bound, sent to the bound's image or elsewhere, and
+    seeds on too few elements to generate the source."""
+    rng = random.Random(2412)
+    outcomes = {"hom": 0, "conflict": 0, "not generated": 0}
+    for A in rng.sample(POOL, 150):
+        targets = rng.sample(POOL, 8) + [A] * 4
+        keys = list(generating_set(A)) if rng.random() < 0.5 else \
+            rng.sample(range(A.size), rng.randint(0, min(2, A.size)))
+        keys = tuple(dict.fromkeys(keys + [rng.choice((A.bottom(), A.top()))]))
+        rows = _rows(A, targets, keys, rng)
+        ok = _against_oracle(A, targets, keys, rows)
+        if _generation(A, tuple(sorted(keys))) is None:
+            outcomes["not generated"] += 1
+            assert not any(ok)
+        for B, row, good in zip(targets, rows, ok):
+            bounds = {A.bottom(): B.bottom(), A.top(): B.top()}
+            outcomes["hom"] += good
+            outcomes["conflict"] += any(bounds.get(k, v) != v for k, v in zip(keys, row))
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+# -- checked input and budgets ------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [{16: -1}, {16: 4}, {99: 0}, {-1: 0}, {16: 1.0},
+                                  {16: True}, {True: 0}])
+def test_seed_outside_the_algebras(seed):
+    F, D4 = figure1_algebra().algebra, corpus("D4")
+    with pytest.raises(PreconditionError):
+        extend_hom(F, D4, seed)
+    with pytest.raises(PreconditionError):
+        homs(F, D4, seed=seed)
+
+
+def test_hom_budget_is_checked_before_any_candidate(monkeypatch):
+    """|B|^k candidates for k generators: a count at the budget runs, one
+    above it raises before :func:`_extensions` is called."""
+    A, B = corpus("D4"), corpus("C3a")
+    k = len(generating_set(A))
+    expected = homs(A, B)
+    monkeypatch.setattr(morphisms, "HOM_BUDGET", B.size ** k)
+    assert homs(A, B) == expected
+    monkeypatch.setattr(morphisms, "HOM_BUDGET", B.size ** k - 1)
+
+    def never(*args):
+        raise AssertionError("a candidate was tried")
+
+    monkeypatch.setattr(morphisms, "_extensions", never)
+    with pytest.raises(BudgetError, match=f"exceeded {B.size ** k - 1} candidates"):
+        homs(A, B)
