@@ -231,15 +231,15 @@ prime_filters.cache_info = _frame.cache_info
 def complex_algebra(n_worlds: int, relation) -> FiniteAlgebra:
     """Full powerset algebra of the frame ({0..n_worlds-1}, relation), where
     `relation` is an iterable of (x, y) pairs of worlds: x sees y."""
-    if n_worlds > MAX_POINTS:
+    if type(n_worlds) is int and n_worlds > MAX_POINTS:     # else _successors refuses it
         raise BudgetError(f"{n_worlds} worlds exceeds the {MAX_POINTS}-world cap")
     return _powerset_frame(_successors(n_worlds, relation))
 
 
 def _successors(n: int, relation) -> list[int]:
     """Each world's successors as a mask, from the pairs of `relation`."""
-    if n < 0:
-        raise PreconditionError(f"{n} worlds: the count must be >= 0")
+    if type(n) is not int or n < 0:
+        raise PreconditionError(f"{n!r} worlds: the count must be an int >= 0")
     succ = [0] * n
     for pair in relation:
         try:

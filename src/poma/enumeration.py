@@ -63,7 +63,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count, repeat
-from operator import and_, eq, ge, getitem
+from operator import and_, eq, ge
 from pathlib import Path
 from typing import NamedTuple
 
@@ -384,21 +384,10 @@ def _tables_satisfy(lattice, box, dia, checks) -> bool:
     tables?  A table an equation does not mention may be None."""
     for e, blocks in checks:
         for env, length in blocks:
-            carrier = Vectors(lattice, box, dia, length)
+            carrier = Vectors(repeat(lattice), repeat(box), repeat(dia), length)
             if evaluate(e.lhs, env, carrier) != evaluate(e.rhs, env, carrier):
                 return False
     return True
-
-
-class _SideBySide(Vectors):
-    """Vectors over pairs laid side by side, as many coordinates each:
-    ``dia_table`` holds one diamond table per pair, and each coordinate
-    reads the table of its own pair."""
-    __slots__ = ()
-
-    def dia(self, u):
-        each = repeat(self.length // len(self.dia_table))
-        return tuple(map(getitem, chain.from_iterable(map(repeat, self.dia_table, each)), u))
 
 
 def _mixed_filter(lattice, boxes, dias, runs, mixed) -> list[tuple[int, list[int]]]:
@@ -406,27 +395,34 @@ def _mixed_filter(lattice, boxes, dias, runs, mixed) -> list[tuple[int, list[int
     pairs on whose tables every hoisted equation holds.  In each block the
     diamond-side subterms are evaluated once per diamond table, the box-side
     ones once per run, and the skeleton once per slice of at most
-    ``max(1, BLOCK // length)`` pairs of a run, laid side by side."""
+    ``max(1, BLOCK // length)`` pairs of a run, laid side by side, each
+    coordinate reading its own pair's diamond table.  Those tables are one
+    list per slice, built when the skeleton applies the diamond: a list, not
+    a one-shot iterator, as it may apply the diamond more than once."""
+    lattices = repeat(lattice)
     for (skeleton, box_terms, dia_terms), blocks in mixed:
+        reads_dia = "dia" in term_kinds(skeleton.lhs) | term_kinds(skeleton.rhs)
         for env, length in blocks:
             dia_values: dict[int, list] = {}
             width = max(1, BLOCK // length)
             kept_runs = []
             for b, ds in runs:
-                carrier = Vectors(lattice, boxes[b], None, length)
+                box_table = repeat(boxes[b])
+                carrier = Vectors(lattices, box_table, None, length)
                 box_values = [evaluate(t, env, carrier) for _, t in box_terms]
                 kept = []
                 for start in range(0, len(ds), width):
                     chunk = ds[start:start + width]
                     for d in chunk:
                         if d not in dia_values:
-                            carrier = Vectors(lattice, None, dias[d], length)
+                            carrier = Vectors(lattices, None, repeat(dias[d]), length)
                             dia_values[d] = [evaluate(t, env, carrier) for _, t in dia_terms]
                     values = {name: v * len(chunk) for (name, _), v in zip(box_terms, box_values)}
                     values.update((name, tuple(chain.from_iterable(parts))) for (name, _), parts
                                   in zip(dia_terms, zip(*map(dia_values.__getitem__, chunk))))
-                    carrier = _SideBySide(lattice, boxes[b], [dias[d] for d in chunk],
-                                          length * len(chunk))
+                    tables = map(repeat, map(dias.__getitem__, chunk), repeat(length))
+                    side_by_side = list(chain.from_iterable(tables)) if reads_dia else None
+                    carrier = Vectors(lattices, box_table, side_by_side, length * len(chunk))
                     lhs, rhs = (evaluate(t, values, carrier) for t in (skeleton.lhs, skeleton.rhs))
                     kept += compress(chunk, map(eq, zip(*[iter(lhs)] * length),
                                                 zip(*[iter(rhs)] * length)))

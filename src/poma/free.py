@@ -14,9 +14,8 @@ from .corpus import FIG2_NAMES, corpus
 from .duality import kripke_eval
 from .enumeration import EnumerationTask, _closure_table, _interior_table, enum_algebras
 from .errors import BudgetError, PreconditionError
-from .morphisms import (_extensions, _Targets, canonical_form, closure_universe,
-                        extend_hom, si_quotients)
-from .terms import BLOCK, Box, Diamond, Join, Term, Var, eval_term
+from .morphisms import _extensions, canonical_form, closure_universe, extend_hom, si_quotients
+from .terms import BLOCK, Box, Diamond, Join, Term, Var, Vectors, eval_term
 
 _X = Var("x")
 _Y = Var("y")
@@ -255,12 +254,14 @@ def verify_figure1(enum_bound: int = 6) -> Figure1Report:
     stages.append(("c: si quotient catalog", ok_c,
                    f"{len(catalog)} quotients: {', '.join(names)}"))
 
-    failures, count = [], 0     # one coordinate per pair (B, b), BLOCK pairs a call
+    # one coordinate per pair (B, b); a quarter block of pairs per call keeps
+    # the replay's tuples, one per element of F, near 0.3 MB
+    failures, count = [], 0
     pairs = ((B, b) for B in enum_algebras(EnumerationTask("PS4", enum_bound))
              for b in range(B.size))
-    while block := list(itertools.islice(pairs, BLOCK)):
+    while block := list(itertools.islice(pairs, BLOCK // 4)):
         targets, values = zip(*block)
-        _, ok = _extensions(F, _Targets(targets), {gen: bytes(values)})
+        _, ok = _extensions(F, Vectors.over(targets), {gen: values})
         failures += [(B.size, b) for (B, b), good in zip(block, ok) if not good]
         count += len(block)
     stages.append(("d: universal property", not failures,
@@ -300,8 +301,8 @@ def lemma53_growth(N: int) -> GrowthReport:
     """Evaluate phi_0..phi_{N-1} over the frame ({0..N-1}, >=) at x = evens,
     y = odds, and report how many distinct values arise.  The tower value at
     index k is the initial segment {0..k} up to the truncation boundary N-1."""
-    if N < 2:
-        raise PreconditionError("the growth experiment needs at least 2 worlds")
+    if type(N) is not int or N < 2:
+        raise PreconditionError(f"the growth experiment needs an int N >= 2, not {N!r}")
     rel = {(i, j) for i in range(N) for j in range(N) if i >= j}
     evens = frozenset(w for w in range(N) if w % 2 == 0)
     odds = frozenset(w for w in range(N) if w % 2 == 1)

@@ -51,7 +51,7 @@ J(x) the join-irreducibles below x, by induction up A:
 
 So g(a ∨ b) = ⋁ g(J(a) ∪ J(b)) = g(a) ∨ g(b), in any target lattice.  Meets
 are checked dually, with upper covers and the meet-irreducibles above x.
-When A is not distributive, :func:`_is_hom` checks each coordinate.
+When A is not distributive, the meet and the join of every pair are checked.
 
 Quotient tables have one builder, :func:`_quotient_tables`; :func:`quotient`
 checks its partition first, :func:`si_quotients` and :func:`hs_si` do not.
@@ -64,9 +64,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_, eq, getitem
-from types import SimpleNamespace
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import and_, eq
+from typing import Iterable, Iterator, Optional
 
 from .algebras import FiniteAlgebra, _bits
 from .congruences import Partition, _cmi_masks, is_congruence
@@ -105,7 +104,7 @@ class Hom:
         StructuralError for a non-lattice side, and
         PreconditionError unless it sends each source element to a target one."""
         f, n, m = self.mapping, self.source.size, self.target.size
-        if len(f) != n or min(f) < 0 or max(f) >= m:
+        if len(f) != n or not all(type(v) is int and 0 <= v < m for v in f):
             raise PreconditionError(f"{f!r} does not send each of {n} elements to one of {m}")
         return _is_hom(self.source, self.target, f)
 
@@ -230,33 +229,27 @@ def _quotient_tables(A: FiniteAlgebra, ids) -> tuple:
 
 # -- homomorphism search ------------------------------------------------------------
 
-class _Program(tuple):
-    """The steps of a generation program.  ``covers`` holds the lattice
-    checks of :func:`_extensions` in the same layout, (x, op, y, z) for
-    g(x) = op(g(y), g(z)), or None when A is not distributive."""
-
-
 @lru_cache(maxsize=256)
-def _generation(A: FiniteAlgebra, seeds: tuple[int, ...]) -> Optional[_Program]:
+def _generation(A: FiniteAlgebra, seeds: tuple[int, ...]) -> Optional[tuple[tuple, tuple]]:
     """The steps of :func:`_close` deriving all of A from the bounds and the
-    seeds, in order, with their cover checks; None when the seeds do not
-    generate A."""
+    seeds, in order, and the lattice checks of :func:`_extensions` in the
+    same layout; None when the seeds do not generate A."""
     members = {A.bottom(), A.top(), *seeds}
     steps: list = []
     _close(A, members, list(members), steps)
     if len(members) < A.size:
         return None
-    program = _Program(steps)
-    program.covers = _cover_checks(A.lattice, steps)
-    return program
+    return tuple(steps), _cover_checks(A.lattice, steps)
 
 
-def _cover_checks(lat, steps) -> Optional[tuple]:
-    """The cover checks of the module docstring for the elements the steps
-    do not make by the same operation; None unless the lattice is
-    distributive."""
+def _cover_checks(lat, steps) -> tuple:
+    """The lattice checks (x, op, y, z), g(x) = op(g(y), g(z)): for a
+    distributive lattice the cover checks of the module docstring, for the
+    elements the steps do not make by the same operation; otherwise
+    g(y ∧ z) = g(y) ∧ g(z) and g(y ∨ z) = g(y) ∨ g(z) for every pair y < z."""
     if lat.distributivity_witness() is not None:
-        return None
+        return tuple((rows[y][z], op, y, z) for op, rows in (("meet", lat.meet), ("join", lat.join))
+                     for y, z in itertools.combinations(range(lat.size), 2))
     checks = []
     for op, below, above, least in (("join", lat.down, lat.up, lat.bottom),
                                     ("meet", lat.up, lat.down, lat.top)):
@@ -267,41 +260,6 @@ def _cover_checks(lat, steps) -> Optional[tuple]:
                 covers = [y for y in _bits(strict) if above[y] & strict == 1 << y]
                 checks.append((x, op, covers[0], covers[1] if len(covers) > 1 else x))
     return tuple(checks)
-
-
-class _Targets(Vectors):
-    """Vectors with one coordinate per entry of ``targets``, a sequence of
-    algebras of at most 256 elements, with repeats: each coordinate reads its
-    own algebra's tables, through lists of references to them.  Vectors are
-    bytes, an eighth the size of tuples."""
-    __slots__ = ("targets", "bottoms", "tops", "meets", "joins")
-
-    def __init__(self, targets: Sequence[FiniteAlgebra]):
-        lats = [B.lattice.require() for B in targets]
-        super().__init__(None, [B.box for B in targets], [B.diamond for B in targets],
-                         len(targets))
-        self.targets = targets
-        self.bottoms = bytes(lat.bottom for lat in lats)
-        self.tops = bytes(lat.top for lat in lats)
-        self.meets, self.joins = [lat.meet for lat in lats], [lat.join for lat in lats]
-
-    def zero(self):
-        return self.bottoms
-
-    def one(self):
-        return self.tops
-
-    def meet(self, u, v):
-        return bytes(map(getitem, map(getitem, self.meets, u), v))
-
-    def join(self, u, v):
-        return bytes(map(getitem, map(getitem, self.joins, u), v))
-
-    def box(self, u):
-        return bytes(map(getitem, self.box_table, u))
-
-    def dia(self, u):
-        return bytes(map(getitem, self.dia_table, u))
 
 
 def _extensions(A: FiniteAlgebra, carrier: Vectors,
@@ -317,13 +275,14 @@ def _extensions(A: FiniteAlgebra, carrier: Vectors,
     program = _generation(A, tuple(sorted(seed)))
     if program is None:
         return [], [False] * carrier.length
+    steps, checks = program
     g: list = [None] * A.size
     g[la.bottom], g[la.top] = zero, one
     for k, v in seed.items():
         g[k] = v
     ops = {"box": carrier.box, "diamond": carrier.dia,
            "meet": carrier.meet, "join": carrier.join}
-    for k, op, i, j in program:
+    for k, op, i, j in steps:
         g[k] = ops[op](g[i]) if j is None else ops[op](g[i], g[j])
     ok = [True] * carrier.length
 
@@ -336,14 +295,9 @@ def _extensions(A: FiniteAlgebra, carrier: Vectors,
     for u, b, d in zip(g, A.box, A.diamond):
         agree(carrier.box(u), g[b])
         agree(carrier.dia(u), g[d])
-    if program.covers is not None:
-        for x, op, y, z in program.covers:
-            agree(g[x], ops[op](g[y], g[z]))
-        return g, ok
-    targets = carrier.targets if isinstance(carrier, _Targets) else itertools.repeat(SimpleNamespace(
-        lattice=carrier.lattice, box=carrier.box_table, diamond=carrier.dia_table))
-    return g, [good and _is_hom(A, B, [u[c] for u in g])
-               for c, (good, B) in enumerate(zip(ok, targets))]
+    for x, op, y, z in checks:
+        agree(g[x], ops[op](g[y], g[z]))
+    return g, ok
 
 
 def _is_hom(A: FiniteAlgebra, B: FiniteAlgebra, f) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import and_, eq, getitem, gt, or_
+from operator import and_, attrgetter, eq, getitem, gt, or_
 
 from .algebras import FiniteAlgebra
 from .errors import ParseError, PomaError, PreconditionError
@@ -377,47 +377,66 @@ def evaluate(t: Term, env: dict, carrier):
 
 
 class Vectors:
-    """The carrier of a lattice with a box and a diamond table, coordinate by
-    coordinate, on tuples of ``length`` elements: the values of a term under
-    that many assignments.  :meth:`of` takes the tables of an algebra.  The
-    lattice is required only by the kinds that read it, so a term without
-    meet, join or bounds gets values on any order."""
+    """The carrier of value vectors: tuples of ``length`` elements, the values
+    of a term under that many assignments.  Coordinate c reads entry c of
+    ``lattices``, ``boxes`` and ``dias``, each a list or an endless
+    ``itertools.repeat`` of one table; ``map`` stops at the end of the
+    vector, and a repeat has no state, so one carrier serves every call.
+    :meth:`of` repeats the tables of one algebra, :meth:`over` reads one
+    algebra per coordinate.  Zero, one, meet and join require the lattices
+    on first use only, so a term without them gets values on any order."""
 
-    __slots__ = ("lattice", "box_table", "dia_table", "length")
+    __slots__ = ("lattices", "boxes", "dias", "length", "tables")
 
-    def __init__(self, lattice, box, dia, length: int):
-        self.lattice, self.box_table, self.dia_table = lattice, box, dia
-        self.length = length
+    def __init__(self, lattices, boxes, dias, length: int):
+        self.lattices, self.boxes, self.dias = lattices, boxes, dias
+        self.length, self.tables = length, {}
 
     @classmethod
     def of(cls, A: FiniteAlgebra, length: int) -> "Vectors":
-        return cls(A.lattice, A.box, A.diamond, length)
+        repeat = itertools.repeat
+        return cls(repeat(A.lattice), repeat(A.box), repeat(A.diamond), length)
+
+    @classmethod
+    def over(cls, algebras) -> "Vectors":
+        return cls([B.lattice for B in algebras], [B.box for B in algebras],
+                   [B.diamond for B in algebras], len(algebras))
+
+    def _lattice(self, name: str) -> list:
+        """The ``name`` entry (bottom, top, meet or join) of each coordinate's
+        lattice, listed on first use, when the lattices are required:
+        StructuralError unless each is a bounded lattice."""
+        table = self.tables.get(name)
+        if table is None:
+            lattices = list(itertools.islice(self.lattices, self.length))
+            for lattice in set(lattices):
+                lattice.require()
+            table = self.tables[name] = list(map(attrgetter(name), lattices))
+        return table
 
     def zero(self):
-        return (self.lattice.require().bottom,) * self.length
+        return tuple(self._lattice("bottom"))
 
     def one(self):
-        return (self.lattice.require().top,) * self.length
+        return tuple(self._lattice("top"))
 
     def meet(self, u, v):
-        rows = self.lattice.require().meet
-        return tuple(map(getitem, map(rows.__getitem__, u), v))
+        return tuple(map(getitem, map(getitem, self._lattice("meet"), u), v))
 
     def join(self, u, v):
-        rows = self.lattice.require().join
-        return tuple(map(getitem, map(rows.__getitem__, u), v))
+        return tuple(map(getitem, map(getitem, self._lattice("join"), u), v))
 
     def box(self, u):
-        return tuple(map(self.box_table.__getitem__, u))
+        return tuple(map(getitem, self.boxes, u))
 
     def dia(self, u):
-        return tuple(map(self.dia_table.__getitem__, u))
+        return tuple(map(getitem, self.dias, u))
 
 
 def eval_term(A: FiniteAlgebra, t: Term, asg: dict[str, int]) -> int:
     """The value of t in A under one assignment."""
     for v, a in asg.items():
-        if not (isinstance(a, int) and 0 <= a < A.size):
+        if not (type(a) is int and 0 <= a < A.size):
             raise PreconditionError(f"{v} = {a!r} is not one of the {A.size} elements")
     return evaluate(t, {v: (a,) for v, a in asg.items()}, Vectors.of(A, 1))[0]
 

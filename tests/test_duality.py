@@ -210,6 +210,16 @@ def test_complex_algebra_world_cap():
         complex_algebra(9, {(i, i) for i in range(9)})
 
 
+@pytest.mark.parametrize("count", ["3", 2.5, True, None, float("inf"), -1])
+def test_world_count_must_be_an_int(count):
+    """A count that is not an int raised TypeError, or for True built a
+    one-world frame; it is refused before the world cap is compared."""
+    with pytest.raises(PreconditionError):
+        complex_algebra(count, [])
+    with pytest.raises(PreconditionError):
+        kripke_eval(count, [], parse_term("box x"), {"x": set()})
+
+
 def test_kripke_eval_matches_powerset_algebra():
     geq = {(i, j) for i in range(3) for j in range(3) if i >= j}
     A = complex_algebra(3, geq)

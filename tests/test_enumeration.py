@@ -280,6 +280,30 @@ def test_mixed_filter_slices_keep_the_pairs_the_per_pair_check_keeps(monkeypatch
     assert partial
 
 
+@pytest.mark.parametrize("text", ["box x ~ dia box x", "box x ~ dia dia box x"])
+def test_skeleton_applying_the_diamond_on_its_right_side_only(monkeypatch, text):
+    """Skeletons b0 ~ dia b0 and b0 ~ dia dia b0: the side-by-side diamond
+    tables are built when either side applies the diamond, and can be read
+    twice; in slices of 2 pairs and in one slice per run."""
+    import poma.enumeration
+    from poma.enumeration import _hoist, _mixed_filter
+    from poma.terms import term_kinds
+    e = parse_equation(text)
+    assert "dia" not in term_kinds(_hoist(e).skeleton.lhs)
+    kept = dropped = 0
+    for kind, max_size in (("PS4", 5), ("PMA", 4)):
+        for size in range(1, max_size + 1):
+            for L, boxes, dias, runs, mixed, expected in _every_pair_checked(kind, size, e):
+                [(_, length)] = mixed[1]
+                for width in (2, len(dias)):
+                    monkeypatch.setattr(poma.enumeration, "BLOCK", width * length)
+                    assert _mixed_filter(L.lattice, boxes, dias, runs, [mixed]) == expected, \
+                        (L, width)
+                found = sum(len(ds) for _, ds in expected)
+                kept, dropped = kept + found, dropped + len(boxes) * len(dias) - found
+    assert kept and dropped
+
+
 def test_orbit_runs_keep_the_pairs_the_seen_loop_keeps():
     """The stabiliser rule against the walk that marks every conjugate as
     seen, on the full tables and on those cut by each battery's

@@ -15,9 +15,8 @@ from poma.corpus import FIG2_NAMES
 from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import BudgetError, PreconditionError, StructuralError
 from poma.free import figure1_algebra, free_over, same_one_var_theory
-from poma.morphisms import (Hom, _extensions, _generation, _is_hom, _Targets,
-                            closure_universe, extend_hom, generating_set, homs, product,
-                            subuniverses)
+from poma.morphisms import (Hom, _extensions, _generation, _is_hom, closure_universe,
+                            extend_hom, generating_set, homs, product, subuniverses)
 from poma.terms import Vectors
 
 from conftest import oracle_extend_hom, oracle_is_hom, oracle_subuniverses
@@ -221,7 +220,7 @@ def test_generation_program():
     steps and the seeds reach every element once; the cache is bounded."""
     F = figure1_algebra()
     A, gen = F.algebra, F.generators[0]
-    program = _generation(A, (gen,))
+    program, _ = _generation(A, (gen,))
     known = {A.bottom(), A.top(), gen}
     ops = {"box": lambda i, j: A.box[i], "diamond": lambda i, j: A.diamond[i],
            "meet": A.meet, "join": A.join}
@@ -277,10 +276,9 @@ def test_one_variable_theories_of_the_varieties_pairs():
 def _against_oracle(A, targets, keys, rows, carrier=None):
     """One :func:`_extensions` call, coordinate c sending ``keys`` to
     ``rows[c]`` in ``targets[c]``, each coordinate against the oracle; the
-    carrier is ``_Targets(targets)`` unless given.  Returns the verdicts."""
-    carrier = carrier or _Targets(targets)
-    vector = bytes if isinstance(carrier, _Targets) else tuple
-    seed = {k: vector(column) for k, column in zip(keys, zip(*rows))}
+    carrier is ``Vectors.over(targets)`` unless given.  Returns the verdicts."""
+    carrier = carrier or Vectors.over(targets)
+    seed = dict(zip(keys, zip(*rows)))
     g, ok = _extensions(A, carrier, seed)
     assert len(ok) == len(rows)
     for c, (B, row) in enumerate(zip(targets, rows)):
@@ -357,8 +355,9 @@ def test_mixed_targets_with_lattices_m3_and_n5():
 
 def test_non_distributive_sources():
     """Sources on random closure-system lattices, many not distributive, so
-    each coordinate goes through the cone test, into the source itself (the
-    identity with one value moved among them) and into M3 and N5 targets."""
+    each coordinate is checked on the meet and the join of every pair, into
+    the source itself (the identity with one value moved among them) and
+    into M3 and N5 targets."""
     rng = random.Random(2411)
     extra = _m3_n5_targets(rng)
     checked = {True: 0, False: 0}
@@ -366,7 +365,9 @@ def test_non_distributive_sources():
         A = _lattice_algebra(_closure_system(rng, rng.randrange(3, 6)), rng)
         if validate(A).is_distributive:
             continue
-        assert _generation(A, ()) is None or _generation(A, ()).covers is None
+        pairs = list(itertools.combinations(range(A.size), 2))
+        assert _generation(A, ()) is None or _generation(A, ())[1] == tuple(
+            (getattr(A, op)(y, z), op, y, z) for op in ("meet", "join") for y, z in pairs)
         keys = tuple(range(A.size))
         moved = [tuple(w if x == z else x for x in keys)
                  for z, w in itertools.product(keys, repeat=2)]
@@ -376,6 +377,42 @@ def test_non_distributive_sources():
         for verdict in _against_oracle(A, targets, keys, _rows(A, targets, keys, rng)):
             checked[verdict] += 1
     assert min(checked.values()) >= 40, checked
+
+
+def test_non_distributive_sources_into_cubes():
+    """Non-distributive sources with identity operators into cubes, under
+    maps that keep the bounds, the operators and one of meet and join, as in
+    test_cones_on_maps_keeping_one_operation, seeded on all of the source
+    and on a generating set: a map that keeps only meets fails on some join
+    pair and one that keeps only joins on some meet pair."""
+    rng = random.Random(2425)
+    sources = [_lattice_algebra(M3), _lattice_algebra(N5)]
+    sources += [_lattice_algebra(_closure_system(rng, rng.randrange(3, 6)))
+                for _ in range(100)]
+    sources = [A for A in sources if not validate(A).is_distributive]
+    rejected = {"meet": 0, "join": 0}
+    passed = 0
+    for A in sources:
+        up, down = A.lattice.up, A.lattice.down
+        for k in (1, 2, 3):
+            B, index = _cube(k), {m: i for i, m in enumerate(powerset(k)[0])}
+            maps = []
+            for _ in range(4):
+                a = [rng.choice([x for x in range(A.size) if x != A.bottom()]) for _ in range(k)]
+                m = [rng.choice([x for x in range(A.size) if x != A.top()]) for _ in range(k)]
+                maps.append(("meet", [index[sum(1 << i for i in range(k) if up[a[i]] >> x & 1)]
+                                      for x in range(A.size)]))
+                maps.append(("join", [index[sum(1 << i for i in range(k)
+                                                if not down[m[i]] >> x & 1)]
+                                      for x in range(A.size)]))
+            for keys in (tuple(range(A.size)), generating_set(A)):
+                rows = [tuple(h[x] for x in keys) for _, h in maps]
+                ok = _against_oracle(A, [B] * len(rows), keys, rows, Vectors.of(B, len(rows)))
+                for (kept, _), good in zip(maps, ok):
+                    rejected[kept] += not good and len(keys) == A.size
+                    passed += good
+    assert len(sources) >= 25
+    assert min(rejected.values()) >= 100 and passed >= 100, (rejected, passed)
 
 
 def _ring_of_sets(rng, points):
@@ -449,6 +486,16 @@ def test_seed_outside_the_algebras(seed):
         extend_hom(F, D4, seed)
     with pytest.raises(PreconditionError):
         homs(F, D4, seed=seed)
+
+
+@pytest.mark.parametrize("value", [0.0, "0", True, -1, 4])
+def test_mapping_outside_the_target(value):
+    """is_valid takes the elements of a mapping by the rule of the seeds:
+    a float or a string raised TypeError and True was read as 1."""
+    D4 = corpus("D4")
+    assert Hom(D4, D4, (0, 1, 2, 3)).is_valid()
+    with pytest.raises(PreconditionError):
+        Hom(D4, D4, (value, 1, 2, 3)).is_valid()
 
 
 def test_hom_budget_is_checked_before_any_candidate(monkeypatch):

@@ -312,6 +312,12 @@ def test_growth_range():
         lemma53_growth(1)
 
 
+@pytest.mark.parametrize("N", ["4", 4.0, None])
+def test_growth_count_must_be_an_int(N):
+    with pytest.raises(PreconditionError):
+        lemma53_growth(N)
+
+
 def test_same_one_var_theory():
     assert same_one_var_theory(corpus("C2"), corpus("C2"))
     assert not same_one_var_theory(corpus("C3a"), corpus("C3b"))

@@ -249,6 +249,14 @@ def test_non_lattice_carrier():
             holds_eq(A, parse_equation(text))
 
 
+def test_eval_term_rejects_elements_that_are_not_ints():
+    """True was read as element 1."""
+    A = corpus("D3")
+    for a in (True, False, 1.0, None):
+        with pytest.raises(PreconditionError):
+            eval_term(A, parse_term("box x"), {"x": a})
+
+
 def test_eval_term_rejects_elements_outside_the_carrier():
     """A negative element was read from the end of the tables (box of -1 on
     D3 gave 2) and one past the carrier raised a bare IndexError."""
