@@ -246,7 +246,7 @@ def _successors(n: int, relation) -> list[int]:
             x, y = pair
         except (TypeError, ValueError):
             raise PreconditionError(f"{pair!r} is not a pair of worlds") from None
-        if not all(isinstance(w, int) and 0 <= w < n for w in (x, y)):
+        if not all(type(w) is int and 0 <= w < n for w in (x, y)):
             raise PreconditionError(f"pair ({x!r}, {y!r}) is not between two of the {n} worlds")
         succ[x] |= 1 << y
     return succ
@@ -280,7 +280,7 @@ def kripke_eval(n_worlds: int, relation, t: Term,
     powerset algebra.  Used for growth experiments on larger frames."""
     frame = _Frame(_successors(n_worlds, relation))
     for v, ws in asg.items():
-        if not all(isinstance(x, int) and 0 <= x < n_worlds for x in ws):
+        if not all(type(x) is int and 0 <= x < n_worlds for x in ws):
             raise PreconditionError(f"{v} = {set(ws)!r} is not a set of the {n_worlds} worlds")
     env = {v: _mask(x in ws for x in range(n_worlds)) for v, ws in asg.items()}
     return frozenset(_bits(evaluate(t, env, frame)))
@@ -331,7 +331,7 @@ def open_filter_congruence_iso_check(M: ModalAlgebra) -> bool:
 
 def is_p_morphism(X: DualSpace, Y: DualSpace, f: tuple[int, ...]) -> bool:
     nx, ny = _require_square(X), _require_square(Y)
-    if len(f) != nx or not all(isinstance(y, int) and 0 <= y < ny for y in f):
+    if len(f) != nx or not all(type(y) is int and 0 <= y < ny for y in f):
         raise PreconditionError(f"{f!r} does not send each of the {nx} points to one of {ny}")
     for x in range(nx):
         for y in range(nx):

@@ -3,11 +3,17 @@ distributive lattices, and their PMA/PK4/PS4 operator expansions.
 
 Lattices are generated through their posets of join-irreducibles (a finite
 bounded distributive lattice is the downset lattice of that poset), built
-level by level, one new maximal element at a time; one walk over the levels
-serves every number of points.  PS4 operator pairs are generated from pairs
-of 0,1-sublattices of fixed points; PMA/PK4 operator tables are generated
-from value assignments on the meet- resp. join-irreducible elements, which
-determine every meet- (join-) preserving table over a distributive lattice.
+level by level, one new maximal element at a time.  Each walk is pruned at
+the largest lattice it serves: ``enum_bdl(n)`` and the enumeration of size n
+each walk once, and the walk keeps each poset's downsets, so a child's
+downsets are counted, and listed if it is kept, from its parent's.  The
+canonical-form search that names each poset also finds Aut(P), and Aut(L)
+of its downset lattice is induced from it.  PS4 operator pairs are generated
+from pairs of 0,1-sublattices of fixed points; PMA/PK4 operator tables are
+the monotone maps on the meet- resp. join-irreducible elements, which
+determine every meet- (join-) preserving table over a distributive lattice,
+generated in the order in which folding every value assignment first finds
+them.
 
 Each isomorphism class is found once.  The lattices are pairwise
 non-isomorphic, and two algebras on one lattice L are isomorphic exactly when
@@ -67,10 +73,10 @@ from operator import and_, eq, ge
 from pathlib import Path
 from typing import NamedTuple
 
-from .algebras import BoolMatrix, FiniteAlgebra, downset_masks, subset_order, validate
+from .algebras import BoolMatrix, FiniteAlgebra, _bits, _mask_key, subset_order, validate
 from .congruences import is_fsi, is_si
 from .errors import PomaError
-from .morphisms import SEARCH_CAP, _least_leaves, automorphisms, canonical_form, subuniverses
+from .morphisms import SEARCH_CAP, _least_leaves, canonical_form, subuniverses
 from .terms import (BLOCK, Equation, Term, Var, Vectors, assignment_blocks,
                     equation_variables, evaluate, holds_eq, term_kinds)
 
@@ -101,10 +107,14 @@ def _require_count(name: str, value, least: int) -> None:
 
 # -- posets up to isomorphism --------------------------------------------------
 
+def _poset_search(leq: BoolMatrix) -> tuple[tuple, list[tuple[int, ...]]]:
+    """The canonical form of a poset and the least leaves of its search."""
+    ident = tuple(range(len(leq)))
+    return _least_leaves(len(leq), leq, ident, ident, SEARCH_CAP)
+
+
 def canonical_poset(leq: BoolMatrix) -> tuple:
-    n = len(leq)
-    ident = tuple(range(n))
-    return _least_leaves(n, leq, ident, ident, SEARCH_CAP)[0]
+    return _poset_search(leq)[0]
 
 
 def _extend_with_max(leq: BoolMatrix, down: int) -> BoolMatrix:
@@ -115,23 +125,48 @@ def _extend_with_max(leq: BoolMatrix, down: int) -> BoolMatrix:
     return tuple(tuple(row) for row in rows)
 
 
+def _extend_downsets(downsets: list[int], down: int) -> list[int]:
+    """The downsets of the poset extended by ``_extend_with_max(leq, down)``,
+    in ``downset_masks`` order, from ``downsets``, those of ``leq`` in that
+    order: a downset of the extension either omits the new element t, and is
+    a downset of the old poset, or holds t and the downset ``down`` below it.
+    So |D(P + t)| = |D(P)| + #{d in D(P) : down ⊆ d}."""
+    new = downsets[-1] + 1                  # the bit of t: the last downset is all of P
+    return sorted(downsets + [d | new for d in downsets if d & down == down], key=_mask_key)
+
+
+class _Poset(NamedTuple):
+    """A poset of the walk with its downsets, in ``downset_masks`` order,
+    and the least leaves of its canonical-form search (one Aut(P)-orbit)."""
+    leq: BoolMatrix
+    downsets: list[int]
+    leaves: list[tuple[int, ...]]
+
+
 def _poset_levels(max_downsets: int | None):
     """The posets with 0, 1, 2, ... elements, up to isomorphism: one dict
-    per size from canonical form to order matrix, in the order found.
+    per size from canonical form to :class:`_Poset`, in the order found.
     Every poset is reached by repeatedly adding a new maximal element; when
     `max_downsets` is set, branches whose downset count already exceeds it are
-    pruned (downset counts only grow), and the levels stop at the first empty
-    one."""
-    level: dict[tuple, BoolMatrix] = {canonical_poset(()): ()}
+    pruned (downset counts only grow), counted from the parent's downsets,
+    and the levels stop at the first empty one.  The levels pruned at m are
+    the restriction of those pruned at any m' > m, with the same matrices in
+    the same order: the posets the looser walk adds, and all their
+    descendants, have more than m downsets."""
+    key, leaves = _poset_search(())
+    level = {key: _Poset((), [0], leaves)}
     while level:
         yield level
-        nxt: dict[tuple, BoolMatrix] = {}
-        for leq in level.values():
-            for down in downset_masks(leq):
-                bigger = _extend_with_max(leq, down)
-                if max_downsets is not None and len(downset_masks(bigger)) > max_downsets:
+        nxt: dict[tuple, _Poset] = {}
+        for leq, downsets, _ in level.values():
+            for down in downsets:
+                if max_downsets is not None and len(downsets) + sum(
+                        d & down == down for d in downsets) > max_downsets:
                     continue
-                nxt.setdefault(canonical_poset(bigger), bigger)
+                bigger = _extend_with_max(leq, down)
+                key, leaves = _poset_search(bigger)
+                if key not in nxt:
+                    nxt[key] = _Poset(bigger, _extend_downsets(downsets, down), leaves)
         level = nxt
 
 
@@ -140,7 +175,35 @@ def enum_posets(k: int) -> list[BoolMatrix]:
     matrices sorted by canonical form."""
     _require_count("k", k, 0)
     level = next(itertools.islice(_poset_levels(None), k, None))
-    return [level[key] for key in sorted(level)]
+    return [level[key].leq for key in sorted(level)]
+
+
+def _downset_lattice(downsets: list[int]) -> FiniteAlgebra:
+    """The lattice of the downsets, ordered by inclusion and indexed in the
+    given order (a linear extension: it sorts by cardinality first), as an
+    algebra with identity operators."""
+    ident = tuple(range(len(downsets)))
+    return FiniteAlgebra(len(downsets), subset_order(downsets), ident, ident)
+
+
+def _lattice_automorphisms(poset: _Poset) -> list[tuple[int, ...]]:
+    """Aut(D(P)) as sorted mappings x -> s[x], the identity first: the
+    automorphisms of P, read off the least leaves as ``automorphisms`` reads
+    them, each moving the downsets pointwise.  By Birkhoff's representation
+    these are all the automorphisms of D(P): one permutes the join-irreducible
+    downsets, the principal ones, keeping their order, so it restricts to an
+    automorphism of P, and it is fixed by that restriction, as every downset
+    is the join of the principal ones it holds."""
+    base, *_ = poset.leaves
+    pos = [0] * len(base)
+    for k, e in enumerate(base):
+        pos[e] = k
+    index = {d: i for i, d in enumerate(poset.downsets)}
+    found = []
+    for o in poset.leaves:
+        images = [1 << o[pos[x]] for x in range(len(base))]
+        found.append(tuple(index[sum(images[x] for x in _bits(d))] for d in poset.downsets))
+    return sorted(found)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -148,28 +211,17 @@ def enum_bdl(max_size: int) -> tuple[FiniteAlgebra, ...]:
     """All bounded distributive lattices with at most max_size elements, up to
     isomorphism, as algebras with identity operators; sorted by size then
     canonical form.  A poset with k elements has at least k + 1 downsets, so
-    the levels below max_size hold every poset needed."""
+    the levels below max_size hold every poset needed, and the pruning keeps
+    only those with at most max_size downsets.  Non-isomorphic posets have
+    non-isomorphic downset lattices."""
     _require_count("max_size", max_size, 0)
-    out: dict[tuple, FiniteAlgebra] = {}
-    for level in itertools.islice(_poset_levels(max_size), max_size):
-        for key in sorted(level):
-            ds = downset_masks(level[key])
-            if len(ds) > max_size:
-                continue
-            ident = tuple(range(len(ds)))
-            L = FiniteAlgebra(len(ds), subset_order(ds), ident, ident)
-            out.setdefault(canonical_form(L), L)
-    return tuple(sorted(out.values(), key=lambda L: (L.size, canonical_form(L))))
+    found = [_downset_lattice(poset.downsets)
+             for level in itertools.islice(_poset_levels(max_size), max_size)
+             for poset in level.values()]
+    return tuple(sorted(found, key=lambda L: (L.size, canonical_form(L))))
 
 
 # -- operator tables -------------------------------------------------------------
-
-def _fold(table, start: int, xs) -> int:
-    """start op x1 op x2 ..., op given by its table."""
-    for x in xs:
-        start = table[start][x]
-    return start
-
 
 def _interior_table(down, fixed) -> tuple[int, ...]:
     """The interior operator whose fixed points are ``fixed``, a 0,1-sublattice
@@ -204,22 +256,85 @@ def _mixed_axioms_hold(L: FiniteAlgebra, box, dia) -> bool:
 
 def _preserving_tables(L: FiniteAlgebra, dual: bool) -> list[tuple[int, ...]]:
     """All unary tables preserving binary meets and the top element, or with
-    ``dual`` binary joins and the bottom: over a distributive lattice, t(a) the
-    meet of arbitrary values on the meet-irreducibles above a (dually, joins).
-    Every such fold preserves both: no meet-irreducible is above the top, so
-    t(top) is the empty meet, and each meet-irreducible m is meet-prime (a meet
-    b <= m gives a <= m or b <= m), so t(a meet b) = t(a) meet t(b)."""
-    n, leq, lat = L.size, L.leq, L.lattice.require()
+    ``dual`` binary joins and the bottom, in the order of their
+    lexicographically first value assignment on the meet-irreducibles M
+    (join-irreducibles J), ascending by index, folded by meets (joins).
+    The elements are indexed in a linear extension, as ``enum_bdl`` lists them.
+
+    Over a distributive lattice such a table t is fixed by t|M: each a is the
+    meet of the m in M above it (the top the empty meet), so t(a) is the meet
+    of the t(m).  And t|M is monotone.  Conversely the fold of a monotone v,
+    t(a) = ⋀{v(m) : a <= m}, preserves both, as each m is meet-prime (a ∧ b
+    <= m gives a <= m or b <= m), and has t(m) = v(m).  So the tables are the
+    folds of the monotone maps M -> L, generated here by choosing v(m) for m
+    in index order (a linear extension of M) from the elements above s(m) =
+    ⋁{v(m') : m' in M, m' < m}; dually for J.
+
+    Box order.  Any v folding to t has v(m) >= t(m), so index v(m) >= index
+    t(m), and t|M folds to t: t|M is the least such v in every coordinate,
+    hence lexicographically first.  The elements above s(m) are taken in
+    ascending index, so the maps come out in lexicographic order, which is
+    the order of their tables' first assignments.
+
+    Diamond order.  A v folds to t exactly when v(j) ∨ s(j) = t(j) for each
+    j in J, with s(j) = ⋁{t(j') : j' in J, j' < j}: fold(v)(j) is v(j) joined
+    with the fold at the j' < j, which by induction along the indices is
+    s(j), and two join-preserving tables agreeing on J agree everywhere.  The
+    coordinates are then chosen independently, so the first assignment to t
+    is v*(j) = the least-index x with x ∨ s(j) = t(j).  Distinct values t(j)
+    >= s(j) give distinct v*(j), so the elements above s(j) are taken in
+    ascending order of that x, and the maps come out in lexicographic order
+    of v*.  Plain t|J order differs on some lattices of size 9.
+
+    Each table is then built column by column, all maps at once: t(a) = t(b)
+    ∧ t(c) for two upper covers b, c of an a that is neither the top nor in
+    M (dually, joins of two lower covers).  Such an a has at least two; the
+    least-index element strictly above a is one, b, the least-index one
+    strictly above a and not above b another, c, and a <= b ∧ c < b gives
+    b ∧ c = a."""
+    n, lat = L.size, L.lattice.require()
+    join, up = lat.join, lat.up
+    candidates = [list(_bits(m)) for m in up]          # above s, ascending
     if dual:
-        op, unit, irr = lat.join, lat.bottom, lat.join_irreducibles
-        sources = [[k for k, j in enumerate(irr) if leq[j][a]] for a in range(n)]
+        irr, op, unit, near, pick = lat.join_irreducibles, join, lat.bottom, lat.down, _highest
+        for s, above in enumerate(candidates):
+            least = {}
+            for x in range(n):
+                least.setdefault(join[x][s], x)
+            above.sort(key=least.__getitem__)
+        order = range(n)
     else:
-        op, unit, irr = lat.meet, lat.top, lat.meet_irreducibles
-        sources = [[k for k, m in enumerate(irr) if leq[a][m]] for a in range(n)]
-    seen = {}
-    for values in itertools.product(range(n), repeat=len(irr)):
-        seen.setdefault(tuple(_fold(op, unit, (values[k] for k in ks)) for ks in sources))
-    return list(seen)
+        irr, op, unit, near, pick = lat.meet_irreducibles, lat.meet, lat.top, up, _lowest
+        order = range(n - 1, -1, -1)
+    below = [[k for k in range(p) if up[irr[k]] >> irr[p] & 1] for p in range(len(irr))]
+    maps = [()]
+    for ks in below:
+        grown = []
+        for v in maps:
+            s = lat.bottom
+            for k in ks:
+                s = join[s][v[k]]
+            grown += [v + (x,) for x in candidates[s]]
+        maps = grown
+    columns = [None] * n
+    columns[unit] = (unit,) * len(maps)
+    for a, column in zip(irr, zip(*maps)):
+        columns[a] = column
+    for a in order:
+        if columns[a] is None:
+            rest = near[a] & ~(1 << a)
+            b = pick(rest)
+            c = pick(rest & ~near[b])
+            columns[a] = [op[x][y] for x, y in zip(columns[b], columns[c])]
+    return list(zip(*columns))
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _highest(mask: int) -> int:
+    return mask.bit_length() - 1
 
 
 def _operator_tables(kind: str, L: FiniteAlgebra):
@@ -456,22 +571,29 @@ def _enumerate_size(kind: str, size: int,
                     satisfying: tuple[Equation, ...]) -> tuple[FiniteAlgebra, ...]:
     """The algebras of the kind with exactly ``size`` elements that satisfy
     the equations, one per isomorphism class: the first operator pair of
-    each Aut(L)-orbit (see the module docstring), sorted by canonical form."""
+    each Aut(L)-orbit (see the module docstring), sorted by canonical form.
+    The lattices are those of ``enum_bdl(size)`` with ``size`` elements, the
+    same matrices taken from the walk in the order found; algebras on
+    non-isomorphic lattices are not isomorphic, so the sort by canonical
+    form fixes the output whatever the order of the lattices."""
     found = []
     box_only, dia_only, mixed = _equation_checks(size, satisfying)
-    for L in enum_bdl(size):
-        if L.size != size:
-            continue
-        boxes, dias = _operator_tables(kind, L)
-        boxes = [t for t in boxes if _tables_satisfy(L.lattice, t, None, box_only)]
-        dias = [t for t in dias if _tables_satisfy(L.lattice, None, t, dia_only)]
-        if not (boxes and dias):
-            continue
-        runs = _orbit_runs(boxes, dias, automorphisms(L)[1:])   # the identity sorts first
-        for b, ds in _mixed_filter(L.lattice, boxes, dias, runs, mixed):
-            for d in ds:
-                if _mixed_axioms_hold(L, boxes[b], dias[d]):
-                    found.append(FiniteAlgebra(size, L.leq, boxes[b], dias[d]))
+    for level in itertools.islice(_poset_levels(size), size):
+        for poset in level.values():
+            if len(poset.downsets) != size:
+                continue
+            L = _downset_lattice(poset.downsets)
+            boxes, dias = _operator_tables(kind, L)
+            boxes = [t for t in boxes if _tables_satisfy(L.lattice, t, None, box_only)]
+            dias = [t for t in dias if _tables_satisfy(L.lattice, None, t, dia_only)]
+            if not (boxes and dias):
+                continue
+            others = _lattice_automorphisms(poset)[1:]      # the identity sorts first
+            runs = _orbit_runs(boxes, dias, others)
+            for b, ds in _mixed_filter(L.lattice, boxes, dias, runs, mixed):
+                for d in ds:
+                    if _mixed_axioms_hold(L, boxes[b], dias[d]):
+                        found.append(FiniteAlgebra(size, L.leq, boxes[b], dias[d]))
     result = tuple(sorted(found, key=canonical_form))
     for A in result:
         if not validate(A).flag(kind):

@@ -15,7 +15,7 @@ from poma import FiniteAlgebra, Partition, ValidationReport, corpus, validate
 from poma.algebras import downset_masks, subset_order
 from poma.congruences import _con_ids, _generators, cmi_congruences, is_fsi, is_si
 from poma.duality import DualSpace
-from poma.enumeration import (_conjugate, _enumerate_size, _extend_with_max, _fold,
+from poma.enumeration import (_conjugate, _enumerate_size, _extend_with_max,
                               _mixed_axioms_hold, canonical_poset, enum_bdl)
 from poma.errors import BudgetError, PomaError, PreconditionError
 from poma.free import FreeAlgebraResult
@@ -663,6 +663,31 @@ def oracle_sublattices01(L):
                for x in members for y in members):
             out.append(tuple(sorted(members)))
     return out
+
+
+def _fold(table, start, xs):
+    """start op x1 op x2 ..., op given by its table."""
+    for x in xs:
+        start = table[start][x]
+    return start
+
+
+def oracle_preserving_tables(L, dual):
+    """The meet- and top-preserving tables (with ``dual`` join- and
+    bottom-preserving) through every value assignment on the meet- (join-)
+    irreducibles, each folded into a table by meets (joins), the distinct
+    tables kept in the order first seen."""
+    n, leq, lat = L.size, L.leq, L.lattice.require()
+    if dual:
+        op, unit, irr = lat.join, lat.bottom, lat.join_irreducibles
+        sources = [[k for k, j in enumerate(irr) if leq[j][a]] for a in range(n)]
+    else:
+        op, unit, irr = lat.meet, lat.top, lat.meet_irreducibles
+        sources = [[k for k, m in enumerate(irr) if leq[a][m]] for a in range(n)]
+    seen = {}
+    for values in itertools.product(range(n), repeat=len(irr)):
+        seen.setdefault(tuple(_fold(op, unit, (values[k] for k in ks)) for ks in sources))
+    return list(seen)
 
 
 def oracle_interior_table(L, fixed):

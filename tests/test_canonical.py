@@ -8,14 +8,14 @@ import pytest
 from poma import FiniteAlgebra, corpus, validate
 from poma.algebras import Lattice, chain_order, subset_order
 from poma.enumeration import (EnumerationTask, _closure_table, _enumerate_size,
-                              _interior_table, _operator_tables, canonical_poset,
-                              enum_algebras, enum_bdl, enum_posets)
+                              _interior_table, _operator_tables, _preserving_tables,
+                              canonical_poset, enum_algebras, enum_bdl, enum_posets)
 from poma.morphisms import automorphisms, canonical_form
 
 from conftest import (oracle_automorphisms, oracle_canonical_encoding,
                       oracle_canonical_form, oracle_closure_table, oracle_enumerate_size,
-                      oracle_interior_table, oracle_operator_tables, oracle_sublattices01,
-                      oracle_validate, relabel)
+                      oracle_interior_table, oracle_operator_tables,
+                      oracle_preserving_tables, oracle_sublattices01, oracle_validate, relabel)
 
 ENUMERATED = (("PS4", 7), ("PK4", 5), ("PMA", 5))
 
@@ -226,6 +226,36 @@ def test_operator_tables_match_method_call_oracle():
             if kind != "PS4" and L.size > 6:
                 continue
             assert _operator_tables(kind, L) == oracle_operator_tables(kind, L), kind
+
+
+# lattices of sizes 9 and 10, by size and join-irreducibles, on which the
+# order of the diamond tables' restrictions to J is not the fold order
+T_J_ORDER_DIFFERS = ((9, (1, 2, 4, 5)), (10, (1, 2, 3, 5, 6)), (10, (1, 2, 4, 5, 9)))
+
+
+def _named_lattices():
+    return [L for L in enum_bdl(10)
+            if (L.size, L.lattice.join_irreducibles) in T_J_ORDER_DIFFERS]
+
+
+def test_preserving_tables_match_the_fold_oracle_in_order():
+    named = _named_lattices()
+    assert len(named) == len(T_J_ORDER_DIFFERS)
+    for L in [*enum_bdl(7), *named]:
+        for dual in (False, True):
+            assert _preserving_tables(L, dual) == oracle_preserving_tables(L, dual), (L, dual)
+
+
+def test_diamond_tables_are_not_in_plain_restriction_order():
+    """Sorting the diamond tables by their values on J, in index order,
+    breaks the fold order: the tables must be in the order of their first
+    value assignments."""
+    L = _named_lattices()[0]
+    ji = L.lattice.join_irreducibles
+    tables = _preserving_tables(L, dual=True)
+    assert sorted(tables, key=lambda t: [t[j] for j in ji]) != tables
+    boxes, mi = _preserving_tables(L, dual=False), L.lattice.meet_irreducibles
+    assert sorted(boxes, key=lambda t: [t[m] for m in mi]) == boxes
 
 
 def test_fixed_point_tables_match_the_fold_oracles():

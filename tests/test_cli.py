@@ -87,7 +87,12 @@ def test_congruence_commands_json_bytes(capsys, argv, digest):
      "0c70f520b3e1f3188d703a7420f1c30f03916bdc04b36767c28d52a98ab77c4e"),
     (("enumerate", "--kind", "PS4", "--max-size", "7"),
      "8eaf6c7a67a091108f8cbbab5d3fb0148d7c2d48d7d44eaff54e6fa716d5b20d"),
-], ids=["thm610", "lemma92", "enumerate", "enumerate-si", "enumerate-7"])
+    (("enumerate", "--kind", "PMA", "--max-size", "6"),
+     "b7c931103fa2c767f8251da2df39c7d81623e040f266d3c02ea09ab547b40214"),
+    (("enumerate", "--kind", "PK4", "--max-size", "6"),
+     "bf3ed3f66673c5b7f65b10d66ca65b8023bbb2d2b7ce35fa6af0c5137060ff4a"),
+], ids=["thm610", "lemma92", "enumerate", "enumerate-si", "enumerate-7", "enumerate-pma",
+        "enumerate-pk4"])
 def test_enumeration_commands_stdout_bytes(capsys, argv, digest):
     """The stdout of the batteries and of enumerate, pinned by its sha256 as
     printed when every algebra was built, sorted and validated before any

@@ -220,6 +220,25 @@ def test_world_count_must_be_an_int(count):
         kripke_eval(count, [], parse_term("box x"), {"x": set()})
 
 
+def test_relation_worlds_must_be_ints():
+    """True passed as world 1: the frame below built a 4-element algebra."""
+    with pytest.raises(PreconditionError, match="is not between two of the 2 worlds"):
+        complex_algebra(2, [(True, 0), (1, 1)])
+
+
+def test_valuation_worlds_must_be_ints():
+    """True passed as world 1: box x returned frozenset({1})."""
+    with pytest.raises(PreconditionError, match="is not a set of the 2 worlds"):
+        kripke_eval(2, [(0, 0), (1, 1)], parse_term("box x"), {"x": {True}})
+
+
+def test_p_morphism_points_must_be_ints():
+    """True passed as point 1 of the target."""
+    X = dual_space(corpus("D4"))
+    with pytest.raises(PreconditionError, match="does not send"):
+        is_p_morphism(X, X, (0, True, 2))
+
+
 def test_kripke_eval_matches_powerset_algebra():
     geq = {(i, j) for i in range(3) for j in range(3) if i >= j}
     A = complex_algebra(3, geq)

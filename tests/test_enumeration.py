@@ -5,10 +5,11 @@ import pytest
 
 from poma import corpus, is_iso, validate
 from poma.algebras import downset_masks
-from poma.enumeration import (EnumerationTask, _poset_levels, canonical_poset,
-                              enum_algebras, enum_bdl, enum_posets)
+from poma.enumeration import (EnumerationTask, _downset_lattice, _extend_downsets,
+                              _extend_with_max, _lattice_automorphisms, _poset_levels,
+                              canonical_poset, enum_algebras, enum_bdl, enum_posets)
 from poma.errors import PomaError
-from poma.morphisms import canonical_form
+from poma.morphisms import automorphisms, canonical_form
 from poma.terms import Box, Diamond, Equation, Meet, Var, parse_equation
 
 from conftest import (oracle_algebras, oracle_enum_algebras, oracle_enum_bdl, oracle_enum_posets,
@@ -338,7 +339,44 @@ def test_enum_bdl_matches_the_per_size_poset_route():
         levels = list(itertools.islice(_poset_levels(m), 7))
         for k in range(7):
             level = levels[k] if k < len(levels) else {}
-            assert [level[key] for key in sorted(level)] == oracle_enum_posets(k, m), (k, m)
+            assert [level[key].leq for key in sorted(level)] == oracle_enum_posets(k, m), (k, m)
+
+
+def test_extended_downsets_match_the_listed_ones():
+    for k in range(6):
+        for leq in enum_posets(k):
+            downsets = downset_masks(leq)
+            for down in downsets:
+                assert _extend_downsets(downsets, down) == \
+                    downset_masks(_extend_with_max(leq, down)), (leq, down)
+
+
+def test_walk_keeps_each_posets_downsets():
+    for level in itertools.islice(_poset_levels(9), 9):
+        for poset in level.values():
+            assert poset.downsets == downset_masks(poset.leq)
+
+
+def test_lattice_automorphisms_from_the_walk():
+    """Aut(D(P)) induced from the poset search's least leaves, on every
+    lattice of enum_bdl(9), against the search on the lattice itself."""
+    lattices = []
+    for level in itertools.islice(_poset_levels(9), 9):
+        for poset in level.values():
+            L = _downset_lattice(poset.downsets)
+            assert _lattice_automorphisms(poset) == list(automorphisms(L)), L.to_json()
+            lattices.append(L.to_json())
+    assert sorted(lattices) == sorted(L.to_json() for L in enum_bdl(9))
+    assert max(len(automorphisms(L)) for L in enum_bdl(9)) > 2
+
+
+def test_enum_bdl_restricts():
+    """The walk pruned at a smaller size finds the same matrices."""
+    full = enum_bdl(9)
+    for k in range(9):
+        assert enum_bdl(k) == full[:len(enum_bdl(k))], k
+        assert all(L.size <= k for L in enum_bdl(k)) and all(L.size > k for L in
+                                                              full[len(enum_bdl(k)):])
 
 
 def test_cache_with_equations_holds_the_full_slice(tmp_path):

@@ -106,6 +106,14 @@ def test_lemma92_battery_small():
     assert set(rep.witnesses) == {"B2"}
 
 
+def test_lemma92_battery_size8():
+    """Past the size where trying every value assignment on the irreducibles
+    took seconds: the operator tables of the 15 lattices of size 8 are the
+    monotone maps on their irreducibles."""
+    rep = lemma92_battery(8)
+    assert rep.passed and rep.witnesses == ("B2",)
+
+
 def test_endomorphism_battery():
     for name in ("D4", "C2"):
         assert lemma64_66_properties(corpus(name)).passed
