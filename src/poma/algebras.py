@@ -241,15 +241,15 @@ class FiniteAlgebra:
 
     def __post_init__(self):
         n = self.size
-        if n < 1:
-            raise StructuralError("size must be >= 1")
+        if type(n) is not int or n < 1:     # a bool would print as true
+            raise StructuralError(f"size must be an int >= 1, not {n!r}")
         if len(self.leq) != n or any(len(row) != n for row in self.leq):
             raise StructuralError("leq must be a size x size matrix")
         for table, label in ((self.box, "box"), (self.diamond, "diamond")):
             if len(table) != n:
                 raise StructuralError(f"{label} table must have {n} entries")
             for v in table:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise StructuralError(f"{label} table entry {v!r} out of range")
         object.__setattr__(self, "lattice", Lattice.of(self.leq))
 
@@ -269,7 +269,7 @@ class FiniteAlgebra:
             diamond = obj["diamond"]
         except (KeyError, TypeError) as exc:
             raise StructuralError(f"missing key in algebra object: {exc}")
-        if not isinstance(size, int) or not isinstance(leq, list) or len(leq) != size:
+        if type(size) is not int or not isinstance(leq, list) or len(leq) != size:
             raise StructuralError("size does not match leq matrix")
         try:    # booleans or truthy entries would print unlike the equal algebra
             valid = {*map(type, chain(*leq, box, diamond))} <= {int} and {*chain(*leq)} <= {0, 1}

@@ -13,6 +13,23 @@ encoding exactly when an automorphism carries one to the other: the leaves
 with the least encoding form one Aut(A)-orbit.  :func:`automorphisms` reads
 Aut(A) off that orbit.
 
+Two shortcuts leave the leaves, their order and their count unchanged:
+
+- A colouring with n colours is final.  The next round's keys would start
+  with n distinct colours, so its palette would rank them in the same order
+  and return the same list.  A branch that is discrete before any round
+  needs none either, since a leaf reads only the order of its colours.
+- From the uniform colouring every key is (0, 0, 0, 0^a, 0^b, 0^c, 0^d): a
+  and b the numbers of elements strictly below and strictly above, c and d
+  the numbers of box and diamond preimages.  Tuples of zeros order by length,
+  so the palette orders the keys as it orders the tuples (a, b, c, d), and
+  the root's first round is a ranking of these counts.  They count the
+  truthy entries off the diagonal, as the neighbour lists hold them, so
+  0/1-int matrices and non-reflexive relations get the same colours.
+
+So the neighbour lists are built only when a second round or a branch
+needs them.
+
 A homomorphism check compares the operators element by element and the
 lattice operations by cones.  For finite lattices A and B, a map f with
 f(1) = 1 preserves meets iff the preimage of ↑j is a principal filter of A
@@ -64,7 +81,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_, eq
+from operator import and_, eq, truth
 from typing import Iterable, Iterator, Optional
 
 from .algebras import FiniteAlgebra, _bits
@@ -159,7 +176,8 @@ def subuniverses(A: FiniteAlgebra) -> list[tuple[int, ...]]:
                     seen.add(v)
                     queue.append(v)
                     if len(seen) > MAX_SUBUNIVERSES:
-                        raise BudgetError(f"more than {MAX_SUBUNIVERSES} subuniverses")
+                        raise BudgetError(f"more than {MAX_SUBUNIVERSES} subuniverses",
+                                          partial=len(seen))
     return sorted((tuple(sorted(u)) for u in seen), key=lambda u: (len(u), u))
 
 
@@ -384,7 +402,8 @@ def is_retract(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
 
 def _neighbours(n, leq, box, dia):
     """Per element: the elements strictly below and strictly above it and its
-    box and diamond preimages, built once per search."""
+    box and diamond preimages, built once per search, when a round first
+    needs them."""
     box_pre: list[list[int]] = [[] for _ in range(n)]
     dia_pre: list[list[int]] = [[] for _ in range(n)]
     for j in range(n):
@@ -395,22 +414,37 @@ def _neighbours(n, leq, box, dia):
              box_pre[i], dia_pre[i]) for i in range(n)]
 
 
-def _refine_colors(box, dia, neighbours, colors):
-    """The stable refinement of ``colors``; each round's key starts with the
-    old colour and the palette sorts the keys, so a round only splits classes
-    and keeps their order.  A round that splits none leaves a relabelling
-    that the next round would return unchanged."""
-    while True:
+def _first_colors(n, leq, box, dia) -> tuple[list[int], int]:
+    """The first refinement round from the uniform colouring, and its number
+    of colours, from the degree counts of the module docstring: truthy
+    entries off the diagonal, as :func:`_neighbours` lists them."""
+    below = [sum(map(truth, col)) - truth(col[i]) for i, col in enumerate(zip(*leq))]
+    above = [sum(map(truth, row)) - truth(row[i]) for i, row in enumerate(leq)]
+    keys = list(zip(below, above, map(box.count, range(n)), map(dia.count, range(n))))
+    palette = {k: c for c, k in enumerate(sorted(set(keys)))}
+    return [palette[k] for k in keys], len(palette)
+
+
+def _refine_colors(box, dia, neighbours, colors, count):
+    """The stable refinement of ``colors``, which has ``count`` colours;
+    ``neighbours()`` gives the lists of :func:`_neighbours`.  Each round's
+    key starts with the old colour and the palette sorts the keys, so a round
+    only splits classes and keeps their order.  A round that splits none
+    leaves a relabelling that the next round would return unchanged, and a
+    discrete colouring is returned as it is (see the module docstring)."""
+    n = len(colors)
+    while count < n:
         get = colors.__getitem__
         keys = [(colors[i], colors[box[i]], colors[dia[i]],
                  tuple(sorted(map(get, below))), tuple(sorted(map(get, above))),
                  tuple(sorted(map(get, box_pre))), tuple(sorted(map(get, dia_pre))))
-                for i, (below, above, box_pre, dia_pre) in enumerate(neighbours)]
+                for i, (below, above, box_pre, dia_pre) in enumerate(neighbours())]
         palette = {k: c for c, k in enumerate(sorted(set(keys)))}
         new = [palette[k] for k in keys]
-        if len(palette) == len(set(colors)):
+        if len(palette) == count:
             return new
-        colors = new
+        colors, count = new, len(palette)
+    return colors
 
 
 def _encode(n, leq, box, dia, order):
@@ -423,30 +457,47 @@ def _encode(n, leq, box, dia, order):
             tuple(pos[dia[e]] for e in order))
 
 
-def _discrete_orders(n, box, dia, neighbours, colors, cap, counter) -> Iterator[tuple[int, ...]]:
-    colors = _refine_colors(box, dia, neighbours, list(colors))
-    classes: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        classes.setdefault(c, []).append(i)
-    split = next((c for c in sorted(classes) if len(classes[c]) > 1), None)
-    if split is None:
-        counter[0] += 1
-        if counter[0] > cap:
-            raise BudgetError("canonical-form search exceeded its cap")
-        yield tuple(sorted(range(n), key=colors.__getitem__))
-        return
-    for member in classes[split]:
-        branched = [2 * c + 2 for c in colors]
-        branched[member] = 0
-        yield from _discrete_orders(n, box, dia, neighbours, branched, cap, counter)
+def _discrete_orders(n, leq, box, dia, cap) -> Iterator[tuple[int, ...]]:
+    """The leaves of the search, in search order: below a stable colouring,
+    one branch per member of its first class with more than one element, each
+    refined; at a discrete colouring, the order it gives.  BudgetError past
+    ``cap`` leaves, with the count reached."""
+    built: list = []
+    leaves = 0
+
+    def neighbours():
+        if not built:
+            built.extend(_neighbours(n, leq, box, dia))
+        return built
+
+    def below(colors):
+        nonlocal leaves
+        classes: dict[int, list[int]] = {}
+        for i, c in enumerate(colors):
+            classes.setdefault(c, []).append(i)
+        split = next((c for c in sorted(classes) if len(classes[c]) > 1), None)
+        if split is None:
+            leaves += 1
+            if leaves > cap:
+                raise BudgetError("canonical-form search exceeded its cap", partial=leaves)
+            yield tuple(sorted(range(n), key=colors.__getitem__))
+            return
+        for member in classes[split]:
+            branched = [2 * c + 2 for c in colors]
+            branched[member] = 0
+            yield from below(_refine_colors(box, dia, neighbours, branched, len(classes) + 1))
+
+    colors, count = _first_colors(n, leq, box, dia)
+    if count > 1:                   # else the uniform colouring is stable
+        colors = _refine_colors(box, dia, neighbours, colors, count)
+    yield from below(colors)
 
 
 def _least_leaves(n, leq, box, dia, cap) -> tuple[tuple, list[tuple[int, ...]]]:
     """The least encoding over the leaves of the search, and the leaves
     (orders) that reach it, in search order."""
-    neighbours = _neighbours(n, leq, box, dia)
     best, least = None, []
-    for order in _discrete_orders(n, box, dia, neighbours, [0] * n, cap, [0]):
+    for order in _discrete_orders(n, leq, box, dia, cap):
         enc = _encode(n, leq, box, dia, order)
         if best is None or enc < best:
             best, least = enc, [order]

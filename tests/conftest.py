@@ -535,21 +535,26 @@ def fig2_algebras():
                                 "C5a", "C5b", "C6a", "C6b")]
 
 
+def oracle_refine_round(n, leq, box, dia, colors):
+    """One round of colour refinement, rescanning all n elements for the
+    neighbours of each element."""
+    keys = []
+    for i in range(n):
+        below = sorted(colors[j] for j in range(n) if j != i and leq[j][i])
+        above = sorted(colors[j] for j in range(n) if j != i and leq[i][j])
+        box_pre = sorted(colors[j] for j in range(n) if box[j] == i)
+        dia_pre = sorted(colors[j] for j in range(n) if dia[j] == i)
+        keys.append((colors[i], colors[box[i]], colors[dia[i]],
+                     tuple(below), tuple(above),
+                     tuple(box_pre), tuple(dia_pre)))
+    palette = {k: c for c, k in enumerate(sorted(set(keys)))}
+    return [palette[k] for k in keys]
+
+
 def _oracle_refine_colors(n, leq, box, dia, colors):
-    """Colour refinement rescanning all n elements for the neighbours of each
-    element in every round, until a round changes no colour."""
+    """Rounds of :func:`oracle_refine_round` until one changes no colour."""
     while True:
-        keys = []
-        for i in range(n):
-            below = sorted(colors[j] for j in range(n) if j != i and leq[j][i])
-            above = sorted(colors[j] for j in range(n) if j != i and leq[i][j])
-            box_pre = sorted(colors[j] for j in range(n) if box[j] == i)
-            dia_pre = sorted(colors[j] for j in range(n) if dia[j] == i)
-            keys.append((colors[i], colors[box[i]], colors[dia[i]],
-                         tuple(below), tuple(above),
-                         tuple(box_pre), tuple(dia_pre)))
-        palette = {k: c for c, k in enumerate(sorted(set(keys)))}
-        new = [palette[k] for k in keys]
+        new = oracle_refine_round(n, leq, box, dia, colors)
         if new == colors:
             return colors
         colors = new

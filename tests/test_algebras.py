@@ -106,6 +106,23 @@ def test_structural_errors_are_not_axiom_failures():
         FiniteAlgebra.make([[1, 1], [0, 1]], (0,), (0, 1))
 
 
+@pytest.mark.parametrize("args", [
+    (2, ((True, True), (False, True)), (True, 1), (0, 1)),
+    (2, ((True, True), (False, True)), (0, 1), (0, True)),
+    (True, ((True,),), (0,), (0,)),
+    (1.0, ((True,),), (0,), (0,)),
+], ids=["bool-box", "bool-diamond", "bool-size", "float-size"])
+def test_size_and_table_entries_must_be_ints(args):
+    """A bool would equal and hash like the int, but print as true."""
+    with pytest.raises(StructuralError):
+        FiniteAlgebra(*args)
+
+
+def test_json_rejects_a_bool_size():
+    with pytest.raises(StructuralError):
+        FiniteAlgebra.from_dict({"size": True, "leq": [[1]], "box": [0], "diamond": [0]})
+
+
 def test_non_lattice_order_reported_not_raised():
     # two incomparable maximal elements: no top, no joins
     A = FiniteAlgebra.make([[1, 1, 1], [0, 1, 0], [0, 0, 1]],

@@ -10,12 +10,13 @@ from poma.algebras import Lattice, chain_order, subset_order
 from poma.enumeration import (EnumerationTask, _closure_table, _enumerate_size,
                               _interior_table, _operator_tables, _preserving_tables,
                               canonical_poset, enum_algebras, enum_bdl, enum_posets)
-from poma.morphisms import automorphisms, canonical_form
+from poma.morphisms import _first_colors, automorphisms, canonical_form
 
 from conftest import (oracle_automorphisms, oracle_canonical_encoding,
                       oracle_canonical_form, oracle_closure_table, oracle_enumerate_size,
                       oracle_interior_table, oracle_operator_tables,
-                      oracle_preserving_tables, oracle_sublattices01, oracle_validate, relabel)
+                      oracle_preserving_tables, oracle_refine_round, oracle_sublattices01,
+                      oracle_validate, relabel)
 
 ENUMERATED = (("PS4", 7), ("PK4", 5), ("PMA", 5))
 
@@ -77,10 +78,56 @@ def test_canonical_form_matches_rescanning_refinement_on_random_tables():
 
 
 def test_canonical_poset_matches_rescanning_refinement():
-    for k in range(6):
+    for k in range(7):
         for leq in enum_posets(k):
             ident = tuple(range(k))
             assert canonical_poset(leq) == oracle_canonical_encoding(k, leq, ident, ident)
+
+
+def test_first_round_from_degree_counts_is_one_rescanning_round():
+    """The degree counts give the colours of one round from the uniform
+    colouring, on orders and relations given as bools, 0/1 ints or other
+    truthy entries, with or without a reflexive diagonal."""
+    rng = random.Random(13)
+    for trial in range(3000):
+        n = rng.randint(1, 8)
+        leq = _random_order(rng, n) if trial % 3 == 0 else _random_relation(rng, n)
+        if trial % 4 == 1:
+            leq = tuple(tuple(map(int, row)) for row in leq)
+        elif trial % 4 == 2:
+            leq = tuple(tuple(rng.choice((2, "x", 1.5)) if v else rng.choice((0, "", None))
+                              for v in row) for row in leq)
+        box = tuple(rng.randrange(n) for _ in range(n))
+        dia = tuple(range(n)) if trial % 5 == 0 else tuple(rng.randrange(n) for _ in range(n))
+        expected = oracle_refine_round(n, leq, box, dia, [0] * n)
+        assert _first_colors(n, leq, box, dia) == (expected, len(set(expected))), (leq, box, dia)
+
+
+def test_canonical_form_on_0_1_int_matrices():
+    rng = random.Random(17)
+    search = canonical_form.__wrapped__          # past the cache, which equal bool tables share
+    for trial in range(800):
+        n = rng.randint(1, 7)
+        leq = _random_order(rng, n) if trial % 2 else _random_relation(rng, n)
+        ints = tuple(tuple(map(int, row)) for row in leq)
+        box = tuple(rng.randrange(n) for _ in range(n))
+        dia = tuple(rng.randrange(n) for _ in range(n))
+        A = FiniteAlgebra(n, ints, box, dia)
+        assert search(A) == oracle_canonical_form(A) == search(FiniteAlgebra(n, leq, box, dia))
+
+
+def test_canonical_form_and_automorphisms_on_non_reflexive_relations():
+    rng = random.Random(19)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        leq = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+        i = rng.randrange(n)
+        leq[i][i] = False
+        box = tuple(rng.randrange(n) for _ in range(n))
+        dia = tuple(range(n)) if rng.random() < 0.3 else tuple(rng.randrange(n) for _ in range(n))
+        A = FiniteAlgebra(n, tuple(map(tuple, leq)), box, dia)
+        assert canonical_form.__wrapped__(A) == oracle_canonical_form(A)
+        assert automorphisms(A) == oracle_automorphisms(A)
 
 
 # -- automorphisms --------------------------------------------------------------

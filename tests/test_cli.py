@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import run_capped
-from poma import corpus, varieties
+from poma import cli, corpus, morphisms, varieties
 from poma.cli import main
 
 
@@ -467,6 +467,25 @@ def test_budget_reports_partial_progress(capsys):
     code, out, err = run(capsys, "conlat", "--name", "EX44IV", "--budget", "2", "--json")
     assert (code, out) == (3, "")
     assert err == "budget exhausted: congruence lattice exceeds 2 members (partial: 3)\n"
+
+
+def test_subuniverse_cap_reports_partial_progress(capsys, monkeypatch):
+    monkeypatch.setattr(morphisms, "MAX_SUBUNIVERSES", 5)
+    monkeypatch.setattr(cli, "hs_si", morphisms.hs_si.__wrapped__)     # past its cache
+    code, out, err = run(capsys, "hs", "--name", "F1_PS4", "--json")
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: more than 5 subuniverses (partial: 6)\n"
+
+
+def test_canonical_form_cap_reports_partial_progress(capsys, monkeypatch):
+    """A search of more than one leaf trips a cap of one at its second leaf;
+    ``hs`` on A4 meets such a search among its quotients."""
+    monkeypatch.setattr(morphisms, "SEARCH_CAP", 1)
+    monkeypatch.setattr(cli, "hs_si", morphisms.hs_si.__wrapped__)
+    monkeypatch.setattr(morphisms, "canonical_form", morphisms.canonical_form.__wrapped__)
+    code, out, err = run(capsys, "hs", "--name", "A4", "--json")
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: canonical-form search exceeded its cap (partial: 2)\n"
 
 
 def test_figure1_verify_cli(capsys):
