@@ -56,21 +56,22 @@ class Lattice:
     """An order matrix with everything derived from it.  Build it through
     :meth:`of`, which interns one per distinct order while an algebra holds it.
 
-    ``up[i]``/``down[i]`` are the bitmasks of the elements above/below i.
+    ``up[i]``/``down[i]`` are the bitmasks of the elements above/below i;
+    ``by_up``/``by_down`` map them back to i, so a mask is a principal filter
+    (ideal) iff it is a key.
     ``lower_covers[k]`` is the unique lower cover of ``join_irreducibles[k]``;
     ``join_masks[i]`` has bit k set when ``join_irreducibles[k]`` <= i.
     ``defect`` is None for a bounded lattice, else ``(code, witness)`` of the
     first failed check in the order reflexive, antisymmetric, transitive,
     bottom, top, then meet before join for each index pair i <= j; the
-    tables, bounds and irreducibles are then None.  The distributivity
-    witness and the sets of principal masks are found on first use
-    (:meth:`distributivity_witness`, :meth:`principal_masks`), and so is the
-    ``dual`` slot, the operator-free half of the prime-filter frame (None until then).
+    tables, bounds, cone maps and irreducibles are then None.  The
+    distributivity witness is found on first use, and so is the ``dual``
+    slot, the operator-free half of the prime-filter frame (None until then).
     """
 
-    __slots__ = ("size", "leq", "up", "down", "defect", "meet", "join", "bottom",
-                 "top", "join_irreducibles", "lower_covers", "join_masks",
-                 "meet_irreducibles", "_distributivity", "_principal", "dual", "__weakref__")
+    __slots__ = ("size", "leq", "up", "down", "by_up", "by_down", "defect", "meet", "join",
+                 "bottom", "top", "join_irreducibles", "lower_covers", "join_masks",
+                 "meet_irreducibles", "_distributivity", "dual", "__weakref__")
 
     _interned = weakref.WeakValueDictionary()      # order matrix -> Lattice
 
@@ -86,9 +87,9 @@ class Lattice:
         self.size, self.leq = n, leq
         self.up = tuple(map(_mask, leq))
         self.down = tuple(map(_mask, zip(*leq)))
-        self.meet = self.join = self.bottom = self.top = self.join_masks = None
-        self.join_irreducibles = self.lower_covers = self.meet_irreducibles = None
-        self._distributivity, self._principal, self.dual = _UNKNOWN, None, None
+        self.meet = self.join = self.by_up = self.by_down = self.bottom = self.top = None
+        self.join_irreducibles = self.lower_covers = self.meet_irreducibles = self.join_masks = None
+        self._distributivity, self.dual = _UNKNOWN, None
         self.defect = self._derive()
 
     def _derive(self) -> Optional[tuple[str, tuple[int, ...]]]:
@@ -129,7 +130,7 @@ class Lattice:
                 join[i][j] = join[j][i] = k
         self.meet = tuple(map(tuple, meet))
         self.join = tuple(map(tuple, join))
-        self.bottom, self.top = up.index(full), down.index(full)
+        self.by_up, self.by_down, self.bottom, self.top = by_up, by_down, by_up[full], by_down[full]
         # exactly one lower (upper) cover: the strict down (up) set has a
         # greatest (least) element
         self.join_irreducibles = tuple(
@@ -165,14 +166,6 @@ class Lattice:
                     if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]])
         return self._distributivity
 
-    def principal_masks(self) -> tuple[frozenset[int], frozenset[int]]:
-        """The up masks and the down masks of the elements, as sets: a set of
-        elements is a principal filter (ideal) iff its mask is in the first
-        (second).  Built once."""
-        if self._principal is None:
-            self._principal = frozenset(self.up), frozenset(self.down)
-        return self._principal
-
     def require(self) -> "Lattice":
         """This lattice; StructuralError when the order is not a bounded lattice."""
         if self.defect is not None:
@@ -201,6 +194,19 @@ def _mask_key(mask: int) -> tuple[int, list[int]]:
     return mask.bit_count(), list(_bits(mask))
 
 
+def _order_of(n: int, pairs) -> BoolMatrix:
+    """The reflexive-transitive closure of the pairs (x, y), x <= y, on n points."""
+    up = _reach([sum(1 << y for x, y in pairs if x == k) for k in range(n)])
+    return tuple(tuple(bool(u >> j & 1) for j in range(n)) for u in up)
+
+
+def _covers(near, far, x: int) -> list[int]:
+    """The y != x in ``near[x]`` with no third point of ``near[x]`` in ``far[y]``,
+    ascending: what covers x for a relation's up/down masks, what x covers for down/up."""
+    strict = near[x] & ~(1 << x)
+    return [y for y in _bits(strict) if not far[y] & strict & ~(1 << y)]
+
+
 def _reach(edges) -> tuple[int, ...]:
     """For each x, the mask of x and of everything it reaches along the
     edges x -> ``edges[x]`` (Warshall's transitive closure)."""
@@ -215,7 +221,9 @@ def _reach(edges) -> tuple[int, ...]:
 def _unions(family) -> Iterator[int]:
     """Every union of members of the family once, the empty union 0 first,
     then one pass per member over the unions found so far.  A member that
-    is already one of them is skipped: its pass would find nothing new."""
+    is already one of them is skipped: its pass would find nothing new.  A
+    member is read only once the unions of the one before are all yielded,
+    so the family may grow while it is read, as ``free_over``'s does."""
     found, seen = [0], {0}
     yield 0
     for g in family:
@@ -328,8 +336,7 @@ class FiniteAlgebra:
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (x, y) with y covering x, for Hasse-diagram output."""
         up, down = self.lattice.up, self.lattice.down
-        return [(x, y) for x in range(self.size) for y in _bits(up[x])
-                if x != y and up[x] & down[y] & ~(1 << x | 1 << y) == 0]
+        return [(x, y) for x in range(self.size) for y in _covers(up, down, x)]
 
     def rename(self, name: str) -> "FiniteAlgebra":
         return FiniteAlgebra(self.size, self.leq, self.box, self.diamond, name)
@@ -466,9 +473,10 @@ def chain_order(n: int) -> BoolMatrix:
     return tuple(tuple(i <= j for j in range(n)) for i in range(n))
 
 
-def subset_order(masks: tuple[int, ...]) -> BoolMatrix:
-    """Inclusion order on a family of bitmasks."""
-    return tuple(tuple((a & b) == a for b in masks) for a in masks)
+def subset_order(masks) -> BoolMatrix:
+    """Inclusion order on a family of bitmasks: a <= b iff a & ~b is 0."""
+    outside = [~b for b in masks]
+    return tuple([tuple([not a & o for o in outside]) for a in masks])
 
 
 @lru_cache(maxsize=9)           # up to 8 atoms: the cap of duality.MAX_POINTS

@@ -12,7 +12,7 @@ from .algebras import validate
 from .congruences import is_simple
 from .corpus import corpus
 from .enumeration import EnumerationTask, enum_algebras
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, PreconditionError, _check_count
 from .free import free_over, free_zero
 from .morphisms import embeddings, is_iso, is_retract
 from .terms import (QuasiEquation, box_power, diamond_power, equation_variables,
@@ -93,8 +93,7 @@ def classify_quasi(V: VarietyHandle, q: QuasiEquation,
     of rank <= max_free_rank: a failure there is a sound refutation, passing
     is bounded evidence only.  Activity searches those same free algebras for
     an assignment making every premise hold."""
-    if max_free_rank < 0:
-        raise PreconditionError(f"free rank {max_free_rank}: the bound must be >= 0")
+    _check_count(max_free_rank, "free rank", "bound")
     if V.generators and not V.is_trivial:
         valid = all(holds_quasi(g, q) for g in V.generators)
     else:
@@ -206,8 +205,7 @@ def theorem93_battery(V: VarietyHandle, bound: int = 4) -> Verdict:
     """Search the least n and m with box x /\\ ... /\\ box^n x <= x and
     x <= dia x \\/ ... \\/ dia^m x holding across the generators; the
     collapsed two-element variety forms its own branch."""
-    if bound < 0:
-        raise PreconditionError(f"bound {bound}: the bound must be >= 0")
+    _check_count(bound, "bound", "bound")
     if equals(V, variety_of([corpus("B2")])):
         return Verdict("Yes", witness="B2", detail="collapsed-operator branch")
 

@@ -56,7 +56,7 @@ from typing import Iterable, Optional
 
 from .algebras import (FiniteAlgebra, ModalAlgebra, _bits, _budgeted, _mask, _reach, _unions,
                        validate)
-from .errors import PreconditionError
+from .errors import PreconditionError, _check_count
 
 MAX_CONGRUENCES = 100_000       # members of a congruence lattice
 
@@ -213,12 +213,11 @@ def _con_ids(A: FiniteAlgebra, max_congruences: int) -> tuple[int, ...]:
                      f"congruence lattice exceeds {max_congruences} members")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)      # typed: True is not a budget of 1
 def con_lattice(A: FiniteAlgebra,
                 max_congruences: int = MAX_CONGRUENCES) -> tuple[Partition, ...]:
-    """All congruences, canonically sorted; PreconditionError for a negative budget."""
-    if max_congruences < 0:
-        raise PreconditionError(f"budget {max_congruences}: the budget must be >= 0")
+    """All congruences, canonically sorted; the budget must be an int >= 0."""
+    _check_count(max_congruences, "budget", "budget")
     return tuple(sorted((_partition(A, mask) for mask in _con_ids(A, max_congruences)),
                         key=lambda p: p.blocks))
 

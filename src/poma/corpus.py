@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .algebras import FiniteAlgebra, _reach, chain_order, powerset
+from .algebras import FiniteAlgebra, _order_of, chain_order, powerset
 from .errors import PomaError
 
 
@@ -20,9 +20,7 @@ def _chain(box, diamond, name):
 
 
 def _from_covers(n, covers, box, diamond, name):
-    up = _reach([sum(1 << hi for lo, hi in covers if lo == x) for x in range(n)])
-    leq = tuple(tuple(bool(u >> j & 1) for j in range(n)) for u in up)
-    return FiniteAlgebra(n, leq, tuple(box), tuple(diamond), name)
+    return FiniteAlgebra(n, _order_of(n, covers), tuple(box), tuple(diamond), name)
 
 
 def _boolean(n_atoms, box_of_mask, name):

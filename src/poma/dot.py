@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .algebras import FiniteAlgebra
+from .algebras import FiniteAlgebra, _covers, _mask
 from .duality import DualSpace
 from .morphisms import canonical_form
 
@@ -36,16 +36,14 @@ def algebra_dot(A: FiniteAlgebra) -> str:
 def dual_space_dot(X: DualSpace) -> str:
     """Two edge families: solid for the order covers, dashed for the relation."""
     n = len(X.points)
+    up, down = list(map(_mask, X.leq)), list(map(_mask, zip(*X.leq)))
     lines = ["digraph dual {", "  rankdir=BT;"]
     for i, p in enumerate(X.points):
         label = "{" + ",".join(map(str, sorted(p))) + "}"
         lines.append(f'  p{i} [label="{label}"];')
     for i in range(n):
-        for j in range(n):
-            if i != j and X.leq[i][j] and not any(
-                    X.leq[i][k] and X.leq[k][j] for k in range(n)
-                    if k not in (i, j)):
-                lines.append(f"  p{i} -> p{j};")
+        for j in _covers(up, down, i):
+            lines.append(f"  p{i} -> p{j};")
     for i in range(n):
         for j in range(n):
             if X.R[i][j]:

@@ -314,7 +314,7 @@ def open_filter_congruence_iso_check(M: ModalAlgebra) -> bool:
     filters = open_filters(M)
     images = []
     for f in filters:
-        g = lat.up.index(sum(1 << a for a in f))
+        g = lat.by_up[sum(1 << a for a in f)]
         images.append(Partition.from_block_ids([lat.meet[a][g] for a in range(A.size)]))
     if len({p.blocks for p in images}) != len(filters):
         return False

@@ -73,10 +73,10 @@ from operator import and_, eq, ge
 from pathlib import Path
 from typing import NamedTuple
 
-from .algebras import BoolMatrix, FiniteAlgebra, _bits, _mask_key, subset_order, validate
+from .algebras import BoolMatrix, FiniteAlgebra, _bits, _covers, _mask_key, subset_order, validate
 from .congruences import is_fsi, is_si
 from .errors import PomaError
-from .morphisms import SEARCH_CAP, _least_leaves, canonical_form, subuniverses
+from .morphisms import SEARCH_CAP, _leaf_maps, _least_leaves, canonical_form, subuniverses
 from .terms import (BLOCK, Equation, Term, Var, Vectors, assignment_blocks,
                     equation_variables, evaluate, holds_eq, term_kinds)
 
@@ -194,14 +194,10 @@ def _lattice_automorphisms(poset: _Poset) -> list[tuple[int, ...]]:
     downsets, the principal ones, keeping their order, so it restricts to an
     automorphism of P, and it is fixed by that restriction, as every downset
     is the join of the principal ones it holds."""
-    base, *_ = poset.leaves
-    pos = [0] * len(base)
-    for k, e in enumerate(base):
-        pos[e] = k
     index = {d: i for i, d in enumerate(poset.downsets)}
     found = []
-    for o in poset.leaves:
-        images = [1 << o[pos[x]] for x in range(len(base))]
+    for s in _leaf_maps(poset.leaves):
+        images = [1 << y for y in s]
         found.append(tuple(index[sum(images[x] for x in _bits(d))] for d in poset.downsets))
     return sorted(found)
 
@@ -288,15 +284,13 @@ def _preserving_tables(L: FiniteAlgebra, dual: bool) -> list[tuple[int, ...]]:
 
     Each table is then built column by column, all maps at once: t(a) = t(b)
     ∧ t(c) for two upper covers b, c of an a that is neither the top nor in
-    M (dually, joins of two lower covers).  Such an a has at least two; the
-    least-index element strictly above a is one, b, the least-index one
-    strictly above a and not above b another, c, and a <= b ∧ c < b gives
-    b ∧ c = a."""
+    M (dually, joins of two lower covers).  Such an a has at least two, and
+    any two give b ∧ c = a, as a <= b ∧ c < b."""
     n, lat = L.size, L.lattice.require()
     join, up = lat.join, lat.up
     candidates = [list(_bits(m)) for m in up]          # above s, ascending
     if dual:
-        irr, op, unit, near, pick = lat.join_irreducibles, join, lat.bottom, lat.down, _highest
+        irr, op, unit, near, far = lat.join_irreducibles, join, lat.bottom, lat.down, up
         for s, above in enumerate(candidates):
             least = {}
             for x in range(n):
@@ -304,7 +298,7 @@ def _preserving_tables(L: FiniteAlgebra, dual: bool) -> list[tuple[int, ...]]:
             above.sort(key=least.__getitem__)
         order = range(n)
     else:
-        irr, op, unit, near, pick = lat.meet_irreducibles, lat.meet, lat.top, up, _lowest
+        irr, op, unit, near, far = lat.meet_irreducibles, lat.meet, lat.top, up, lat.down
         order = range(n - 1, -1, -1)
     below = [[k for k in range(p) if up[irr[k]] >> irr[p] & 1] for p in range(len(irr))]
     maps = [()]
@@ -322,19 +316,9 @@ def _preserving_tables(L: FiniteAlgebra, dual: bool) -> list[tuple[int, ...]]:
         columns[a] = column
     for a in order:
         if columns[a] is None:
-            rest = near[a] & ~(1 << a)
-            b = pick(rest)
-            c = pick(rest & ~near[b])
+            b, c, *_ = _covers(near, far, a)
             columns[a] = [op[x][y] for x, y in zip(columns[b], columns[c])]
     return list(zip(*columns))
-
-
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _highest(mask: int) -> int:
-    return mask.bit_length() - 1
 
 
 def _operator_tables(kind: str, L: FiniteAlgebra):

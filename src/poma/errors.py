@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
 
 
 class PomaError(Exception):
@@ -30,3 +31,11 @@ class ParseError(PomaError):
 
 class ConsistencyError(PomaError):
     """Two independent decision routes that must agree disagreed."""
+
+
+def _check_count(value, label: str, noun: str) -> None:
+    """PreconditionError unless value is an int >= 0 (a bool is not an int here)."""
+    if type(value) is not int:
+        raise PreconditionError(f"{label} {value!r}: the {noun} must be an int")
+    if value < 0:
+        raise PreconditionError(f"{label} {value}: the {noun} must be >= 0")

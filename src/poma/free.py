@@ -9,11 +9,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .algebras import FiniteAlgebra, Lattice, _mask, _reach, downset_masks, subset_order, validate
+from .algebras import (FiniteAlgebra, Lattice, _budgeted, _mask, _order_of, _unions, downset_masks,
+                       subset_order, validate)
 from .corpus import FIG2_NAMES, corpus
 from .duality import kripke_eval
 from .enumeration import EnumerationTask, _closure_table, _interior_table, enum_algebras
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, _check_count
 from .morphisms import _extensions, canonical_form, closure_universe, extend_hom, si_quotients
 from .terms import BLOCK, Box, Diamond, Join, Term, Var, Vectors, eval_term
 
@@ -56,14 +57,14 @@ def free_over(basis: Sequence[FiniteAlgebra], n: int) -> FreeAlgebraResult:
     The elements come out in the order of their value vectors, and u <= w iff
     ``u & ~w == 0``.
 
-    Closure.  The pool holds every join of members of ``meets``, and the
-    meet of two members is in the pool; by distributivity the pool is then
-    closed under meet and join.  An element g not in the pool becomes a
-    member with its meets with the members that are not in the pool, and the
-    pool takes the joins of what it holds with the new members, layer by
-    layer.  The work is about |F| times the number of members rather than
-    |F|^2.  Each element gets its box and diamond once; one not in the pool
-    is a new g.
+    Closure.  The elements are the joins of a family of members, listed by
+    ``_unions`` and counted by ``_budgeted``.  As each element is listed its
+    box and diamond are pushed onto a pending list; a pending g not yet
+    listed becomes a member, with each of its meets with the members so far
+    that is not yet listed.  So the meet of two members is always a join of
+    members, and by distributivity the joins are closed under meet as well as
+    join; once nothing is pending they are closed under box and diamond too.
+    The work is about |F| times the number of members rather than |F|^2.
 
     Budget.  If some basis algebra A has two elements or more, then |F| is at
     least the Dedekind number M(n).  On the coordinates (A, v) with v in
@@ -78,8 +79,7 @@ def free_over(basis: Sequence[FiniteAlgebra], n: int) -> FreeAlgebraResult:
     basis = tuple(basis)
     if not basis:
         raise PreconditionError("free_over needs at least one basis algebra")
-    if n < 0:
-        raise PreconditionError(f"rank {n}: the rank must be >= 0")
+    _check_count(n, "rank", "rank")
     lats = [A.lattice.require() for A in basis]
     for A, lat in zip(basis, lats):
         witness = lat.distributivity_witness()
@@ -109,39 +109,29 @@ def free_over(basis: Sequence[FiniteAlgebra], n: int) -> FreeAlgebraResult:
     def image(e, slots):
         return sum([table[e >> s & f] << s for s, f, table in slots])
 
-    pool: set[int] = set()
-    meets: list[int] = []
     boxed, dia_of = {}, {}
-    pending = [0, (1 << shift) - 1, *gens]      # bottom, top, generators
-    while pending:
-        g = pending.pop()
-        if g in pool:
-            continue
-        new = {g & m for m in meets}
-        new.add(g)
-        new -= pool
-        meets += new
-        found = set()
-        layer = new.union(*[{e | m for e in pool} for m in new])
-        while layer:
-            layer -= pool
-            layer -= found
-            found |= layer
-            # past the Dedekind check the n + 2 seeds fit the budget, so it
-            # runs out at MAX_FREE_SIZE + 1 in any order of the closure
-            if len(pool) + len(found) > MAX_FREE_SIZE:
-                raise BudgetError(f"free algebra exceeds {MAX_FREE_SIZE} elements",
-                                  partial=MAX_FREE_SIZE + 1)
-            layer = {e | m for e in layer for m in new}
-        pool |= found
-        for e in found:
-            boxed[e], dia_of[e] = image(e, boxes), image(e, dias)
-            pending += (boxed[e], dia_of[e])
+    pending = [(1 << shift) - 1, *gens]     # top and generators: the bottom 0 is the empty union
 
-    elems = sorted(pool, key=lambda e: [table[e >> s & f] for s, f, table in decodes])
+    def members():
+        meets = []
+        while pending:
+            g = pending.pop()
+            if g not in boxed:
+                for m in [g] + [g & m for m in meets]:
+                    if m not in boxed:
+                        meets.append(m)
+                        yield m
+
+    def closed():
+        for e in _unions(members()):
+            boxed[e], dia_of[e] = image(e, boxes), image(e, dias)
+            pending.extend((boxed[e], dia_of[e]))
+            yield e
+
+    found = _budgeted(closed(), MAX_FREE_SIZE, f"free algebra exceeds {MAX_FREE_SIZE} elements")
+    elems = sorted(found, key=lambda e: [table[e >> s & f] for s, f, table in decodes])
     pos = {e: i for i, e in enumerate(elems)}
-    outside = [~w for w in elems]
-    leq = tuple([tuple([not u & o for o in outside]) for u in elems])
+    leq = subset_order(elems)
     box = tuple(pos[boxed[e]] for e in elems)
     dia = tuple(pos[dia_of[e]] for e in elems)
     label = ",".join(a.name or "?" for a in basis)
@@ -167,8 +157,7 @@ _FACT52_EDGES = ((1, 3), (3, 5), (3, 2), (5, 6), (2, 6), (6, 4), (1, 0), (0, 4))
 
 
 # the landmark order: the reflexive-transitive closure of the edges
-_FACT52_LEQ = tuple(tuple(bool(up >> j & 1) for j in range(7)) for up in _reach(
-    [sum(1 << b for a, b in _FACT52_EDGES if a == x) for x in range(7)]))
+_FACT52_LEQ = _order_of(7, _FACT52_EDGES)
 
 
 def fact52_check(B: FiniteAlgebra, b: int) -> bool:

@@ -84,7 +84,7 @@ from functools import lru_cache
 from operator import and_, eq, truth
 from typing import Iterable, Iterator, Optional
 
-from .algebras import FiniteAlgebra, _bits
+from .algebras import FiniteAlgebra, _covers
 from .congruences import Partition, _cmi_masks, is_congruence
 from .errors import BudgetError, PreconditionError
 from .terms import Vectors, assignment_blocks
@@ -274,9 +274,7 @@ def _cover_checks(lat, steps) -> tuple:
         made = {k for k, o, _, _ in steps if o == op}
         for x in range(lat.size):
             if x != least and x not in made:
-                strict = below[x] & ~(1 << x)
-                covers = [y for y in _bits(strict) if above[y] & strict == 1 << y]
-                checks.append((x, op, covers[0], covers[1] if len(covers) > 1 else x))
+                checks.append((x, op, *(_covers(below, above, x) + [x])[:2]))
     return tuple(checks)
 
 
@@ -336,9 +334,8 @@ def _is_hom(A: FiniteAlgebra, B: FiniteAlgebra, f) -> bool:
             return False
         pre[fx] = pre.get(fx, 0) | 1 << x
     image = pre.items()
-    filters, ideals = la.principal_masks()
-    for cones, irreducibles, principal in ((lb.up, lb.join_irreducibles, filters),
-                                           (lb.down, lb.meet_irreducibles, ideals)):
+    for cones, irreducibles, principal in ((lb.up, lb.join_irreducibles, la.by_up),
+                                           (lb.down, lb.meet_irreducibles, la.by_down)):
         for k in irreducibles:
             cone, mask = cones[k], 0
             for v, xs in image:
@@ -520,11 +517,16 @@ def automorphisms(A: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     Aut(A)-orbit (see the module docstring), so with base the first of them
     the automorphisms are exactly base⁻¹ then o, for o a least leaf."""
     _, least = _least_leaves(A.size, A.leq, A.box, A.diamond, SEARCH_CAP)
-    base = least[0]
-    pos = [0] * A.size
-    for k, e in enumerate(base):
+    return tuple(sorted(_leaf_maps(least)))
+
+
+def _leaf_maps(least: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The maps x -> o[base⁻¹(x)] for o in ``least``, in order, base its first
+    leaf: Aut(A) when ``least`` are the least leaves of A's search."""
+    pos = [0] * len(least[0])
+    for k, e in enumerate(least[0]):
         pos[e] = k
-    return tuple(sorted(tuple(o[pos[x]] for x in range(A.size)) for o in least))
+    return [tuple(map(o.__getitem__, pos)) for o in least]
 
 
 def _keyed_algebra(key: tuple, name: str = "") -> FiniteAlgebra:

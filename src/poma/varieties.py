@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebras import FiniteAlgebra, validate
+from .algebras import FiniteAlgebra, _covers, _mask, validate
 from .congruences import Partition, cg, is_congruence, is_si, monolith
 from .corpus import CORPUS_NAMES, PARAMETRIC_NAMES, corpus, corpus_by_spec
 from .enumeration import EnumerationTask, enum_algebras
@@ -81,15 +81,10 @@ def member_si(V: VarietyHandle, A: FiniteAlgebra) -> bool:
 def covers_poset(handles: list[VarietyHandle]) -> list[tuple[int, int]]:
     """Edges (i, j) of the Hasse diagram of inclusion restricted to the given
     handles: handles[j] covers handles[i]."""
-    n = len(handles)
-    strict = [[includes(handles[j], handles[i]) and not equals(handles[i], handles[j])
-               for j in range(n)] for i in range(n)]
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if strict[i][j] and not any(strict[i][k] and strict[k][j] for k in range(n)):
-                edges.append((i, j))
-    return edges
+    keys = [h.si_keys for h in handles]
+    above = [_mask(k < w for w in keys) for k in keys]       # strict inclusion
+    below = [_mask(w < k for w in keys) for k in keys]
+    return [(i, j) for i in range(len(keys)) for j in _covers(above, below, i)]
 
 
 @lru_cache(maxsize=None)

@@ -272,6 +272,24 @@ def test_dual_command_json_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("dual", "--name", "F1_PS4"),
+     "9bcb15af0a43ed8a8e8ac1afebf629d42bad89e606b1be6b3b3b348e5ab87111"),
+    (("dual", "--name", "AN_MINUS:6"),
+     "74b5204af2fde07ac003bbb4c9b4cdfd29351f5729ddbb0ee82c4fad1ea73a8b"),
+    (("show", "--name", "F1_PS4"),
+     "b22b32c96554562b08ce2c0a584002f6dd33104f08c72e0a098336350490cc6d"),
+    (("variety", "figure4"),
+     "5473fcb139fa19ad51329bf29b8420560ce229374fe3b13eccff90f94be638a5"),
+], ids=["dual-F1_PS4", "dual-AN_MINUS-6", "show-F1_PS4", "variety-figure4"])
+def test_dot_output_bytes(capsys, argv, digest):
+    """The --dot stdout of each diagram, pinned by its sha256 as printed when
+    the dual space and the variety poset scanned every triple for covers."""
+    code, out, _ = run(capsys, *argv, "--dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_stream(capsys):
     code, out, _ = run(capsys, "enumerate", "--kind", "PS4", "--max-size", "3")
     assert code == 0

@@ -145,6 +145,20 @@ def test_theorem93_battery():
     assert theorem93_battery(V("C6a")).witness == (1, 1)
 
 
+@pytest.mark.parametrize("bound", [True, 1.5])
+def test_theorem93_bound_must_be_an_int(bound):
+    # True returned a verdict with bound=True, and 1.5 raised TypeError
+    with pytest.raises(PreconditionError, match="the bound must be an int"):
+        theorem93_battery(V("D4"), bound)
+
+
+@pytest.mark.parametrize("rank", [True, 1.5])
+def test_classify_quasi_free_rank_must_be_an_int(rank):
+    # 1.5 raised TypeError from range
+    with pytest.raises(PreconditionError, match="free rank .*: the bound must be an int"):
+        classify_quasi(V("B2"), parse_quasi("x ~ dia x => x ~ 0"), rank)
+
+
 def test_lemma22_check():
     assert lemma22_check(V("AN_MINUS:2"))
     assert is_iso(free_zero([corpus("AN_MINUS", 2)]), corpus("C2"))

@@ -63,6 +63,15 @@ def test_con_lattice_two_element():
     assert is_simple(corpus("B2"))
 
 
+@pytest.mark.parametrize("budget", [True, 2.0, 2.5, "3"])
+def test_con_lattice_budget_must_be_an_int(budget):
+    # True ran out as "exceeds True members", 2.5 raised ValueError and "3"
+    # TypeError; 2.0 was answered from the cache of the budget 2
+    assert len(con_lattice(corpus("C2"), 2)) == 2
+    with pytest.raises(PreconditionError, match="the budget must be an int"):
+        con_lattice(corpus("C2"), budget)
+
+
 def test_is_si_examples():
     assert is_si(corpus("D4"))
     assert is_si(corpus("C6a")) and is_si(corpus("C6b"))

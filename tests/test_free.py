@@ -107,6 +107,13 @@ def test_free_budget():
         _free_over_within([corpus("D4")], 1, 3)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+def test_free_rank_must_be_an_int(n):
+    # True built an algebra named F(C2;True), and 1.0 raised TypeError
+    with pytest.raises(PreconditionError, match="the rank must be an int"):
+        free_over([corpus("C2")], n)
+
+
 def test_max_free_size_bounds_every_free_algebra_builder():
     """One constant, read at each call, bounds free_over and, through it,
     classify_quasi and same_one_var_theory: F(D4; 1) has 5 elements, so

@@ -8,8 +8,8 @@ import weakref
 import pytest
 
 from poma import FiniteAlgebra, corpus
-from poma.algebras import (Lattice, _reach, _unions, chain_order, closed_masks,
-                           downset_masks)
+from poma.algebras import (Lattice, _covers, _mask, _reach, _unions, chain_order,
+                           closed_masks, downset_masks)
 from poma.errors import BudgetError
 
 from conftest import (oracle_covers, oracle_derive_order, oracle_downsets,
@@ -169,6 +169,33 @@ def test_unions_keep_the_order_of_one_pass_per_distinct_member():
     family = (0b0011, 0b0100, 0b0011, 0b1000, 0b0110)
     assert list(_unions(family)) == [0, 0b0011, 0b0100, 0b0111, 0b1000, 0b1011,
                                      0b1100, 0b1111, 0b0110, 0b1110]
+
+
+def test_unions_read_a_family_that_grows_while_it_is_read():
+    # the union 0b001 puts 0b010 on the pending list, and 0b010 puts 0b100,
+    # as free_over pushes the images of each element it lists
+    pending, listed = [0b001], []
+
+    def family():
+        while pending:
+            yield pending.pop()
+
+    for mask in _unions(family()):
+        listed.append(mask)
+        if mask in (0b001, 0b010):
+            pending.append(mask << 1)
+    assert listed == [0, 0b001, 0b010, 0b011, 0b100, 0b101, 0b110, 0b111]
+
+
+def test_covers_match_the_oracle_both_ways_on_every_relation_up_to_four_points():
+    # lower covers are the covers of the transpose; most of these relations
+    # are not reflexive, so the third point must differ from y as well as x
+    for n in range(1, 5):
+        for leq in _all_relations(n):
+            up, down = list(map(_mask, leq)), list(map(_mask, zip(*leq)))
+            for rows, near, far in ((leq, up, down), (tuple(zip(*leq)), down, up)):
+                pairs = oracle_covers(rows)
+                assert [(x, y) for x in range(n) for y in _covers(near, far, x)] == pairs, leq
 
 
 def test_distributivity_of_a_490_element_lattice_is_decided_in_quadratic_time():
