@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterator, Optional
 
-from .errors import BudgetError, StructuralError
+from .errors import BudgetError, PreconditionError, StructuralError
 
 BoolMatrix = tuple[tuple[bool, ...], ...]
 
@@ -437,6 +437,13 @@ def validate(A: FiniteAlgebra) -> ValidationReport:
 
     return ValidationReport(True, distributive, bool(pma), bool(pk4), bool(ps4),
                             tuple(violations))
+
+
+def _require_kind(A: FiniteAlgebra, kind: str, purpose: str) -> ValidationReport:
+    """A's report; PreconditionError unless A is a ``kind`` algebra."""
+    if not (rep := validate(A)).flag(kind):
+        raise PreconditionError(f"{purpose} needs a {kind} algebra")
+    return rep
 
 
 # spec-level operation aliases -------------------------------------------------

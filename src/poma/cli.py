@@ -62,28 +62,24 @@ def _generators(text, option: str = "--gens") -> tuple[list[FiniteAlgebra], str]
     return [corpus_by_spec(s) for s in specs], "V(" + ",".join(specs) + ")"
 
 
-def _elements(texts, size: int, usage: str, piece: str) -> tuple[int, ...]:
-    """The elements written in ``texts``, each checked against 0..size-1."""
+def _elements(texts, usage: str, piece: str) -> tuple[int, ...]:
+    """The ints written in ``texts``; the library checks their range."""
     try:
-        xs = tuple(int(t) for t in texts)
+        return tuple(int(t) for t in texts)
     except ValueError:
         raise PomaError(f"{usage}, got {piece!r}") from None
-    for x in xs:
-        if not 0 <= x < size:
-            raise PomaError(f"element {x} out of range 0..{size - 1}")
-    return xs
 
 
-def _assignment(text: str, size: int) -> dict[str, int]:
+def _assignment(text: str) -> dict[str, int]:
     out = {}
     for piece in text.split(",") if text else ():
         key, _, value = piece.partition("=")
-        out[key.strip()] = _elements((value,), size, "--assign wants 'x=0,y=1'", piece)[0]
+        out[key.strip()] = _elements((value,), "--assign wants 'x=0,y=1'", piece)[0]
     return out
 
 
-def _pairs(text: str, size: int, option: str) -> list[tuple[int, ...]]:
-    return [_elements(piece.partition(",")[::2], size, f"{option} wants 'a,b;c,d'", piece)
+def _pairs(text: str, option: str) -> list[tuple[int, ...]]:
+    return [_elements(piece.partition(",")[::2], f"{option} wants 'a,b;c,d'", piece)
             for piece in text.split(";")]
 
 
@@ -123,7 +119,7 @@ def cmd_show(args) -> int:
 
 def cmd_cg(args) -> int:
     A = _load_algebra(args)
-    part = cg(A, _pairs(args.pairs, A.size, "--pairs"))
+    part = cg(A, _pairs(args.pairs, "--pairs"))
     _emit(args, {"partition": part.to_json_obj()}, f"{part.to_json_obj()}")
     return PASS
 
@@ -194,14 +190,15 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_complex(args) -> int:
+    # lazy, so that complex_algebra refuses a bad count before any pair is made
     if args.preorder == "geq":
-        rel = {(i, j) for i in range(args.worlds) for j in range(args.worlds) if i >= j}
+        rel = ((i, j) for i in range(args.worlds) for j in range(args.worlds) if i >= j)
     elif args.preorder == "total":
-        rel = {(i, j) for i in range(args.worlds) for j in range(args.worlds)}
+        rel = ((i, j) for i in range(args.worlds) for j in range(args.worlds))
     elif args.preorder == "id":
-        rel = {(i, i) for i in range(args.worlds)}
+        rel = ((i, i) for i in range(args.worlds))
     else:
-        rel = _pairs(args.preorder, args.worlds, "--preorder")
+        rel = _pairs(args.preorder, "--preorder")
     A = duality.complex_algebra(args.worlds, rel)
     rep = validate(A)
     obj = A.to_dict()
@@ -211,8 +208,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_free(args) -> int:
-    handle = varieties.variety_of(*_generators(args.gens))
-    result = free.free_over(handle.generators, args.rank)
+    result = free.free_over(_generators(args.gens)[0], args.rank)
     obj = result.to_dict()
     _emit(args, obj,
           f"free algebra of rank {args.rank}: size {result.algebra.size}, "
@@ -221,8 +217,7 @@ def cmd_free(args) -> int:
 
 
 def cmd_freezero(args) -> int:
-    handle = varieties.variety_of(*_generators(args.gens))
-    A = free.free_zero(handle.generators)
+    A = free.free_zero(_generators(args.gens)[0])
     _emit(args, A.to_dict(), f"zero-generated free algebra: size {A.size} "
           f"({varieties._label_for(A)})")
     return PASS
@@ -355,8 +350,8 @@ def cmd_complete(args) -> int:
 
 
 def cmd_quasi(args) -> int:
-    handle = varieties.variety_of(*_generators(args.gens))
     q = parse_quasi(args.quasi)
+    handle = varieties.variety_of(*_generators(args.gens))
     cls = comp.classify_quasi(handle, q, max_free_rank=args.free_rank)
     obj = {"status": cls.status, "valid": cls.valid, "active": cls.active,
            "admissible_up_to_bound": cls.admissible_up_to_bound,
@@ -384,7 +379,7 @@ def cmd_eval(args) -> int:
         return PASS if verdict else FAIL
     if not args.term:
         raise PomaError("eval needs one of --term, --equation or --sentence")
-    value = eval_term(A, parse_term(args.term), _assignment(args.assign, A.size))
+    value = eval_term(A, parse_term(args.term), _assignment(args.assign))
     _emit(args, {"value": value}, f"value: {value}")
     return PASS
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
-from .algebras import validate
+from . import algebras
 from .congruences import is_simple
 from .corpus import corpus
 from .enumeration import EnumerationTask, enum_algebras
@@ -38,8 +38,7 @@ class Verdict:
 
 def _require_kind(V: VarietyHandle, kind: str):
     for g in V.generators:
-        if not validate(g).flag(kind):
-            raise PreconditionError(f"{V.label}: generator outside {kind}")
+        algebras._require_kind(g, kind, V.label)
 
 
 def _require_nontrivial(V: VarietyHandle):
@@ -252,7 +251,7 @@ def open_problem_scan(max_size: int = 5) -> tuple[OpenProblemRow, ...]:
     rows = []
     for A in enum_algebras(EnumerationTask("PK4", max_size, si_only=True)):
         V = variety_of([A], f"V(<{A.size}-element>)")
-        inside_ps4 = all(validate(g).is_ps4 for g in V.generators)
+        inside_ps4 = all(algebras.validate(g).is_ps4 for g in V.generators)
         sc = is_sc_pk4(V)
         if inside_ps4:
             asc = asc_necessary(V)

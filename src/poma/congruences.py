@@ -51,12 +51,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import chain
 from operator import and_
 from typing import Iterable, Optional
 
-from .algebras import (FiniteAlgebra, ModalAlgebra, _bits, _budgeted, _mask, _reach, _unions,
-                       validate)
-from .errors import PreconditionError, _check_count
+from .algebras import (FiniteAlgebra, ModalAlgebra, _bits, _budgeted, _mask, _reach,
+                       _require_kind, _unions)
+from .errors import PreconditionError, _check_count, _check_elements
 
 MAX_CONGRUENCES = 100_000       # members of a congruence lattice
 
@@ -172,6 +173,8 @@ def _closure(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> int:
 
 def cg(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
     """Least congruence of A containing the given pairs."""
+    pairs = list(pairs)
+    _check_elements(chain.from_iterable(pairs), A.size)
     return _partition(A, _closure(A, pairs))
 
 
@@ -183,6 +186,7 @@ def is_congruence(A: FiniteAlgebra, p: Partition) -> bool:
     if p.size != A.size:
         raise PreconditionError(f"a partition of {p.size} elements on an algebra of {A.size}")
     members = [x for block in p.blocks for x in block]
+    _check_elements(members, A.size)
     if not all(p.blocks) or len(members) != p.size or set(members) != set(range(p.size)):
         raise PreconditionError(f"blocks {p.blocks} do not cover 0..{p.size - 1} exactly once")
     mask = _closure(A, ((block[0], x) for block in p.blocks for x in block[1:]))
@@ -274,9 +278,7 @@ def monolith(A: FiniteAlgebra) -> Partition:
 
 
 def is_well_connected(A: FiniteAlgebra) -> bool:
-    rep = validate(A)
-    if not rep.is_ps4:
-        raise PreconditionError("well-connectedness is defined for positive S4-algebras")
+    _require_kind(A, "PS4", "well-connectedness")
     lat = A.lattice.require()
     meet, join, top, bot = lat.meet, lat.join, lat.top, lat.bottom
     n, box, dia = A.size, A.box, A.diamond
@@ -294,9 +296,9 @@ def is_simple_lemma45(A: FiniteAlgebra) -> bool:
     either the two-element algebra with collapsed operators, or (i) box/diamond
     send every non-bound element to the bounds and (ii) every proper chain
     0 < a < b < 1 admits a separating middle element c."""
-    rep = validate(A)
-    if not rep.is_pk4 or A.size < 2:
-        raise PreconditionError("the simplicity criterion needs a non-trivial positive K4-algebra")
+    _require_kind(A, "PK4", "the simplicity criterion")
+    if A.size < 2:
+        raise PreconditionError("the simplicity criterion needs a non-trivial algebra")
     lat = A.lattice.require()
     meet, join, top, bot = lat.meet, lat.join, lat.top, lat.bottom
     n, box, dia, leq = A.size, A.box, A.diamond, A.leq
@@ -322,6 +324,7 @@ def cg_dl(A: FiniteAlgebra, a: int, b: int) -> Partition:
     """Principal congruence of the bounded-lattice reduct, computed pointwise:
     c and d collapse iff they agree after meeting and joining with both
     generators."""
+    _check_elements((a, b), A.size)
     lat = A.lattice.require()
     m, j = lat.meet[a][b], lat.join[a][b]
     return Partition.from_block_ids([(lat.meet[c][m], lat.join[c][j]) for c in range(A.size)])
@@ -334,9 +337,8 @@ def cg_k4(M: ModalAlgebra, a: int, b: int) -> Partition:
     e <= not x or y iff e meet x <= y, so x <-> y >= e iff x meet e =
     y meet e, and the blocks are keyed by x meet e."""
     A = M.algebra
-    rep = validate(A)
-    if not rep.is_pk4:
-        raise PreconditionError("cg_k4 needs K4 operators")
+    _require_kind(A, "PK4", "cg_k4")
+    _check_elements((a, b), A.size)
     meet, join, neg = A.lattice.meet, A.lattice.join, M.complement
     d = meet[join[neg[a]][b]][join[neg[b]][a]]              # a <-> b
     e = meet[d][A.box[d]]

@@ -11,7 +11,7 @@ import re
 from functools import lru_cache
 
 from .algebras import FiniteAlgebra, _order_of, chain_order, powerset
-from .errors import PomaError
+from .errors import PomaError, _check_count
 
 
 def _chain(box, diamond, name):
@@ -96,12 +96,11 @@ CORPUS_NAMES = FIG2_NAMES + FIG3_NAMES + (
     "B2", "EX44III", "EX44IV", "F1_PS4", "trivial") + PARAMETRIC_NAMES
 
 
-@lru_cache(maxsize=None)
 def corpus(name: str, parameter: int | None = None) -> FiniteAlgebra:
     """Look up a catalog algebra by (case-insensitive) name.
 
-    ``EX46``, ``AN_MINUS`` and ``AN_SIMPLE`` take an integer parameter; the
-    rest reject one.
+    ``EX46``, ``AN_MINUS`` and ``AN_SIMPLE`` take an int parameter (built at
+    each call); the rest reject one.
     """
     key = name.strip().upper()
     fixed = _builders()
@@ -118,8 +117,9 @@ def corpus(name: str, parameter: int | None = None) -> FiniteAlgebra:
         if parameter is None:
             raise PomaError(f"{name} needs an integer parameter")
         lo = {"EX46": 3, "AN_SIMPLE": 2, "AN_MINUS": 1}[key]
-        if not lo <= parameter <= 6:
-            raise PomaError(f"{name} parameter must be in {lo}..6")
+        _check_count(parameter, name, "parameter", least=lo)
+        if parameter > 6:
+            raise PomaError(f"{name} {parameter}: the parameter must be <= 6")
         label = f"{key}({parameter})"
         if key == "AN_MINUS":
             return _boolean(parameter, _an_minus_box(parameter), label)

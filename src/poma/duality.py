@@ -14,7 +14,7 @@ from .algebras import (MAX_UPSETS, BoolMatrix, FiniteAlgebra, Lattice, ModalAlge
                        _mask, _mask_key, _reach, closed_masks, powerset, subset_order,
                        validate)
 from .congruences import Partition, con_lattice
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, _check_count, _check_elements
 from .morphisms import Hom
 from .terms import Term, evaluate
 
@@ -231,23 +231,22 @@ prime_filters.cache_info = _frame.cache_info
 def complex_algebra(n_worlds: int, relation) -> FiniteAlgebra:
     """Full powerset algebra of the frame ({0..n_worlds-1}, relation), where
     `relation` is an iterable of (x, y) pairs of worlds: x sees y."""
-    if type(n_worlds) is int and n_worlds > MAX_POINTS:     # else _successors refuses it
+    _check_count(n_worlds, "worlds", "count")
+    if n_worlds > MAX_POINTS:
         raise BudgetError(f"{n_worlds} worlds exceeds the {MAX_POINTS}-world cap")
     return _powerset_frame(_successors(n_worlds, relation))
 
 
 def _successors(n: int, relation) -> list[int]:
     """Each world's successors as a mask, from the pairs of `relation`."""
-    if type(n) is not int or n < 0:
-        raise PreconditionError(f"{n!r} worlds: the count must be an int >= 0")
+    _check_count(n, "worlds", "count")
     succ = [0] * n
     for pair in relation:
         try:
             x, y = pair
         except (TypeError, ValueError):
             raise PreconditionError(f"{pair!r} is not a pair of worlds") from None
-        if not all(type(w) is int and 0 <= w < n for w in (x, y)):
-            raise PreconditionError(f"pair ({x!r}, {y!r}) is not between two of the {n} worlds")
+        _check_elements((x, y), n, "world")
         succ[x] |= 1 << y
     return succ
 
@@ -279,9 +278,8 @@ def kripke_eval(n_worlds: int, relation, t: Term,
     """Evaluate a term directly over a frame, without materializing the
     powerset algebra.  Used for growth experiments on larger frames."""
     frame = _Frame(_successors(n_worlds, relation))
-    for v, ws in asg.items():
-        if not all(type(x) is int and 0 <= x < n_worlds for x in ws):
-            raise PreconditionError(f"{v} = {set(ws)!r} is not a set of the {n_worlds} worlds")
+    for ws in asg.values():
+        _check_elements(ws, n_worlds, "world")
     env = {v: _mask(x in ws for x in range(n_worlds)) for v, ws in asg.items()}
     return frozenset(_bits(evaluate(t, env, frame)))
 
@@ -331,8 +329,9 @@ def open_filter_congruence_iso_check(M: ModalAlgebra) -> bool:
 
 def is_p_morphism(X: DualSpace, Y: DualSpace, f: tuple[int, ...]) -> bool:
     nx, ny = _require_square(X), _require_square(Y)
-    if len(f) != nx or not all(type(y) is int and 0 <= y < ny for y in f):
+    if len(f) != nx:
         raise PreconditionError(f"{f!r} does not send each of the {nx} points to one of {ny}")
+    _check_elements(f, ny, "point")
     for x in range(nx):
         for y in range(nx):
             if X.leq[x][y] and not Y.leq[f[x]][f[y]]:

@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 from .algebras import BoolMatrix, FiniteAlgebra, _bits, _covers, _mask_key, subset_order, validate
 from .congruences import is_fsi, is_si
-from .errors import PomaError
+from .errors import PomaError, _check_count
 from .morphisms import SEARCH_CAP, _leaf_maps, _least_leaves, canonical_form, subuniverses
 from .terms import (BLOCK, Equation, Term, Var, Vectors, assignment_blocks,
                     equation_variables, evaluate, holds_eq, term_kinds)
@@ -94,15 +94,10 @@ class EnumerationTask:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PomaError(f"kind must be one of {KINDS}")
-        _require_count("max_size", self.max_size, 1)
+        _check_count(self.max_size, "max size", "bound", least=1)
         if not (isinstance(self.satisfying, tuple)
                 and all(isinstance(e, Equation) for e in self.satisfying)):
             raise PomaError("satisfying must be a tuple of Equation objects")
-
-
-def _require_count(name: str, value, least: int) -> None:
-    if type(value) is not int or value < least:
-        raise PomaError(f"{name} must be an int >= {least}, not {value!r}")
 
 
 # -- posets up to isomorphism --------------------------------------------------
@@ -173,7 +168,7 @@ def _poset_levels(max_downsets: int | None):
 def enum_posets(k: int) -> list[BoolMatrix]:
     """All posets with exactly k elements, up to isomorphism, as order
     matrices sorted by canonical form."""
-    _require_count("k", k, 0)
+    _check_count(k, "poset size", "size")
     level = next(itertools.islice(_poset_levels(None), k, None))
     return [level[key].leq for key in sorted(level)]
 
@@ -210,7 +205,7 @@ def enum_bdl(max_size: int) -> tuple[FiniteAlgebra, ...]:
     the levels below max_size hold every poset needed, and the pruning keeps
     only those with at most max_size downsets.  Non-isomorphic posets have
     non-isomorphic downset lattices."""
-    _require_count("max_size", max_size, 0)
+    _check_count(max_size, "max size", "bound")
     found = [_downset_lattice(poset.downsets)
              for level in itertools.islice(_poset_levels(max_size), max_size)
              for poset in level.values()]

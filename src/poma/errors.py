@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the count check that
-raises one."""
+"""Exception types shared across the package, and the argument checks that
+raise one: one for counts and one for elements."""
 
 
 class PomaError(Exception):
@@ -33,9 +33,16 @@ class ConsistencyError(PomaError):
     """Two independent decision routes that must agree disagreed."""
 
 
-def _check_count(value, label: str, noun: str) -> None:
-    """PreconditionError unless value is an int >= 0 (a bool is not an int here)."""
+def _check_count(value, label: str, noun: str, least: int = 0) -> None:
+    """PreconditionError unless value is an int >= least (a bool is not an int here)."""
     if type(value) is not int:
         raise PreconditionError(f"{label} {value!r}: the {noun} must be an int")
-    if value < 0:
-        raise PreconditionError(f"{label} {value}: the {noun} must be >= 0")
+    if value < least:
+        raise PreconditionError(f"{label} {value}: the {noun} must be >= {least}")
+
+
+def _check_elements(values, n: int, noun: str = "element") -> None:
+    """PreconditionError unless each value is an int in 0..n-1 (not a bool)."""
+    for v in values:
+        if type(v) is not int or not 0 <= v < n:
+            raise PreconditionError(f"{noun} {v!r} out of range 0..{n - 1}")

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .algebras import (FiniteAlgebra, Lattice, _budgeted, _mask, _order_of, _unions, downset_masks,
-                       subset_order, validate)
+from .algebras import (FiniteAlgebra, Lattice, _budgeted, _mask, _order_of, _require_kind,
+                       _unions, downset_masks, subset_order, validate)
 from .corpus import FIG2_NAMES, corpus
 from .duality import kripke_eval
 from .enumeration import EnumerationTask, _closure_table, _interior_table, enum_algebras
@@ -163,8 +163,7 @@ _FACT52_LEQ = _order_of(7, _FACT52_EDGES)
 def fact52_check(B: FiniteAlgebra, b: int) -> bool:
     """Do the seven landmark values at b satisfy every order relation of the
     landmark diagram?  (They may collapse; only the order is asserted.)"""
-    if not validate(B).is_ps4:
-        raise PreconditionError("the landmark diagram is asserted for positive S4-algebras")
+    _require_kind(B, "PS4", "the landmark diagram")
     values = [eval_term(B, t, {"x": b}) for t in sigma_terms()]
     return all(B.leq[values[i]][values[j]]
                for i in range(7) for j in range(7) if _FACT52_LEQ[i][j])
@@ -272,6 +271,7 @@ def verify_figure1(enum_bound: int = 6) -> Figure1Report:
 def build_phi(n: int) -> Term:
     """Alternating box-join tower: phi_0 = box x, and phi_{m+1} boxes the join
     of phi_m with x when m is odd, with y when m is even."""
+    _check_count(n, "phi index", "index")
     t = Box(_X)
     for m in range(n):
         t = Box(Join(_X if m % 2 == 1 else _Y, t))
@@ -290,8 +290,7 @@ def lemma53_growth(N: int) -> GrowthReport:
     """Evaluate phi_0..phi_{N-1} over the frame ({0..N-1}, >=) at x = evens,
     y = odds, and report how many distinct values arise.  The tower value at
     index k is the initial segment {0..k} up to the truncation boundary N-1."""
-    if type(N) is not int or N < 2:
-        raise PreconditionError(f"the growth experiment needs an int N >= 2, not {N!r}")
+    _check_count(N, "N", "number of worlds", least=2)
     rel = {(i, j) for i in range(N) for j in range(N) if i >= j}
     evens = frozenset(w for w in range(N) if w % 2 == 0)
     odds = frozenset(w for w in range(N) if w % 2 == 1)

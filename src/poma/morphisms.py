@@ -86,7 +86,7 @@ from typing import Iterable, Iterator, Optional
 
 from .algebras import FiniteAlgebra, _covers
 from .congruences import Partition, _cmi_masks, is_congruence
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, _check_elements
 from .terms import Vectors, assignment_blocks
 
 # search budgets: past them the search raises BudgetError
@@ -121,8 +121,9 @@ class Hom:
         StructuralError for a non-lattice side, and
         PreconditionError unless it sends each source element to a target one."""
         f, n, m = self.mapping, self.source.size, self.target.size
-        if len(f) != n or not all(type(v) is int and 0 <= v < m for v in f):
+        if len(f) != n:
             raise PreconditionError(f"{f!r} does not send each of {n} elements to one of {m}")
+        _check_elements(f, m)
         return _is_hom(self.source, self.target, f)
 
 
@@ -159,6 +160,8 @@ def _close(A: FiniteAlgebra, members: set[int], frontier: list[int],
 
 def closure_universe(A: FiniteAlgebra, gens: Iterable[int]) -> frozenset[int]:
     """Least subuniverse containing the generators (and the bounds)."""
+    gens = tuple(gens)
+    _check_elements(gens, A.size)
     members = {A.bottom(), A.top(), *gens}
     return frozenset(_close(A, members, list(members)))
 
@@ -346,20 +349,14 @@ def _is_hom(A: FiniteAlgebra, B: FiniteAlgebra, f) -> bool:
     return True
 
 
-def _check_seed(A: FiniteAlgebra, B: FiniteAlgebra, seed: dict) -> None:
-    for k, v in seed.items():
-        if not (type(k) is int and 0 <= k < A.size and type(v) is int and 0 <= v < B.size):
-            raise PreconditionError(f"seed {k!r}: {v!r} does not send one of {A.size}"
-                                    f" elements to one of {B.size}")
-
-
 def extend_hom(A: FiniteAlgebra, B: FiniteAlgebra,
                seed: dict[int, int]) -> Optional[tuple[int, ...]]:
     """The homomorphism A -> B extending the seed (and the bounds), or None:
     :func:`_extensions` on one coordinate.  None also on a conflict in the
     seed and when the seed does not generate A; PreconditionError unless the
     seed sends elements of A to elements of B."""
-    _check_seed(A, B, seed)
+    _check_elements(seed, A.size)
+    _check_elements(seed.values(), B.size)
     g, ok = _extensions(A, Vectors.of(B, 1), {k: (v,) for k, v in seed.items()})
     return tuple(u[0] for u in g) if ok[0] else None
 
@@ -370,7 +367,8 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, seed: dict[int, int] | None = None)
     through B^k in lexicographic order, one :func:`_extensions` per block of
     them.  BudgetError before any is tried when |B|^k passes ``HOM_BUDGET``."""
     base = dict(seed or {})
-    _check_seed(A, B, base)
+    _check_elements(base, A.size)
+    _check_elements(base.values(), B.size)
     gens = [g for g in generating_set(A) if g not in base]
     if B.size ** len(gens) > HOM_BUDGET:
         raise BudgetError(f"hom search exceeded {HOM_BUDGET} candidates")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import and_, attrgetter, eq, getitem, gt, or_
 
 from .algebras import FiniteAlgebra
-from .errors import ParseError, PomaError, PreconditionError
+from .errors import ParseError, PomaError, _check_count, _check_elements
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,14 @@ def Diamond(t: Term) -> Term:
 
 
 def box_power(t: Term, n: int) -> Term:
+    _check_count(n, "power", "exponent")
     for _ in range(n):
         t = Box(t)
     return t
 
 
 def diamond_power(t: Term, n: int) -> Term:
+    _check_count(n, "power", "exponent")
     for _ in range(n):
         t = Diamond(t)
     return t
@@ -330,7 +332,10 @@ class _Parser:
 
 def _parse(text: str, production: str):
     p = _Parser(text)
-    node = getattr(p, production)()
+    try:
+        node = getattr(p, production)()
+    except RecursionError:
+        raise ParseError("input nested too deeply", p.tokens[p.pos - 1][2]) from None
     p.done()
     return node
 
@@ -435,9 +440,7 @@ class Vectors:
 
 def eval_term(A: FiniteAlgebra, t: Term, asg: dict[str, int]) -> int:
     """The value of t in A under one assignment."""
-    for v, a in asg.items():
-        if not (type(a) is int and 0 <= a < A.size):
-            raise PreconditionError(f"{v} = {a!r} is not one of the {A.size} elements")
+    _check_elements(asg.values(), A.size)
     return evaluate(t, {v: (a,) for v, a in asg.items()}, Vectors.of(A, 1))[0]
 
 

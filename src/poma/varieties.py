@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebras import FiniteAlgebra, _covers, _mask, validate
+from .algebras import FiniteAlgebra, _covers, _mask, _require_kind
 from .congruences import Partition, cg, is_congruence, is_si, monolith
 from .corpus import CORPUS_NAMES, PARAMETRIC_NAMES, corpus, corpus_by_spec
 from .enumeration import EnumerationTask, enum_algebras
@@ -120,8 +120,7 @@ class SplittingVerdict:
 
 def _splitting(A: FiniteAlgebra, equation: Equation, splitter: FiniteAlgebra,
                kind: str) -> SplittingVerdict:
-    if not validate(A).flag(kind):
-        raise PreconditionError(f"splitting check needs a {kind} algebra")
+    _require_kind(A, kind, "splitting check")
     sat = bool(holds_eq(A, equation))
     excl = canonical_form(splitter) not in {canonical_form(b) for b in hs_si(A)}
     return SplittingVerdict(sat, excl)
@@ -201,11 +200,9 @@ def lemma64_66_properties(A: FiniteAlgebra) -> EndomorphismReport:
     congruence; when the algebra is subdirectly irreducible, elements between
     the monolith pair and the bounds are operator fixed points, and every
     strict operator move generates the monolith."""
-    rep = validate(A)
-    if not rep.is_ps4 or not holds_eq(A, EQ_BOX_IDEMPOTENT) \
-            or not holds_eq(A, EQ_DIA_IDEMPOTENT):
-        raise PreconditionError(
-            "endomorphism battery needs a PS4 algebra satisfying the idempotence equations")
+    _require_kind(A, "PS4", "endomorphism battery")
+    if not holds_eq(A, EQ_BOX_IDEMPOTENT) or not holds_eq(A, EQ_DIA_IDEMPOTENT):
+        raise PreconditionError("endomorphism battery needs the idempotence equations")
     n, box, dia = A.size, A.box, A.diamond
     lat = A.lattice.require()
     meet, join = lat.meet, lat.join

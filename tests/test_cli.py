@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -210,6 +211,51 @@ def test_free_commands_json_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_free_and_freezero_read_only_their_generators(capsys, monkeypatch):
+    """Both built the variety of their generators, an hs_si per generator,
+    only to read its generators back; quasi parses --quasi before it builds
+    the variety, so a malformed one costs nothing."""
+    monkeypatch.setattr(varieties, "variety_of", None)
+    assert run(capsys, "free", "--gens", "D4", "--rank", "1")[0] == 0
+    assert run(capsys, "freezero", "--gens", "D3")[0] == 0
+    code, out, err = run(capsys, "quasi", "classify", "--gens", "D4", "--quasi", "x ~")
+    assert (code, out) == (2, "") and err.startswith("error: expected a term"), err
+
+
+def test_complex_past_the_world_cap_exits_3_at_once():
+    """The geq relation over 10^8 worlds was built as a set before the cap
+    was compared; under this 1 GiB address-space limit that died with
+    MemoryError, exit 1."""
+    proc = run_capped("import sys\nfrom poma.cli import main\n"
+                      "sys.exit(main(['complex', '--worlds', '100000000']))", cpu_seconds=20)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr == "budget exhausted: 100000000 worlds exceeds the 8-world cap\n"
+
+
+def _eval_in_child(equation):
+    """``poma eval --name D4 --equation`` in a child interpreter, whose stack
+    starts near empty whatever the depth of the test runner's."""
+    return run_capped("import sys\nfrom poma.cli import main\n"
+                      f"sys.exit(main(['eval', '--name', 'D4', '--equation', {equation!r}]))")
+
+
+@pytest.mark.parametrize("equation", ["(" * 400 + "x" + ")" * 400 + " ~ x",
+                                      "box " * 3000 + "x ~ x"],
+                         ids=["400-parentheses", "3000-boxes"])
+def test_deeply_nested_input_is_usage_error(equation):
+    # each died with RecursionError, exit 1, which reads as false
+    proc = _eval_in_child(equation)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"error: input nested too deeply \(at position \d+\)\n", proc.stderr), \
+        proc.stderr
+
+
+def test_deep_input_that_parses_gets_its_verdict():
+    proc = _eval_in_child("box " * 980 + "x ~ x")
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "holds: False (witness {'x': 2})\n", "")
 
 
 def test_free_rank_past_the_budget_exits_3_at_once():

@@ -474,9 +474,9 @@ def test_task_rejects_bad_size_or_equations(max_size, satisfying):
 @pytest.mark.parametrize("count", [-1, 2.5, 2.0, True, "3", None])
 def test_enum_bdl_and_enum_posets_reject_a_count_that_is_not_an_int(count):
     enum_bdl(1), enum_bdl(2)        # a cached int must not answer an equal float or bool
-    with pytest.raises(PomaError, match="must be an int >= 0"):
+    with pytest.raises(PomaError, match=r"^max size .*: the bound must be "):
         enum_bdl(count)
-    with pytest.raises(PomaError, match="must be an int >= 0"):
+    with pytest.raises(PomaError, match=r"^poset size .*: the size must be "):
         enum_posets(count)
 
 
