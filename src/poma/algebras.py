@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterator, Optional
 
-from .errors import BudgetError, PreconditionError, StructuralError
+from .errors import BudgetError, PreconditionError, StructuralError, _check_elements
 
 BoolMatrix = tuple[tuple[bool, ...], ...]
 
@@ -449,10 +449,12 @@ def _require_kind(A: FiniteAlgebra, kind: str, purpose: str) -> ValidationReport
 # spec-level operation aliases -------------------------------------------------
 
 def meet(A: FiniteAlgebra, x: int, y: int) -> int:
+    _check_elements((x, y), A.size)
     return A.meet(x, y)
 
 
 def join(A: FiniteAlgebra, x: int, y: int) -> int:
+    _check_elements((x, y), A.size)
     return A.join(x, y)
 
 

@@ -15,7 +15,7 @@ from .algebras import FiniteAlgebra, validate
 from .congruences import (MAX_CONGRUENCES, cg, con_lattice, is_fsi, is_si,
                           is_simple, is_well_connected, monolith)
 from .corpus import CORPUS_NAMES, corpus_by_spec
-from .enumeration import EnumerationTask, default_cache_dir, enum_algebras
+from .enumeration import EnumerationTask, _in_search_order, default_cache_dir, enum_algebras
 from .errors import BudgetError, PomaError
 from .morphisms import hs_si
 from .terms import (eval_term, holds_pos_exist, holds_quasi, parse_equation,
@@ -288,10 +288,12 @@ def cmd_battery(args) -> int:
         _emit(args, obj, f"bound {rep.bound}: {'pass' if rep.passed else 'FAIL'}: "
               "{" + ", ".join(rep.witnesses) + "}")
         return PASS if rep.passed else FAIL
+    # these two batteries report counts and verdicts only, so they walk the
+    # enumeration in search order, without the sort by canonical form
     if args.which == "thm42":
         failures = []
         count = 0
-        for A in enum_algebras(EnumerationTask("PS4", args.max_size, fsi_only=True)):
+        for A in _in_search_order(EnumerationTask("PS4", args.max_size, fsi_only=True)):
             count += 1
             if not is_fsi(duality.boolean_envelope(A).algebra):
                 failures.append(A.to_json())
@@ -302,11 +304,10 @@ def cmd_battery(args) -> int:
         return PASS if ok else FAIL
     failures = 0
     count = 0
-    for A in enum_algebras(EnumerationTask("PS4", args.max_size)):
-        for b in range(A.size):
-            count += 1
-            if not free.fact52_check(A, b):
-                failures += 1
+    for A in _in_search_order(EnumerationTask("PS4", args.max_size)):
+        verdicts = free._fact52_verdicts(A)
+        count += len(verdicts)
+        failures += verdicts.count(False)
     ok = failures == 0
     _emit(args, {"passed": ok, "bound": args.max_size, "checked": count},
           f"bound {args.max_size}: checked {count} element landmarks: "
@@ -534,6 +535,11 @@ def main(argv=None) -> int:
         return BUDGET
     except PomaError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE
+    except RecursionError:
+        # the parser refuses deep nesting, but a long chain of a binary
+        # operator parses flat into a term as deep as the chain is long
+        sys.stderr.write("error: input nested too deeply\n")
         return USAGE
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")

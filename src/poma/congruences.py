@@ -51,13 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain
 from operator import and_
 from typing import Iterable, Optional
 
 from .algebras import (FiniteAlgebra, ModalAlgebra, _bits, _budgeted, _mask, _reach,
                        _require_kind, _unions)
-from .errors import PreconditionError, _check_count, _check_elements
+from .errors import PreconditionError, _check_count, _check_elements, _check_pairs
 
 MAX_CONGRUENCES = 100_000       # members of a congruence lattice
 
@@ -95,6 +94,7 @@ class Partition:
         return tuple(ids)
 
     def relates(self, a: int, b: int) -> bool:
+        _check_elements((a, b), self.size)
         ids = self.block_ids()
         return ids[a] == ids[b]
 
@@ -173,9 +173,7 @@ def _closure(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> int:
 
 def cg(A: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Partition:
     """Least congruence of A containing the given pairs."""
-    pairs = list(pairs)
-    _check_elements(chain.from_iterable(pairs), A.size)
-    return _partition(A, _closure(A, pairs))
+    return _partition(A, _closure(A, list(_check_pairs(pairs, A.size))))
 
 
 def is_congruence(A: FiniteAlgebra, p: Partition) -> bool:

@@ -14,7 +14,7 @@ from .algebras import (MAX_UPSETS, BoolMatrix, FiniteAlgebra, Lattice, ModalAlge
                        _mask, _mask_key, _reach, closed_masks, powerset, subset_order,
                        validate)
 from .congruences import Partition, con_lattice
-from .errors import BudgetError, PreconditionError, _check_count, _check_elements
+from .errors import BudgetError, PreconditionError, _check_count, _check_elements, _check_pairs
 from .morphisms import Hom
 from .terms import Term, evaluate
 
@@ -241,12 +241,7 @@ def _successors(n: int, relation) -> list[int]:
     """Each world's successors as a mask, from the pairs of `relation`."""
     _check_count(n, "worlds", "count")
     succ = [0] * n
-    for pair in relation:
-        try:
-            x, y = pair
-        except (TypeError, ValueError):
-            raise PreconditionError(f"{pair!r} is not a pair of worlds") from None
-        _check_elements((x, y), n, "world")
+    for x, y in _check_pairs(relation, n, "world"):
         succ[x] |= 1 << y
     return succ
 

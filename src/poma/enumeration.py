@@ -34,16 +34,18 @@ mention the diamond filters the box tables once per lattice, one that
 mentions only the diamond filters the diamond tables, and one that mentions
 both runs on each orbit representative; the mixed axioms run only on the
 pairs that pass, and only the pairs that pass both become algebras, to be
-sorted by canonical form and validated.  The output is the full list
-filtered, in order.  An equation holds or fails alike on a pair and on its
-conjugates under Aut(L), so each table filter removes whole orbits; each
-filter keeps the relative order of the tables, and the orbit
+validated and then, for output only, sorted by canonical form.  The output
+is the full list filtered, in order.  An equation holds or fails alike on a
+pair and on its conjugates under Aut(L), so each table filter removes whole
+orbits; each filter keeps the relative order of the tables, and the orbit
 representatives are all chosen before any mixed test runs, so every
 surviving orbit keeps the same first pair as its representative.  Sorting
 a subset by an injective key keeps its order.  The SI and FSI tests then
-run on each size as it is produced.  Slices live in a bounded in-memory
-cache, one entry per kind, size and equations; a JSON-lines cache on disk
-always holds the full, unfiltered slice.
+run on each size as it is produced.  Callers that only count or check the
+algebras skip the sort, a canonical-form search per algebra.  Sorted
+slices live in a bounded in-memory cache, one entry per kind, size and
+equations; a JSON-lines cache on disk always holds the full, unfiltered
+slice.
 
 An equation that mentions both operators is hoisted once per size: each
 maximal subterm without the diamond, and each maximal one without the box,
@@ -341,20 +343,31 @@ def _conjugate(s: tuple[int, ...], table: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _kept(task: EnumerationTask, found) -> list[FiniteAlgebra]:
+    """The algebras of one size that pass the task's SI and FSI filters, in order."""
+    return [A for A in found
+            if (not task.si_only or is_si(A)) and (not task.fsi_only or is_fsi(A))]
+
+
 def enum_algebras(task: EnumerationTask, cache_dir: str | os.PathLike | None = None,
                   resume: bool = False) -> list[FiniteAlgebra]:
     """Enumerate all algebras of the given kind up to isomorphism, size by
-    size, optionally caching each full (kind, size) slice as a JSON-lines
-    file.  Each size is filtered as it is produced."""
+    size, each size sorted by canonical form, optionally caching each full
+    (kind, size) slice as a JSON-lines file.  Each size is filtered as it is
+    produced.  The sort exists for output only (see ``_enumerate_size``);
+    a caller that only counts or checks the algebras walks
+    ``_in_search_order(task)``, the same algebras without it."""
     out: list[FiniteAlgebra] = []
     for size in range(1, task.max_size + 1):
-        found = _algebras_of_size(task.kind, size, task.satisfying, cache_dir, resume)
-        if task.si_only:
-            found = [A for A in found if is_si(A)]
-        if task.fsi_only:
-            found = [A for A in found if is_fsi(A)]
-        out.extend(found)
+        out += _kept(task, _algebras_of_size(task.kind, size, task.satisfying, cache_dir, resume))
     return out
+
+
+def _in_search_order(task: EnumerationTask):
+    """The algebras of ``enum_algebras(task)``, size by size, each size in
+    search order: neither sorted by canonical form nor cached."""
+    for size in range(1, task.max_size + 1):
+        yield from _kept(task, _classes(task.kind, size, task.satisfying))
 
 
 def default_cache_dir() -> Path:
@@ -545,16 +558,15 @@ def _orbit_runs(boxes, dias, others) -> list[tuple[int, list[int]]]:
     return runs
 
 
-@lru_cache(maxsize=64)
-def _enumerate_size(kind: str, size: int,
-                    satisfying: tuple[Equation, ...]) -> tuple[FiniteAlgebra, ...]:
+def _classes(kind: str, size: int, satisfying: tuple[Equation, ...]) -> list[FiniteAlgebra]:
     """The algebras of the kind with exactly ``size`` elements that satisfy
-    the equations, one per isomorphism class: the first operator pair of
-    each Aut(L)-orbit (see the module docstring), sorted by canonical form.
-    The lattices are those of ``enum_bdl(size)`` with ``size`` elements, the
-    same matrices taken from the walk in the order found; algebras on
-    non-isomorphic lattices are not isomorphic, so the sort by canonical
-    form fixes the output whatever the order of the lattices."""
+    the equations, one per isomorphism class, in search order: the first
+    operator pair of each Aut(L)-orbit (see the module docstring), lattice
+    by lattice as the walk finds them.  The lattices are those of
+    ``enum_bdl(size)`` with ``size`` elements, the same matrices.  Each
+    algebra is validated before it is returned.  Not cached: a caller that
+    only counts or checks the classes walks them here, and
+    ``_enumerate_size`` sorts them for output."""
     found = []
     box_only, dia_only, mixed = _equation_checks(size, satisfying)
     for level in itertools.islice(_poset_levels(size), size):
@@ -573,8 +585,18 @@ def _enumerate_size(kind: str, size: int,
                 for d in ds:
                     if _mixed_axioms_hold(L, boxes[b], dias[d]):
                         found.append(FiniteAlgebra(size, L.leq, boxes[b], dias[d]))
-    result = tuple(sorted(found, key=canonical_form))
-    for A in result:
+    for A in found:
         if not validate(A).flag(kind):
             raise PomaError(f"enumeration produced an invalid {kind} algebra")
-    return result
+    return found
+
+
+@lru_cache(maxsize=64)
+def _enumerate_size(kind: str, size: int,
+                    satisfying: tuple[Equation, ...]) -> tuple[FiniteAlgebra, ...]:
+    """``_classes(kind, size, satisfying)`` sorted by canonical form.  The
+    sort exists for output only: it fixes the order that ``enum_algebras``
+    returns, and so the bytes of ``poma enumerate`` and of the JSON-lines
+    cache, whatever the order of the lattices, as algebras on
+    non-isomorphic lattices are not isomorphic."""
+    return tuple(sorted(_classes(kind, size, satisfying), key=canonical_form))

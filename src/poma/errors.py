@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the argument checks that
-raise one: one for counts and one for elements."""
+raise one: one for counts, one for elements and one for pairs of elements."""
 
 
 class PomaError(Exception):
@@ -46,3 +46,15 @@ def _check_elements(values, n: int, noun: str = "element") -> None:
     for v in values:
         if type(v) is not int or not 0 <= v < n:
             raise PreconditionError(f"{noun} {v!r} out of range 0..{n - 1}")
+
+
+def _check_pairs(pairs, n: int, noun: str = "element"):
+    """Each pair as a 2-tuple, as it is reached; PreconditionError there
+    unless it is a pair of ints in 0..n-1."""
+    for pair in pairs:
+        try:
+            x, y = pair
+        except (TypeError, ValueError):
+            raise PreconditionError(f"{pair!r} is not a pair of {noun}s") from None
+        _check_elements((x, y), n, noun)
+        yield x, y

@@ -12,7 +12,7 @@ tighter than ``\\/``; binary operators associate to the left.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import and_, attrgetter, eq, getitem, gt, or_
 
 from .algebras import FiniteAlgebra
@@ -21,9 +21,21 @@ from .errors import ParseError, PomaError, _check_count, _check_elements
 
 @dataclass(frozen=True)
 class Term:
+    """A term node.  Its hash is computed once, from its arguments' stored
+    hashes, so hashing a term recurses one level, however deep it is."""
     kind: str                    # var zero one meet join box dia
     args: tuple["Term", ...] = ()
     var: str = ""
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.args, self.var)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Term, (self.kind, self.args, self.var)     # the hash is recomputed
 
 
 ZERO = Term("zero")

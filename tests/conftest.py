@@ -790,6 +790,17 @@ def oracle_enum_algebras(task):
     return out
 
 
+def oracle_figure1_stage_d(F, gen, bound):
+    """The detail of verify_figure1's stage d for F generated by gen: one
+    oracle_extend_hom per (B, b), B over the brute-force enumeration sorted by
+    canonical form size by size, the first three failures named."""
+    pairs = [(B, b) for size in range(1, bound + 1)
+             for B in oracle_enumerate_size("PS4", size) for b in range(B.size)]
+    failures = [(B.size, b) for B, b in pairs if oracle_extend_hom(F, B, {gen: b}) is None]
+    return (f"{len(pairs)} (algebra, target) pairs checked"
+            + (f"; failures {failures[:3]}" if failures else ""))
+
+
 # -- duality: the frozenset routes that the bitmask ones replaced -----------------
 
 def _compose(P, Q):

@@ -1,10 +1,11 @@
 """Each kind of argument is checked by one rule, with one text: a count is an
 int, not a bool, at or above a stated least; an element is an int in
-0..n-1; a function stated for a kind of algebra refuses the others.  Every
-row below raises PreconditionError with that rule's text.  Before these
-rules, the rows of cg, cg_dl, cg_k4, closure_universe, subalgebra_generated,
-is_congruence, box_power, diamond_power, build_phi and corpus returned an
-answer or raised a bare TypeError or IndexError."""
+0..n-1; a pair is two elements; a function stated for a kind of algebra
+refuses the others.  Every row below raises PreconditionError with that
+rule's text.  Before these rules, the rows of cg, cg_dl, cg_k4,
+closure_universe, subalgebra_generated, is_congruence, box_power,
+diamond_power, build_phi, corpus, meet, join and Partition.relates returned
+an answer or raised a bare TypeError, ValueError or IndexError."""
 import re
 
 import pytest
@@ -13,8 +14,8 @@ from poma import (EnumerationTask, Hom, ModalAlgebra, Partition, Var, boolean_en
                   cg_dl, cg_k4, classify_quasi, complex_algebra, con_lattice, corpus,
                   dual_space, enum_bdl, enum_posets, eval_term, extend_hom, fact52_check,
                   free_over, homs, is_congruence, is_p_morphism, is_sc_pk4,
-                  is_simple_lemma45, is_well_connected, kripke_eval, lemma53_growth,
-                  lemma64_66_properties, parse_quasi, splitting_c3a, splitting_d3,
+                  is_simple_lemma45, is_well_connected, join, kripke_eval, lemma53_growth,
+                  lemma64_66_properties, meet, parse_quasi, splitting_c3a, splitting_d3,
                   subalgebra_generated, theorem93_battery, variety_of)
 from poma.algebras import powerset
 from poma.errors import PomaError, PreconditionError
@@ -65,6 +66,9 @@ ELEMENTS = [
     ("kripke_eval", lambda v: kripke_eval(2, (), _X, {"x": {v}}), "world", 2),
     ("is_p_morphism",
      lambda v: is_p_morphism(dual_space(D4), dual_space(D4), (0, v, 2)), "point", 3),
+    ("meet", lambda v: meet(D4, v, 1), "element", 4),
+    ("join", lambda v: join(D4, 0, v), "element", 4),
+    ("Partition.relates", lambda v: Partition.identity(4).relates(v, 3), "element", 4),
 ]
 
 
@@ -88,6 +92,19 @@ def _element_rows():
 def test_bad_count_or_element_is_refused(call, value, text):
     with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("call,text", [
+    (lambda: cg(D4, [(0, 1, 2)]), "(0, 1, 2) is not a pair of elements"),
+    (lambda: cg(D4, [5]), "5 is not a pair of elements"),
+    (lambda: cg(D4, [(0,)]), "(0,) is not a pair of elements"),
+    (lambda: complex_algebra(2, [(0, 1, 1)]), "(0, 1, 1) is not a pair of worlds"),
+    (lambda: kripke_eval(2, [1], _X, {}), "1 is not a pair of worlds"),
+], ids=["cg-triple", "cg-int", "cg-single", "complex_algebra-triple", "kripke_eval-int"])
+def test_pair_of_the_wrong_shape_is_refused(call, text):
+    """cg raised a bare ValueError for a triple and a bare TypeError for an int."""
+    with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
+        call()
 
 
 def test_corpus_parameter_has_no_cache_to_rename_it():

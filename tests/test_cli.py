@@ -82,6 +82,10 @@ def test_congruence_commands_json_bytes(capsys, argv, digest):
      "2d7f75579778854115241b4e11ba2e47db93235a8d92ba704f4457fbb0cfccba"),
     (("battery", "lemma92", "--max-size", "6", "--json"),
      "72d34551c975c8feb3c7df5f7ee39b56845378d0371338a3f16fdf517f782c56"),
+    (("battery", "fact52", "--max-size", "6", "--json"),
+     "1748896ec85c6e53312a084a2e1ac81d643f8b76da3056c0639ebe8c7c76abc4"),
+    (("battery", "thm42", "--max-size", "6", "--json"),
+     "476024a62800fbae781ef3518b4bc316fd89ccf308c01ee5d9302b887cc93351"),
     (("enumerate", "--kind", "PS4", "--max-size", "6"),
      "9a86c07e805f597c6793a189c2d053f6cb1e2d78259a126890bf3c460ce614ca"),
     (("enumerate", "--kind", "PS4", "--max-size", "6", "--si-only"),
@@ -92,8 +96,8 @@ def test_congruence_commands_json_bytes(capsys, argv, digest):
      "b7c931103fa2c767f8251da2df39c7d81623e040f266d3c02ea09ab547b40214"),
     (("enumerate", "--kind", "PK4", "--max-size", "6"),
      "bf3ed3f66673c5b7f65b10d66ca65b8023bbb2d2b7ce35fa6af0c5137060ff4a"),
-], ids=["thm610", "lemma92", "enumerate", "enumerate-si", "enumerate-7", "enumerate-pma",
-        "enumerate-pk4"])
+], ids=["thm610", "lemma92", "fact52", "thm42", "enumerate", "enumerate-si", "enumerate-7",
+        "enumerate-pma", "enumerate-pk4"])
 def test_enumeration_commands_stdout_bytes(capsys, argv, digest):
     """The stdout of the batteries and of enumerate, pinned by its sha256 as
     printed when every algebra was built, sorted and validated before any
@@ -234,11 +238,14 @@ def test_complex_past_the_world_cap_exits_3_at_once():
     assert proc.stderr == "budget exhausted: 100000000 worlds exceeds the 8-world cap\n"
 
 
-def _eval_in_child(equation):
-    """``poma eval --name D4 --equation`` in a child interpreter, whose stack
+def _cli_in_child(*argv):
+    """``poma`` with these arguments in a child interpreter, whose stack
     starts near empty whatever the depth of the test runner's."""
-    return run_capped("import sys\nfrom poma.cli import main\n"
-                      f"sys.exit(main(['eval', '--name', 'D4', '--equation', {equation!r}]))")
+    return run_capped(f"import sys\nfrom poma.cli import main\nsys.exit(main({list(argv)!r}))")
+
+
+def _eval_in_child(equation):
+    return _cli_in_child("eval", "--name", "D4", "--equation", equation)
 
 
 @pytest.mark.parametrize("equation", ["(" * 400 + "x" + ")" * 400 + " ~ x",
@@ -256,6 +263,34 @@ def test_deep_input_that_parses_gets_its_verdict():
     proc = _eval_in_child("box " * 980 + "x ~ x")
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (1, "holds: False (witness {'x': 2})\n", "")
+
+
+@pytest.mark.parametrize("boxes", [497, 980])
+def test_translate_rho_gets_the_sequents_of_deep_input(boxes):
+    """497 boxes died with RecursionError, exit 1: building a sequent hashed
+    the term one Python call per level."""
+    deep = "box " * boxes + "x"
+    proc = _cli_in_child("translate", "rho", f"{deep} ~ x")
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, f"{{{deep}}} |> x\n{{x}} |> {deep}\n", "")
+
+
+@pytest.mark.parametrize("equation", [
+    "box " * 497 + "x ~ x", "x ~ " + "dia " * 980 + "x", "(" * 400 + "x" + ")" * 400 + " ~ x",
+    "box " * 3000 + "x ~ x", " /\\ ".join(["x"] * 3000) + " ~ x",
+    " \\/ ".join(["x"] * 3000) + " ~ x",
+], ids=["497-boxes", "980-diamonds", "400-parentheses", "3000-boxes", "3000-meets", "3000-joins"])
+def test_translate_rho_answers_or_refuses_what_eval_reads(equation):
+    """Input eval reads gets its sequents; any other input exits 2 with one
+    line.  A chain of 3000 meets parses flat into a term 3000 deep, which
+    eval and translate both died on with RecursionError, exit 1."""
+    read = _eval_in_child(equation)
+    translated = _cli_in_child("translate", "rho", equation)
+    for proc in (read, translated):
+        assert proc.returncode in (0, 1, 2), proc.stderr
+        if proc.returncode == 2:
+            assert proc.stdout == "" and re.fullmatch(r"error: [^\n]*\n", proc.stderr), proc.stderr
+    assert translated.returncode == (0 if read.returncode < 2 else 2)
 
 
 def test_free_rank_past_the_budget_exits_3_at_once():

@@ -3,17 +3,19 @@ import random
 
 import pytest
 
-from conftest import oracle_free_over, run_capped
+from conftest import oracle_figure1_stage_d, oracle_free_over, run_capped
 from poma import (Box, FiniteAlgebra, Join, Var, classify_quasi, corpus, eval_term,
                   fact52_check, figure1_algebra, free_over, free_zero, holds_eq,
                   is_iso, is_well_connected, lemma53_growth, parse_quasi,
                   same_one_var_theory, sigma_terms, variety_of, verify_figure1)
 from poma import free
+from poma.algebras import _order_of
+from poma.congruences import cmi_congruences
 from poma.corpus import CORPUS_NAMES
 from poma.enumeration import EnumerationTask, enum_algebras
 from poma.errors import BudgetError, PreconditionError
 from poma.free import build_phi
-from poma.morphisms import homs
+from poma.morphisms import homs, quotient
 from poma.terms import Equation, term_to_str
 
 
@@ -260,6 +262,39 @@ def test_fact52_everywhere_small():
     for A in enum_algebras(EnumerationTask("PS4", 5)):
         for b in range(A.size):
             assert fact52_check(A, b)
+
+
+@pytest.mark.parametrize("extra_edge", [None, (4, 0)], ids=["diagram", "dia-x-below-x"])
+def test_fact52_verdicts_match_fact52_check(monkeypatch, extra_edge):
+    """The battery's verdicts, one evaluation per algebra, against
+    fact52_check on every (B, b) of PS4 <= 6; with the extra edge "dia x <=
+    x" added to the diagram many of them are False."""
+    if extra_edge:
+        edges = (*free._FACT52_EDGES, extra_edge)
+        monkeypatch.setattr(free, "_FACT52_EDGES", edges)
+        monkeypatch.setattr(free, "_FACT52_LEQ", _order_of(7, edges))
+    verdicts = []
+    for B in enum_algebras(EnumerationTask("PS4", 6)):
+        got = free._fact52_verdicts(B)
+        assert got == [fact52_check(B, b) for b in range(B.size)], B.to_json()
+        verdicts += got
+    assert all(verdicts) == (extra_edge is None) and any(verdicts)
+
+
+def test_stage_d_names_the_first_failures_in_enumerate_order(monkeypatch):
+    """Stage d walks the enumeration in search order, but names the first
+    failures in enumerate order.  Each SI quotient of F1_PS4 is generated by
+    the generator's image and is not free, so the universal property fails
+    on it; for six of the thirteen the search order meets other failures
+    first."""
+    result = figure1_algebra()
+    F, gen = result.algebra, result.generators[0]
+    for p in cmi_congruences(F):
+        Q, h = quotient(F, p)
+        monkeypatch.setattr(free, "figure1_algebra",
+                            lambda Q=Q, g=h(gen): free.FreeAlgebraResult(Q, (g,), ()))
+        _, ok, detail = verify_figure1(4).stages[3]
+        assert not ok and detail == oracle_figure1_stage_d(Q, h(gen), 4), p
 
 
 def test_figure1_shape():
