@@ -537,8 +537,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE
     except RecursionError:
-        # the parser refuses deep nesting, but a long chain of a binary
-        # operator parses flat into a term as deep as the chain is long
+        # the parser refuses deep nesting and no walk over a term recurses;
+        # what still lands here is a JSON file nested past the json limit
         sys.stderr.write("error: input nested too deeply\n")
         return USAGE
     except OSError as exc:

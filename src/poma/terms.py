@@ -1,6 +1,8 @@
 """Syntax for the positive modal language: terms, equations, quasi-equations,
 positive existential sentences, sequents, plus parsing, printing, evaluation
-and the sequent/equation translations.
+and the sequent/equation translations.  Terms are one interned DAG, compared
+and hashed by identity; each node has one post-order program that evaluation
+loops over, and printing pops an explicit stack, so only the parser recurses.
 
 Concrete grammar (ASCII): ``/\\`` meet, ``\\/`` join, ``box``/``dia`` unary
 prefixes, ``0``/``1`` bounds, ``~`` equality, ``<=`` order sugar, ``&``
@@ -12,30 +14,62 @@ tighter than ``\\/``; binary operators associate to the left.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from operator import and_, attrgetter, eq, getitem, gt, or_
 
 from .algebras import FiniteAlgebra
-from .errors import ParseError, PomaError, _check_count, _check_elements
+from .errors import ParseError, PomaError, PreconditionError, _check_count, _check_elements
+
+_ARITY = {"var": 0, "zero": 0, "one": 0, "box": 1, "dia": 1, "meet": 2, "join": 2}
+_NODES = weakref.WeakValueDictionary()      # (kind, args, var) -> the one live node
 
 
-@dataclass(frozen=True)
 class Term:
-    """A term node.  Its hash is computed once, from its arguments' stored
-    hashes, so hashing a term recurses one level, however deep it is."""
-    kind: str                    # var zero one meet join box dia
-    args: tuple["Term", ...] = ()
-    var: str = ""
-    _hash: int = field(init=False, repr=False, compare=False)
+    """A term node, interned: one object per (kind, args, var), checked when
+    first built and never changed; ``program`` is set once, on first use."""
+    __slots__ = ("kind", "args", "var", "program", "__weakref__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.args, self.var)))
+    def __new__(cls, kind: str, args: tuple = (), var: str = ""):
+        key = (kind, args, var)
+        try:
+            node = _NODES.get(key)
+        except TypeError:           # unhashable, so malformed
+            node = None
+        if node is None:
+            _check_node(kind, args, var)
+            node = _NODES[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, (kind, args, var, None)):
+                object.__setattr__(node, name, value)
+        return node
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a term cannot be changed: {name!r} is read-only")
 
     def __reduce__(self):
-        return Term, (self.kind, self.args, self.var)     # the hash is recomputed
+        return Term, (self.kind, self.args, self.var)     # rebuilt through the table
+
+    def __repr__(self):
+        return f"parse_term({term_to_str(self)!r})"
+
+
+def _check_node(kind, args, var) -> None:
+    """PreconditionError unless (kind, args, var) is a well-formed node."""
+    if type(kind) is not str or type(args) is not tuple or len(args) != _ARITY.get(kind):
+        raise PreconditionError(f"{kind!r} of {args!r} is not a term node: var, zero and one "
+                                "take no arguments, box and dia one, meet and join two")
+    for a in args:
+        if type(a) is not Term:
+            raise PreconditionError(f"{a!r} is not a term")
+    if kind == "var":
+        try:
+            named = [tok[:2] for tok in _tokenize(var)] == [("ident", var), ("end", "")]
+        except (ParseError, TypeError):
+            named = False
+        if not named:
+            raise PreconditionError(f"{var!r} is not a variable name")
+    elif var != "":
+        raise PreconditionError(f"a {kind} node takes no variable name, not {var!r}")
 
 
 ZERO = Term("zero")
@@ -43,8 +77,6 @@ ONE = Term("one")
 
 
 def Var(name: str) -> Term:
-    if not name:
-        raise PomaError("variable names must be non-empty")
     return Term("var", (), name)
 
 
@@ -119,13 +151,24 @@ def make_sequent(antecedent, succedent: Term) -> Sequent:
     return Sequent(frozenset(antecedent), succedent)
 
 
+def _program(t: Term) -> tuple:
+    """t's post-order program, kept on t: its distinct subterms as (kind,
+    var, argument positions), each after its arguments, first one first."""
+    at, steps, stack = {}, [], [t]
+    while stack:
+        node = stack.pop()
+        todo = [a for a in node.args if a not in at]
+        if todo:
+            stack += [node, *reversed(todo)]
+        elif node not in at:
+            at[node] = len(steps)
+            steps.append((node.kind, node.var, tuple(map(at.__getitem__, node.args))))
+    object.__setattr__(t, "program", tuple(steps))
+    return t.program
+
+
 def term_variables(t: Term) -> set[str]:
-    if t.kind == "var":
-        return {t.var}
-    out: set[str] = set()
-    for a in t.args:
-        out |= term_variables(a)
-    return out
+    return {var for _, var, _ in t.program or _program(t) if var}
 
 
 def equation_variables(e: Equation) -> set[str]:
@@ -135,38 +178,30 @@ def equation_variables(e: Equation) -> set[str]:
 def term_kinds(t: Term) -> set[str]:
     """The kinds of the nodes of t: ``"box" in term_kinds(t)`` when t
     mentions the box."""
-    out = {t.kind}
-    for a in t.args:
-        out |= term_kinds(a)
-    return out
+    return {kind for kind, _, _ in t.program or _program(t)}
 
 
 # -- printing -----------------------------------------------------------------
 
 _LEVEL = {"var": 0, "zero": 0, "one": 0, "box": 1, "dia": 1, "meet": 2, "join": 3}
+_TEXT = {"zero": "0", "one": "1", "box": "box ", "dia": "dia ", "meet": " /\\ ", "join": " \\/ "}
 
 
 def term_to_str(t: Term) -> str:
-    def render(t: Term, ceiling: int) -> str:
-        kind = t.kind
-        if kind == "var":
-            s = t.var
-        elif kind == "zero":
-            s = "0"
-        elif kind == "one":
-            s = "1"
-        elif kind in ("box", "dia"):
-            inner = render(t.args[0], _LEVEL[kind])
-            s = f"{'box' if kind == 'box' else 'dia'} {inner}"
-        else:
-            op = " /\\ " if kind == "meet" else " \\/ "
-            lhs = render(t.args[0], _LEVEL[kind])
-            rhs = render(t.args[1], _LEVEL[kind] - 1)
-            s = f"{lhs}{op}{rhs}"
-        if _LEVEL[kind] > ceiling:
-            return f"({s})"
-        return s
-    return render(t, 3)
+    """t in the concrete grammar, parenthesised only where needed, from a stack
+    of pending strings and (term, loosest level it may print bare) pairs."""
+    out, stack = [], [(t, 3)]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        t, ceiling = piece
+        args, level, text = t.args, _LEVEL[t.kind], t.var or _TEXT[t.kind]
+        parts = [(args[0], level), text, (args[1], level - 1)] if len(args) == 2 \
+            else [text, *((a, level) for a in args)]
+        stack += reversed(["(", *parts, ")"] if level > ceiling else parts)
+    return "".join(out)
 
 
 def equation_to_str(e: Equation) -> str:
@@ -381,16 +416,20 @@ def evaluate(t: Term, env: dict, carrier):
     """The value of t on a carrier: an object whose methods ``zero``,
     ``one``, ``meet``, ``join``, ``box`` and ``dia`` interpret the term kinds
     of those names, where ``env`` gives each variable's value."""
-    kind = t.kind
-    if kind == "var":
-        try:
-            return env[t.var]
-        except KeyError:
-            raise PomaError(f"unassigned variable {t.var!r}")
-    op, args = getattr(carrier, kind), t.args
-    if len(args) == 2:
-        return op(evaluate(args[0], env, carrier), evaluate(args[1], env, carrier))
-    return op(evaluate(args[0], env, carrier)) if args else op()
+    values = []
+    for kind, var, at in t.program or _program(t):
+        if var:
+            try:
+                values.append(env[var])
+            except KeyError:
+                raise PomaError(f"unassigned variable {var!r}") from None
+        elif len(at) == 1:
+            values.append(getattr(carrier, kind)(values[at[0]]))
+        elif at:
+            values.append(getattr(carrier, kind)(values[at[0]], values[at[1]]))
+        else:
+            values.append(getattr(carrier, kind)())
+    return values[-1]
 
 
 class Vectors:

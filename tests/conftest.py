@@ -933,6 +933,32 @@ def oracle_eval_term(A, t, asg):
     return A.meet(x, y) if kind == "meet" else A.join(x, y)
 
 
+_ORACLE_LEVEL = {"var": 0, "zero": 0, "one": 0, "box": 1, "dia": 1, "meet": 2, "join": 3}
+
+
+def oracle_term_to_str(t):
+    """The recursive printer that the explicit stack of ``term_to_str``
+    replaced: each node rendered as one string, parenthesised when its level
+    is looser than its place allows."""
+    def render(t, ceiling):
+        kind = t.kind
+        if kind == "var":
+            s = t.var
+        elif kind == "zero":
+            s = "0"
+        elif kind == "one":
+            s = "1"
+        elif kind in ("box", "dia"):
+            s = f"{kind} {render(t.args[0], _ORACLE_LEVEL[kind])}"
+        else:
+            op = " /\\ " if kind == "meet" else " \\/ "
+            lhs = render(t.args[0], _ORACLE_LEVEL[kind])
+            rhs = render(t.args[1], _ORACLE_LEVEL[kind] - 1)
+            s = f"{lhs}{op}{rhs}"
+        return f"({s})" if _ORACLE_LEVEL[kind] > ceiling else s
+    return render(t, 3)
+
+
 def oracle_assignments(A, variables):
     """All assignments, lexicographic by variable name then element index."""
     names = sorted(variables)

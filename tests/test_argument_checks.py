@@ -5,12 +5,14 @@ refuses the others.  Every row below raises PreconditionError with that
 rule's text.  Before these rules, the rows of cg, cg_dl, cg_k4,
 closure_universe, subalgebra_generated, is_congruence, box_power,
 diamond_power, build_phi, corpus, meet, join and Partition.relates returned
-an answer or raised a bare TypeError, ValueError or IndexError."""
+an answer or raised a bare TypeError, ValueError or IndexError.  A term node
+is checked where it is built: before that check, a malformed node was built
+and failed later, or printed text that does not parse back to it."""
 import re
 
 import pytest
 
-from poma import (EnumerationTask, Hom, ModalAlgebra, Partition, Var, boolean_envelope, cg,
+from poma import (EnumerationTask, Hom, ModalAlgebra, Partition, Term, Var, boolean_envelope, cg,
                   cg_dl, cg_k4, classify_quasi, complex_algebra, con_lattice, corpus,
                   dual_space, enum_bdl, enum_posets, eval_term, extend_hom, fact52_check,
                   free_over, homs, is_congruence, is_p_morphism, is_sc_pk4,
@@ -136,5 +138,34 @@ B2 = corpus("B2")           # K4, not S4: box sends the bottom to the top
 ], ids=["is_well_connected", "fact52_check", "lemma64_66_properties", "splitting_c3a",
         "splitting_d3", "is_simple_lemma45", "cg_k4", "is_sc_pk4"])
 def test_algebra_of_another_kind_is_refused(call, text):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
+        call()
+
+
+NODE = " is not a term node: var, zero and one take no arguments, box and dia one, meet and join two"
+
+
+@pytest.mark.parametrize("call,text", [
+    (lambda: Term("foo"), "'foo' of ()" + NODE),
+    (lambda: Term(["box"], (_X,)), "['box'] of (parse_term('x'),)" + NODE),
+    (lambda: Term("meet", (_X,)), "'meet' of (parse_term('x'),)" + NODE),
+    (lambda: Term("box", [_X]), "'box' of [parse_term('x')]" + NODE),
+    (lambda: Term("zero", (_X,)), "'zero' of (parse_term('x'),)" + NODE),
+    (lambda: Term("box", ("x",)), "'x' is not a term"),
+    (lambda: Term("join", (_X, 0)), "0 is not a term"),
+    (lambda: Term("box", (_X,), "y"), "a box node takes no variable name, not 'y'"),
+    (lambda: Var(""), "'' is not a variable name"),
+    (lambda: Var("0"), "'0' is not a variable name"),
+    (lambda: Var("box"), "'box' is not a variable name"),
+    (lambda: Var("x y"), "'x y' is not a variable name"),
+    (lambda: Var(" x"), "' x' is not a variable name"),
+    (lambda: Var("x-1"), "'x-1' is not a variable name"),
+    (lambda: Var(1), "1 is not a variable name"),
+], ids=["unknown-kind", "unhashable-kind", "meet-arity", "args-list", "zero-arity",
+        "arg-str", "arg-int", "box-with-name", "var-empty", "var-zero", "var-box",
+        "var-space", "var-leading-space", "var-minus", "var-int"])
+def test_malformed_term_node_is_refused(call, text):
+    """Term("meet", (x,)) raised a bare TypeError in eval_term, Term("foo") an
+    AttributeError, and Var("0") printed as 0, which parses as the bottom."""
     with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
         call()

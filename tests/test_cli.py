@@ -293,6 +293,31 @@ def test_translate_rho_answers_or_refuses_what_eval_reads(equation):
     assert translated.returncode == (0 if read.returncode < 2 else 2)
 
 
+def test_a_chain_of_3000_meets_gets_its_verdict():
+    """The chain parses flat into a term 3,000 deep; evaluating it died with
+    RecursionError, which cli.main reported as input nested too deeply."""
+    proc = _eval_in_child(" /\\ ".join(["x"] * 3000) + " ~ x")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "holds: True\n", "")
+
+
+def test_translate_tau_of_two_equal_deep_premises():
+    """The two premises are one node, so the antecedent never compares them
+    level by level: comparing two equal 250-box terms raised RecursionError."""
+    deep = "box " * 250 + "x"
+    proc = _cli_in_child("translate", "tau", f"{{{deep}, {deep}}} |> x")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{deep} /\\ x ~ {deep}\n", "")
+
+
+def test_json_file_nested_past_the_json_limit_is_usage_error(tmp_path):
+    """The json module raises RecursionError on deep nesting; cli.main's net
+    turns it into a usage error."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = _cli_in_child("show", "--file", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", "error: input nested too deeply\n")
+
+
 def test_free_rank_past_the_budget_exits_3_at_once():
     """C2 at rank 24 has at least M(8) elements, far past the default
     budget.  Its 2^24 coordinates were built first, and under this 1 GiB

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pickle
+
 from conftest import (oracle_eval_term, oracle_holds_pos_exist,
-                      oracle_refutation)
+                      oracle_refutation, oracle_term_to_str, run_capped)
 from poma import (Box, Diamond, Equation, FiniteAlgebra, Join, Leq, Meet, ONE,
                   PosExistSentence, QuasiEquation, Term, Var, ZERO, corpus,
                   eval_term, holds_eq, holds_pos_exist, holds_quasi,
@@ -87,6 +89,12 @@ def test_print_parse_round_trip(t):
 def test_print_of_parse_is_fixed_point(t):
     printed = term_to_str(t)
     assert term_to_str(parse_term(printed)) == printed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_strategy)
+def test_printing_from_a_stack_matches_the_recursive_printer(t):
+    assert term_to_str(t) == oracle_term_to_str(t)
 
 
 def test_eval_examples():
@@ -265,3 +273,89 @@ def test_eval_term_rejects_elements_outside_the_carrier():
         with pytest.raises(PreconditionError):
             eval_term(A, parse_term("box x"), {"x": a})
     assert eval_term(A, parse_term("box x"), {"x": 2}) == A.box[2]
+
+
+# -- one interned DAG --------------------------------------------------------------
+
+def test_equal_terms_are_one_node():
+    assert parse_term("box x /\\ box x").args[0] is Box(Var("x"))
+    assert Meet(Box(X), Y) is parse_term("box x /\\ y")
+    assert not {"__eq__", "__hash__", "_hash"} & set(Term.__dict__)
+
+
+def test_a_pickled_term_comes_back_as_the_same_node():
+    t = parse_term("box (x \\/ dia y) /\\ 1")
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert pickle.loads(pickle.dumps(parse_equation("x <= box x"))).lhs.args[0] is X
+
+
+def test_a_term_cannot_be_changed():
+    t = Box(X)
+    with pytest.raises(AttributeError):
+        t.kind = "dia"
+    with pytest.raises(AttributeError):
+        t.args = (Y,)
+    assert t.kind == "box" and t.args == (X,) and t is Box(X)
+
+
+def test_programs_list_each_distinct_subterm_once_after_its_arguments():
+    from poma.terms import _program
+    t = parse_term("box x /\\ (y \\/ box x)")
+    assert _program(t) == (("var", "x", ()), ("box", "", (0,)), ("var", "y", ()),
+                           ("join", "", (2, 1)), ("meet", "", (1, 3)))
+    assert _program(t) is t.program
+    twice = parse_term("dia y /\\ dia y")         # both arguments are one node
+    assert _program(twice) == (("var", "y", ()), ("dia", "", (0,)), ("meet", "", (1, 1)))
+
+
+def test_unassigned_variable_is_named_in_reading_order():
+    with pytest.raises(PomaError, match="^unassigned variable 'y'$"):
+        evaluate(parse_term("box y /\\ x"), {}, Vectors.of(corpus("D4"), 1))
+
+
+def test_deep_terms_under_a_small_recursion_limit():
+    """Terms 10,000 deep, built without the parser, under a recursion limit
+    of 200: every walk over them is a loop.  Each of these died with
+    RecursionError at the default limit of 1,000."""
+    proc = run_capped("""
+import sys
+from poma import Equation, Meet, Var, corpus, holds_eq, kripke_eval, rho, tau, term_to_str
+from poma.free import build_phi
+from poma.terms import box_power, equation_to_str, make_sequent, sequent_to_str
+x = Var("x")
+chain = x
+for _ in range(10_000):
+    chain = Meet(chain, x)
+tower = box_power(x, 10_000)
+phi = build_phi(3000)
+sys.setrecursionlimit(200)
+D4 = corpus("D4")
+assert holds_eq(D4, Equation(chain, x)).holds
+assert holds_eq(corpus("C2"), Equation(tower, x)).holds
+assert not holds_eq(D4, Equation(tower, x)).holds
+assert term_to_str(tower) == "box " * 10_000 + "x"
+assert term_to_str(chain) == " /\\\\ ".join(["x"] * 10_001)
+tower_s, chain_s = term_to_str(tower), term_to_str(chain)
+assert equation_to_str(tau(make_sequent([chain, tower], x))) == \
+    f"{tower_s} /\\\\ ({chain_s}) /\\\\ x ~ {tower_s} /\\\\ ({chain_s})"
+left, right = rho(Equation(tower, chain))
+assert sequent_to_str(left) == "{" + tower_s + "} |> " + chain_s
+assert kripke_eval(2, [(0, 0), (1, 1), (1, 0)], phi, {"x": {0}, "y": {1}}) == frozenset({0, 1})
+print("ok")
+""")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def test_the_intern_table_forgets_a_dropped_term():
+    """A 100,000-node term holds its nodes in the table only while it lives."""
+    proc = run_capped("""
+from poma import Var
+from poma.terms import _NODES, box_power
+before = len(_NODES)
+t = box_power(Var("q"), 100_000)
+assert len(_NODES) == before + 100_001
+del t
+assert len(_NODES) == before, (len(_NODES), before)
+print("ok")
+""")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
