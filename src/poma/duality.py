@@ -16,7 +16,7 @@ from .algebras import (MAX_UPSETS, BoolMatrix, FiniteAlgebra, Lattice, ModalAlge
 from .congruences import Partition, con_lattice
 from .errors import BudgetError, PreconditionError, _check_count, _check_elements, _check_pairs
 from .morphisms import Hom
-from .terms import Term, evaluate
+from .terms import Term, _values
 
 MAX_POINTS = 8          # powerset carriers beyond 2^8 elements are refused
 
@@ -270,13 +270,17 @@ class _Frame:
 
 def kripke_eval(n_worlds: int, relation, t: Term,
                 asg: dict[str, frozenset[int]]) -> frozenset[int]:
-    """Evaluate a term directly over a frame, without materializing the
-    powerset algebra.  Used for growth experiments on larger frames."""
+    """The worlds where t holds under ``asg``, on masks of worlds: no powerset algebra."""
+    return frozenset(_bits(_kripke_values(n_worlds, relation, t, asg)[-1]))
+
+
+def _kripke_values(n_worlds: int, relation, t: Term, asg) -> list[int]:
+    """The mask of worlds where each step of t's program holds, arguments checked."""
     frame = _Frame(_successors(n_worlds, relation))
     for ws in asg.values():
         _check_elements(ws, n_worlds, "world")
     env = {v: _mask(x in ws for x in range(n_worlds)) for v, ws in asg.items()}
-    return frozenset(_bits(evaluate(t, env, frame)))
+    return _values(t, env, frame)
 
 
 # -- open filters ----------------------------------------------------------------

@@ -49,15 +49,16 @@ slice.
 
 An equation that mentions both operators is hoisted once per size: each
 maximal subterm without the diamond, and each maximal one without the box,
-becomes a fresh variable of a skeleton.  Evaluation is compositional, so
-the skeleton, with each fresh variable bound to the values of its subterm,
-has the values of the equation; and a subterm without the diamond has the
-same values on every pair that shares a box table (dually for the box).  So
-per block of assignments the diamond-side values are computed once per
-diamond table, the box-side values once per box, and the skeleton once per
-slice of a run, its pairs laid side by side in one vector (box-side values
-repeated, diamond-side ones concatenated, each coordinate reading its own
-pair's diamond): the pairs kept are exactly those a full evaluation keeps.
+becomes a fresh variable of a skeleton, in one pass over each side's
+program.  Evaluation is compositional, so the skeleton, with each fresh
+variable bound to the values of its subterm, has the values of the
+equation; and a subterm without the diamond has the same values on every
+pair that shares a box table (dually for the box).  So per block of
+assignments the diamond-side values are computed once per diamond table,
+the box-side values once per box, and the skeleton once per slice of a
+run, its pairs laid side by side in one vector (box-side values repeated,
+diamond-side ones concatenated, each coordinate reading its own pair's
+diamond): the pairs kept are exactly those a full evaluation keeps.
 The skeleton's leaves are all fresh variables, evaluated in an environment
 of their own, so no name of the equation can clash with them.
 """
@@ -69,9 +70,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, compress, count, repeat
-from operator import and_, eq, ge
+from operator import and_, eq, ge, or_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -80,7 +81,7 @@ from .congruences import is_fsi, is_si
 from .errors import PomaError, _check_count
 from .morphisms import SEARCH_CAP, _leaf_maps, _least_leaves, canonical_form, subuniverses
 from .terms import (BLOCK, Equation, Term, Var, Vectors, assignment_blocks,
-                    equation_variables, evaluate, holds_eq, term_kinds)
+                    _program, equation_variables, evaluate, holds_eq, term_kinds)
 
 KINDS = ("PMA", "PK4", "PS4")
 
@@ -450,21 +451,29 @@ class _Hoisted(NamedTuple):
 def _hoist(e: Equation) -> _Hoisted:
     """Replace each maximal subterm of e that does not mention the diamond,
     and each maximal one that mentions the diamond but not the box, by a
-    fresh variable; equal subterms share one.  Every leaf of the skeleton is
-    a fresh variable, so its names never meet the names of e."""
+    fresh variable named once per node, in one pass over each side's
+    program: a step mentions its operator and its arguments' (bits: box 1,
+    diamond 2), and a step that mentions both is a skeleton node.  Every
+    leaf of the skeleton is a fresh variable, never a name of e."""
     names: dict[Term, str] = {}
+    bits = {"box": 1, "dia": 2}
 
-    def walk(t: Term) -> Term:
-        kinds = term_kinds(t)
-        if "dia" in kinds and "box" in kinds:
-            return Term(t.kind, tuple(map(walk, t.args)))
-        if t not in names:
-            names[t] = f"{'d' if 'dia' in kinds else 'b'}{len(names)}"
-        return Var(names[t])
+    def skeleton(t: Term) -> Term:
+        nodes, mentions = [], []        # a step that mentions both holds its skeleton node
 
-    skeleton = Equation(walk(e.lhs), walk(e.rhs))
-    return _Hoisted(skeleton, *(tuple((name, t) for t, name in names.items() if name[0] == side)
-                                for side in "bd"))
+        def hoisted(i: int) -> Term:
+            return nodes[i] if mentions[i] == 3 else \
+                Var(names.setdefault(nodes[i], f"{'bbd'[mentions[i]]}{len(names)}"))
+
+        for kind, var, at in t.program or _program(t):
+            mentions.append(reduce(or_, map(mentions.__getitem__, at), bits.get(kind, 0)))
+            args = map(hoisted if mentions[-1] == 3 else nodes.__getitem__, at)
+            nodes.append(Term(kind, tuple(args), var))
+        return hoisted(-1)
+
+    return _Hoisted(Equation(skeleton(e.lhs), skeleton(e.rhs)),
+                    *(tuple((name, t) for t, name in names.items() if name[0] == side)
+                      for side in "bd"))
 
 
 def _equation_checks(size: int, satisfying: tuple[Equation, ...]):

@@ -13,7 +13,7 @@ from typing import Sequence
 from .algebras import (FiniteAlgebra, Lattice, _budgeted, _mask, _order_of, _require_kind,
                        _unions, downset_masks, subset_order, validate)
 from .corpus import FIG2_NAMES, corpus
-from .duality import kripke_eval
+from .duality import _kripke_values
 from .enumeration import EnumerationTask, _closure_table, _in_search_order, _interior_table
 from .errors import BudgetError, PreconditionError, _check_count
 from .morphisms import _extensions, canonical_form, closure_universe, extend_hom, si_quotients
@@ -308,14 +308,16 @@ class GrowthReport:
 def lemma53_growth(N: int) -> GrowthReport:
     """Evaluate phi_0..phi_{N-1} over the frame ({0..N-1}, >=) at x = evens,
     y = odds, and report how many distinct values arise.  The tower value at
-    index k is the initial segment {0..k} up to the truncation boundary N-1."""
+    index k is the initial segment {0..k} up to the truncation boundary N-1.
+    They are the box steps of phi_{N-1}'s program, in order: one pass."""
     _check_count(N, "N", "number of worlds", least=2)
     rel = {(i, j) for i in range(N) for j in range(N) if i >= j}
     evens = frozenset(w for w in range(N) if w % 2 == 0)
     odds = frozenset(w for w in range(N) if w % 2 == 1)
-    values = [kripke_eval(N, rel, build_phi(k), {"x": evens, "y": odds})
-              for k in range(N)]
-    match = all(values[k] == frozenset(range(k + 1)) for k in range(N))
+    phi = build_phi(N - 1)
+    masks = _kripke_values(N, rel, phi, {"x": evens, "y": odds})
+    values = [m for (kind, _, _), m in zip(phi.program, masks) if kind == "box"]
+    match = all(m == (2 << k) - 1 for k, m in enumerate(values))
     return GrowthReport(N, len(set(values)), N - 1, match)
 
 

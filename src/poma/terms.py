@@ -416,6 +416,11 @@ def evaluate(t: Term, env: dict, carrier):
     """The value of t on a carrier: an object whose methods ``zero``,
     ``one``, ``meet``, ``join``, ``box`` and ``dia`` interpret the term kinds
     of those names, where ``env`` gives each variable's value."""
+    return _values(t, env, carrier)[-1]
+
+
+def _values(t: Term, env: dict, carrier) -> list:
+    """The value of each step of t's program, as :func:`evaluate` reads it."""
     values = []
     for kind, var, at in t.program or _program(t):
         if var:
@@ -429,7 +434,7 @@ def evaluate(t: Term, env: dict, carrier):
             values.append(getattr(carrier, kind)(values[at[0]], values[at[1]]))
         else:
             values.append(getattr(carrier, kind)())
-    return values[-1]
+    return values
 
 
 class Vectors:

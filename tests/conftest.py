@@ -15,13 +15,15 @@ from poma import FiniteAlgebra, Partition, ValidationReport, corpus, validate
 from poma.algebras import downset_masks, subset_order
 from poma.congruences import _con_ids, _generators, cmi_congruences, is_fsi, is_si
 from poma.duality import DualSpace
-from poma.enumeration import (_conjugate, _enumerate_size, _extend_with_max,
-                              _mixed_axioms_hold, canonical_poset, enum_bdl)
+from poma.enumeration import (_conjugate, _downset_lattice, _enumerate_size, _extend_with_max,
+                              _lattice_automorphisms, _mixed_axioms_hold, _operator_tables,
+                              _poset_levels, _tables_satisfy, canonical_poset, enum_bdl)
 from poma.errors import BudgetError, PomaError, PreconditionError
 from poma.free import FreeAlgebraResult
 from poma.morphisms import (Hom, canonical_algebra, canonical_form, quotient,
                             subalgebra_from_universe, subuniverses)
-from poma.terms import equation_variables, holds_eq
+from poma.terms import (Equation, Term, Var, assignment_blocks, equation_variables, holds_eq,
+                        term_kinds)
 
 
 def run_capped(code, cpu_seconds=None):
@@ -788,6 +790,53 @@ def oracle_enum_algebras(task):
     if task.fsi_only:
         out = [A for A in out if is_fsi(A)]
     return out
+
+
+def oracle_burnside_count(kind, size, equations=()):
+    """The number of algebras of the kind with ``size`` elements that satisfy
+    the equations, up to isomorphism, by Burnside's lemma: on each lattice L,
+    the number of classes is (1/|Aut L|) times the sum over s in Aut L of
+    the valid pairs (box, dia) that s fixes, s box = box and s dia = dia.  A
+    pair is valid when the mixed axioms and every equation, evaluated whole,
+    hold on it.  No orbit representative, stabiliser rule or canonical form
+    is used; each sum must divide by |Aut L|."""
+    checks = [(e, [(env, len(block)) for block, env in
+                   assignment_blocks(sorted(equation_variables(e)), size)]) for e in equations]
+    total = 0
+    for level in itertools.islice(_poset_levels(size), size):
+        for poset in level.values():
+            if len(poset.downsets) != size:
+                continue
+            L = _downset_lattice(poset.downsets)
+            boxes, dias = _operator_tables(kind, L)
+            valid = [(b, d) for b in boxes for d in dias if _mixed_axioms_hold(L, b, d)
+                     and _tables_satisfy(L.lattice, b, d, checks)]
+            auts = _lattice_automorphisms(poset)
+            fixed = sum(_conjugate(s, b) == b and _conjugate(s, d) == d
+                        for s in auts for b, d in valid)
+            assert fixed % len(auts) == 0, (kind, size, poset.leq)
+            total += fixed // len(auts)
+    return total
+
+
+def oracle_hoist(e):
+    """The hoisting of e by a walk from each root: a subterm that mentions
+    both operators keeps its kind over its arguments' walks, and any other
+    is replaced by the fresh variable of its side, numbered in the order
+    the walk first meets it."""
+    names = {}
+
+    def walk(t):
+        kinds = term_kinds(t)
+        if "dia" in kinds and "box" in kinds:
+            return Term(t.kind, tuple(map(walk, t.args)))
+        if t not in names:
+            names[t] = f"{'d' if 'dia' in kinds else 'b'}{len(names)}"
+        return Var(names[t])
+
+    skeleton = Equation(walk(e.lhs), walk(e.rhs))
+    return skeleton, *(tuple((name, t) for t, name in names.items() if name[0] == side)
+                       for side in "bd")
 
 
 def oracle_figure1_stage_d(F, gen, bound):

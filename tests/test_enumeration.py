@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poma import corpus, is_iso, validate
 from poma.algebras import downset_masks
@@ -10,10 +12,11 @@ from poma.enumeration import (EnumerationTask, _downset_lattice, _extend_downset
                               canonical_poset, enum_algebras, enum_bdl, enum_posets)
 from poma.errors import PomaError
 from poma.morphisms import automorphisms, canonical_form
-from poma.terms import Box, Diamond, Equation, Meet, Var, parse_equation
+from poma.terms import Box, Diamond, Equation, Meet, Term, Var, parse_equation, term_kinds
 
-from conftest import (oracle_algebras, oracle_enum_algebras, oracle_enum_bdl, oracle_enum_posets,
-                      oracle_orbit_runs)
+from conftest import (oracle_algebras, oracle_burnside_count, oracle_enum_algebras, oracle_enum_bdl,
+                      oracle_enum_posets, oracle_hoist, oracle_orbit_runs, run_capped)
+from test_terms import _term_strategy
 
 
 def _labeled_posets(k):
@@ -223,6 +226,91 @@ def test_hoisting_leaves_a_skeleton_over_fresh_variables():
     assert shown(_equation(MIXED["-mixed-bare"])) == ("dia b0 ~ b1", [("b0", "box x"), ("b1", "x")], [])
     assert shown(MIXED["-mixed-names"]) == \
         ("box d0 /\\ b1 ~ b2", [("b1", "d0"), ("b2", "box b1 /\\ d0")], [("d0", "dia b1")])
+
+
+def _mentions_both(pair):
+    return {"box", "dia"} <= term_kinds(pair[0]) | term_kinds(pair[1])
+
+
+def _put_back(t, terms):
+    """t with each variable that ``terms`` names replaced by its term."""
+    if t.kind == "var":
+        return terms.get(t.var, t)
+    return Term(t.kind, tuple(_put_back(a, terms) for a in t.args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_term_strategy, _term_strategy).filter(_mentions_both))
+def test_hoisting_from_the_programs_matches_the_recursive_walk(pair):
+    """One pass over each side's program hoists the subterms the walk from
+    each root hoists (compared as sets: the two number them in different
+    orders), each once, on the side of the operator it mentions, and the
+    skeleton with each fresh variable put back is the equation itself."""
+    from poma.enumeration import _hoist
+    e = Equation(*pair)
+    skeleton, box_terms, dia_terms = _hoist(e)
+    _, oracle_box, oracle_dia = oracle_hoist(e)
+    hoisted = {("b", t) for _, t in box_terms} | {("d", t) for _, t in dia_terms}
+    assert hoisted == {("b", t) for _, t in oracle_box} | {("d", t) for _, t in oracle_dia}
+    assert len(hoisted) == len(box_terms) + len(dia_terms)
+    assert all("dia" not in term_kinds(t) for _, t in box_terms)
+    assert all({"dia"} == term_kinds(t) & {"box", "dia"} for _, t in dia_terms)
+    terms = dict(box_terms + dia_terms)
+    assert _put_back(skeleton.lhs, terms) is e.lhs and _put_back(skeleton.rhs, terms) is e.rhs
+
+
+_DEEP = """
+import json, sys
+from poma import EnumerationTask, enum_algebras
+from poma.terms import Box, Diamond, Equation, Var
+x = Var("x")
+t = x
+for _ in range(1500):
+    t = {outer}({inner}(t))
+sys.setrecursionlimit(200)
+task = EnumerationTask("PS4", {max_size}, satisfying=(Equation(t, {rhs}),))
+print(json.dumps([A.to_json() for A in enum_algebras(task)]))
+"""
+
+
+def test_an_equation_3000_deep_filters_the_enumeration_under_a_small_recursion_limit():
+    """(dia box)^1500 x ~ dia box x holds in every PS4 algebra, as dia box is
+    idempotent there, and (box dia)^1500 x ~ x keeps what the filter after
+    the whole enumeration keeps; both hoisted and filtered under a recursion
+    limit of 200.  Each died with RecursionError at the default limit."""
+    proc = run_capped(_DEEP.format(outer="Diamond", inner="Box", max_size=4,
+                                   rhs="Diamond(Box(x))"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(json.loads(proc.stdout)) == 25 == len(enum_algebras(EnumerationTask("PS4", 4)))
+    proc = run_capped(_DEEP.format(outer="Box", inner="Diamond", max_size=5, rhs="x"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    t = Var("x")
+    for _ in range(1500):
+        t = Box(Diamond(t))
+    expected = oracle_enum_algebras(EnumerationTask("PS4", 5, satisfying=(Equation(t, Var("x")),)))
+    assert json.loads(proc.stdout) == [A.to_json() for A in expected]
+    assert len(expected) == 8
+
+
+@pytest.mark.parametrize("kind,max_size,equations,last", [
+    ("PS4", 8, (), 10_761), ("PK4", 6, (), 1_495), ("PMA", 6, (), 7_120),
+    ("PS4", 7, ("EQ_BOX_IDEMPOTENT", "EQ_DIA_IDEMPOTENT"), 35),
+    ("PMA", 5, ("EQ_BOX_ONE", "EQ_DIA_ZERO"), 3)])
+def test_class_counts_match_burnsides_lemma(kind, max_size, equations, last):
+    """The classes the enumerator keeps, counted size by size, against
+    Burnside's lemma over each lattice's automorphisms, with no orbit
+    representative chosen and each equation evaluated whole.  Still shared
+    with the enumerator, each checked elsewhere: the poset walk and Aut(L)
+    read off it (against ``automorphisms``), ``_operator_tables`` (against
+    ``oracle_operator_tables``) and ``_mixed_axioms_hold`` (every algebra
+    kept is validated, and ``validate`` has ``oracle_validate``)."""
+    import poma.varieties
+    from poma.enumeration import _classes
+    equations = tuple(getattr(poma.varieties, name) for name in equations)
+    counts = [len(_classes(kind, size, equations)) for size in range(1, max_size + 1)]
+    assert counts == [oracle_burnside_count(kind, size, equations)
+                      for size in range(1, max_size + 1)]
+    assert counts[-1] == last
 
 
 def _every_pair_checked(kind, size, e):

@@ -354,6 +354,38 @@ def test_growth_range():
         lemma53_growth(1)
 
 
+def test_growth_tower_is_read_off_one_pass(monkeypatch):
+    """For each N, the frame's box runs N times, once per phi_k, not once
+    per box of every phi_k from scratch (N(N+1)/2), and its values are those
+    of kripke_eval on each phi_k alone."""
+    from poma.algebras import _bits
+    from poma.duality import _Frame, kripke_eval
+    boxed, box = [], _Frame.box
+
+    def counted(frame, v):
+        boxed.append(box(frame, v))
+        return boxed[-1]
+
+    monkeypatch.setattr(_Frame, "box", counted)
+    for N in range(2, 41):
+        boxed.clear()
+        report = lemma53_growth(N)
+        assert (report.distinct_count, report.values_match_initial_segments) == (N, True)
+        assert len(boxed) == N
+        values = [frozenset(_bits(m)) for m in boxed]
+        rel = {(i, j) for i in range(N) for j in range(N) if i >= j}
+        asg = {"x": frozenset(range(0, N, 2)), "y": frozenset(range(1, N, 2))}
+        assert values == [kripke_eval(N, rel, build_phi(k), asg) for k in range(N)]
+
+
+def test_growth_tower_of_600_worlds_in_seconds():
+    """Evaluated phi_k by phi_k, the tower over 600 worlds took about 98 s."""
+    proc = run_capped("from poma import lemma53_growth\nprint(lemma53_growth(600))",
+                      cpu_seconds=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("GrowthReport(n_worlds=600, distinct_count=600, "
+                           "truncation_boundary=599, values_match_initial_segments=True)\n")
+
 @pytest.mark.parametrize("N", ["4", 4.0, None])
 def test_growth_count_must_be_an_int(N):
     with pytest.raises(PreconditionError):
